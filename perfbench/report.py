@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every workload, untraced and traced, and print each metric with its unit.
 
-    python3 perfbench/report.py --seed 7 --seconds 30
+    python3 perfbench/report.py --seed 7 --seconds 40
 
 Each workload runs in its own ``run.py`` process, one after the other, so
 peak memory is per workload and only one process generates load at a time.
@@ -35,7 +35,7 @@ def run_once(workload, seed, seconds, trace):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=40)
     args = parser.parse_args(argv)
     with open(os.path.join(HERE, "workloads.json")) as fh:
         workloads = json.load(fh)["workloads"]

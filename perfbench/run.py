@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload toy --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload toy --seed 1 --seconds 40 --trace 0
 
 Each workload (see ``workloads.json``) runs three solver cases on one
 instance and topology: ``stm`` (STM, p = 1, hard box mode), ``acrcd``
@@ -58,10 +58,14 @@ P1_CASES = ("stm", "acrcd")
 SIMPLEX_TOL = 1e-9
 # An observed run that has not reached eps by its cap is retried with the cap doubled.
 CAP_DOUBLINGS = 3
-SETUP_MIN_REPEATS = 5
+SETUP_MIN_REPEATS = 9
 SETUP_MIN_SECONDS = 1.0
 SETUP_BATCH_S = 0.05
-CALIBRATION_S = 0.01
+# The calibration window after a timed call: this share of the call's wall
+# time, within the bounds below.
+CALIBRATION_SHARE = 0.25
+CALIBRATION_MIN_S = 0.03
+CALIBRATION_MAX_S = 0.1
 
 # Module attributes wrapped by the traced run, by module.  A name missing
 # from a module is skipped, so the list may name more than a version has.
@@ -124,13 +128,14 @@ class SpeedClock:
     moves it, but it stresses what the workload's iterations stress: the
     interpreter on ``toy``, the cache on ``ring512``.
 
-    Every timed call is followed by CALIBRATION_S of kernel repetitions, of
-    which the fastest gives the machine's current speed.  The call's wall
-    time is scaled by the workload's ``calibration_rep_s`` (the fastest
-    repetition on the reference machine) over the faster of the two speeds
-    measured around the call.  A slow phase of the machine thus slows the
-    call and its scale alike; on a machine of steady speed the scale is one
-    constant factor.
+    Every timed call is followed by a window of kernel repetitions whose
+    median gives the machine's current speed; the window lasts
+    CALIBRATION_SHARE of the call, within CALIBRATION_MIN_S and
+    CALIBRATION_MAX_S.  The call's wall time is scaled by the workload's
+    ``calibration_rep_s`` (the kernel's repetition time on the reference
+    machine) over the mean of the speeds measured just before and just after
+    the call.  A slow phase of the machine thus slows the call and its scale
+    alike; on a machine of steady speed the scale is one constant factor.
     """
 
     def __init__(self, w):
@@ -141,27 +146,28 @@ class SpeedClock:
         self.S = rng.standard_normal((m, n))
         self.Z = rng.standard_normal((m, d))
         self.reference = w["calibration_rep_s"]
-        self.last = self.rep_seconds()
+        self.last = self.rep_seconds(CALIBRATION_MIN_S)
 
     def rep(self):
         T = -(self.W @ self.Z + np.einsum("ind,in->id", self.A, self.S))
         E = np.exp((T - T.max(axis=1, keepdims=True)) / 3.0)
         return float((self.W @ (E / E.sum(axis=1, keepdims=True))).sum())
 
-    def rep_seconds(self):
-        """Fastest kernel repetition in CALIBRATION_S of repetitions."""
-        fastest = math.inf
-        t_end = time.perf_counter() + CALIBRATION_S
-        while fastest == math.inf or time.perf_counter() < t_end:
+    def rep_seconds(self, window):
+        """Median kernel repetition over ``window`` seconds of repetitions."""
+        reps = []
+        t_end = time.perf_counter() + window
+        while not reps or time.perf_counter() < t_end:
             wall, _ = time_call(self.rep)
-            fastest = min(fastest, wall)
-        return fastest
+            reps.append(wall)
+        return statistics.median(reps)
 
     def __call__(self, fn, *args):
         before = self.last
         wall, out = time_call(fn, *args)
-        self.last = self.rep_seconds()
-        return wall * self.reference / min(before, self.last), out
+        window = min(CALIBRATION_MAX_S, max(CALIBRATION_MIN_S, CALIBRATION_SHARE * wall))
+        self.last = self.rep_seconds(window)
+        return wall * self.reference / (0.5 * (before + self.last)), out
 
 
 def first_certified(trace, eps):
@@ -315,14 +321,19 @@ def setup_batch(w):
     return count
 
 
-def fastest_setup(w, clock):
-    """Fastest set-up time over batches, each timed as one call of the clock."""
+def setup_time(w, clock):
+    """Time per set-up of one batch, timed as one call of the clock."""
+    seconds, count = clock(setup_batch, w)
+    return seconds / count
+
+
+def setup_times(w, clock):
+    """Set-up times of the batches made before the solver runs."""
     samples = []
     t0 = time.perf_counter()
     while len(samples) < SETUP_MIN_REPEATS or time.perf_counter() - t0 < SETUP_MIN_SECONDS:
-        seconds, count = clock(setup_batch, w)
-        samples.append(seconds / count)
-    return min(samples)
+        samples.append(setup_time(w, clock))
+    return samples
 
 
 def prepare_cases(w, seed):
@@ -335,28 +346,28 @@ def prepare_cases(w, seed):
 def end_to_end(w, seed, seconds, out_dir):
     """Untraced measurement of one workload: (metrics, ledger).
 
-    The stride-1 runs come first and fix iters_to_eps; then every coin of
-    every case is visited once.  Until ``seconds`` have passed since the
-    stride-1 runs began, further visits go to the case that has had the
-    least measuring time, cycling through its coins.  A visit times
-    whichever of the coin's runs has the fewest samples, so all kinds of
-    run stay level.
+    Set-up is timed in batches before the solver runs and once after every
+    visit, so its samples span the run.  The stride-1 runs come first and
+    fix iters_to_eps; then every coin of every case is visited once.
+    Further visits go to the case with the fewest visits summed over its
+    coins, cycling through its coins, while half the case's last visit still
+    fits in the ``seconds`` since the stride-1 runs began.  A visit times
+    whichever of the coin's runs has the fewest samples, so all kinds of run
+    stay level.
     """
     ledger = Ledger()
     clock = SpeedClock(w)
-    setup_s = fastest_setup(w, clock)
+    setup_samples = setup_times(w, clock)
     start = time.perf_counter()
     cases = prepare_cases(w, seed)
     samples = {c.label: {"observe": [], "time_to_eps": [], "solve": []} for c in cases}
     observed_iters = {}
-    spent = dict.fromkeys(CASES, 0.0)
     visits = {}
+    last_visit_s = {}
 
     def sample(case, kind):
         args = (out_dir, clock) if kind == "observe" else (clock,)
-        t0 = time.perf_counter()
         result = ledger.run(f"{case.label} {kind}", lambda: getattr(case, kind)(*args))
-        spent[case.name] += time.perf_counter() - t0
         if result is None:
             return
         if kind == "observe":
@@ -364,13 +375,16 @@ def end_to_end(w, seed, seconds, out_dir):
         samples[case.label][kind].append(result)
 
     def visit(case):
+        t0 = time.perf_counter()
         kinds = [k for k in samples[case.label]
                  if case.name in P1_CASES or k != "time_to_eps"]
         fewest = min(len(samples[case.label][k]) for k in kinds)
         for kind in kinds:
             if len(samples[case.label][kind]) == fewest:
                 sample(case, kind)
+        setup_samples.append(setup_time(w, clock))
         visits[case.label] += 1
+        last_visit_s[case.name] = time.perf_counter() - t0
 
     for case in cases:
         sample(case, "observe")
@@ -380,28 +394,43 @@ def end_to_end(w, seed, seconds, out_dir):
         visit(case)
     groups = {name: [c for c in ready if c.name == name] for name in CASES}
     groups = {name: group for name, group in groups.items() if group}
-    while groups and time.perf_counter() - start < seconds:
-        group = groups[min(groups, key=spent.get)]
-        visit(min(group, key=lambda c: visits[c.label]))
+    while groups:
+        name = min(groups, key=lambda n: sum(visits[c.label] for c in groups[n]))
+        if time.perf_counter() - start + 0.5 * last_visit_s[name] >= seconds:
+            break
+        visit(min(groups[name], key=lambda c: visits[c.label]))
 
-    metrics = {"setup_s": (setup_s, "s")}
+    metrics = {"setup_s": (statistics.median(setup_samples), "s")}
     for name, group in groups.items():
-        best = {c.label: {k: min(v) for k, v in samples[c.label].items() if v}
-               for c in group}
-        if not all("solve" in best[c.label] for c in group):
-            continue
-        metrics[f"{name}.ms_per_iter"] = (
-            1e3 * sum(best[c.label]["solve"] for c in group) / sum(c.budget for c in group), "ms")
-        metrics[f"{name}.observed_ms_per_iter"] = (
-            1e3 * sum(best[c.label]["observe"] for c in group)
-            / sum(observed_iters[c.label] for c in group), "ms")
-        if name in P1_CASES and all("time_to_eps" in best[c.label] for c in group):
-            metrics[f"{name}.time_to_eps_s"] = (
-                statistics.fmean(best[c.label]["time_to_eps"] for c in group), "s")
-            metrics[f"{name}.iters_to_eps"] = (statistics.fmean(c.iters for c in group), "count")
-            metrics[f"{name}.rounds_to_eps"] = (statistics.fmean(c.rounds for c in group), "count")
+        metrics.update(case_metrics(name, group, samples, observed_iters))
     metrics["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB")
     return metrics, ledger
+
+
+def case_metrics(name, group, samples, observed_iters):
+    """End-to-end metrics of one case from its coins' scaled samples.
+
+    Each coin's samples of one kind are reduced to their median; the
+    per-iteration metrics divide the coins' summed medians by their summed
+    iterations, and ``time_to_eps_s`` is the mean over coins.
+    """
+    best = {c.label: {k: statistics.median(v) for k, v in samples[c.label].items() if v}
+            for c in group}
+    if not all("solve" in best[c.label] for c in group):
+        return {}
+    metrics = {
+        f"{name}.ms_per_iter": (
+            1e3 * sum(best[c.label]["solve"] for c in group) / sum(c.budget for c in group), "ms"),
+        f"{name}.observed_ms_per_iter": (
+            1e3 * sum(best[c.label]["observe"] for c in group)
+            / sum(observed_iters[c.label] for c in group), "ms"),
+    }
+    if name in P1_CASES and all("time_to_eps" in best[c.label] for c in group):
+        metrics[f"{name}.time_to_eps_s"] = (
+            statistics.fmean(best[c.label]["time_to_eps"] for c in group), "s")
+        metrics[f"{name}.iters_to_eps"] = (statistics.fmean(c.iters for c in group), "count")
+        metrics[f"{name}.rounds_to_eps"] = (statistics.fmean(c.rounds for c in group), "count")
+    return metrics
 
 
 def layer_metrics(case, a, b):
@@ -464,8 +493,10 @@ def traced(w, seed, seconds, out_dir):
     wrapped = {c.label: [] for c in ready}
     tracer = Tracer(trace_targets())
     runs = {}
-    # Pairs of untraced and traced calls, so the overhead compares like with like.
+    # Rounds of pairs of untraced and traced calls, so the overhead compares
+    # like with like; a further round starts while half the last one fits.
     while True:
+        round_start = time.perf_counter()
         for case in ready:
             wall = ledger.run(f"{case.label} untraced", case.time_to_eps)
             if wall is None:
@@ -484,7 +515,8 @@ def traced(w, seed, seconds, out_dir):
                     if ledger.run(f"{case.label} traced observe",
                                   lambda c=case: c.observe(out_dir)) is not None:
                         runs[case.label] = (run_a, run_b)
-        if time.perf_counter() - start >= seconds:
+        now = time.perf_counter()
+        if now - start + 0.5 * (now - round_start) >= seconds:
             break
 
     metrics = {}
