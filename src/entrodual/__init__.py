@@ -1,6 +1,13 @@
 """Dual decomposition solvers for entropy-regularized p-norm fitting over networks."""
 
-from .acrcd import ACRCDConfig, ACRCDState, acrcd_init, acrcd_step, run_acrcd
+from .acrcd import (
+    ACRCDConfig,
+    ACRCDState,
+    BlockOracle,
+    acrcd_init,
+    acrcd_step,
+    run_acrcd,
+)
 from .baseline import subgradient_baseline
 from .dual import (
     INFINITE,

@@ -11,8 +11,14 @@ the z block, and moves only the sampled block:
     s branch:  same with L_s and a box projection on both updates
 
 Only the z branch pays a communication round; the s branch is node-local.
-The inner softmax point is shared by both partial gradients, so it is
-computed once per iteration regardless of the coin.
+Both pairs carry their link images P = W z and Q = A^T s, and the midpoint's
+are the same tau-combination, so the midpoint's link -(P + Q) costs no
+product.  Only the sampled block's partial gradient is evaluated.  A z step
+applies W twice: in grad_z H = -W xhat, and to grad_z H itself, which moves
+P with the coefficients that move z.  An s step applies A once, in
+grad_s H = b - A xhat, and A^T twice, to form Q afresh after the box
+projection; it applies no W.  The candidate objective reads the running
+pair's link -(P + Q).
 """
 
 import math
@@ -21,13 +27,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dual import DualState, dual_gradient, dual_objective, lipschitz_constants
+from .dual import (
+    ETA_IDENTITY_TOL,
+    DualState,
+    data_image,
+    dual_gradient,
+    dual_objective,
+    gossip_image,
+    lipschitz_constants,
+)
 from .errors import NumericFailure
 from .prox import project_box
 from .recovery import duality_gap
 from .trace import SolverTrace
-
-ETA_IDENTITY_TOL = 1e-12
 
 
 @dataclass
@@ -60,9 +72,32 @@ class ACRCDConfig:
                 )
 
 
+class BlockOracle:
+    """The dual of one instance as a step sees it: the sampled block's partial
+    gradient at a point that carries its link, and the link images of z and s."""
+
+    def __init__(self, inst, W):
+        self.inst = inst
+        self.W = W
+
+    def partial(self, point, take_z):
+        """grad_z H (one gossip product) or grad_s H (local) at ``point``."""
+        g_z, g_s = dual_gradient(point, self.inst, self.W, "z" if take_z else "s")
+        return g_z if take_z else g_s
+
+    def gossip(self, z):
+        """P = W z as an (m, d) array: one gossip product."""
+        return gossip_image(self.inst, self.W, z)
+
+    def adjoint(self, s):
+        """Q = A^T s as an (m, d) array: local."""
+        return data_image(self.inst, s)
+
+
 @dataclass
 class ACRCDState:
-    """Running pair (bar), momentum pair (under), and the last midpoints."""
+    """Running pair (bar), momentum pair (under), the last midpoints, and the
+    link images P = W z and Q = A^T s of both pairs."""
 
     z_bar: np.ndarray
     z_under: np.ndarray
@@ -70,15 +105,22 @@ class ACRCDState:
     s_under: np.ndarray
     z_mid: np.ndarray
     s_mid: np.ndarray
+    P_bar: np.ndarray
+    P_under: np.ndarray
+    Q_bar: np.ndarray
+    Q_under: np.ndarray
     k: int = 0
     n_comm: int = 0
     n_comp: int = 0
 
 
-def acrcd_init(z0, s0):
+def acrcd_init(z0, s0, oracle):
     z0 = np.asarray(z0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    return ACRCDState(z0.copy(), z0.copy(), s0.copy(), s0.copy(), z0.copy(), s0.copy())
+    P0 = oracle.gossip(z0)
+    Q0 = oracle.adjoint(s0)
+    return ACRCDState(z0.copy(), z0.copy(), s0.copy(), s0.copy(), z0.copy(), s0.copy(),
+                      P0, P0.copy(), Q0, Q0.copy())
 
 
 def step_coefficients(k):
@@ -86,7 +128,7 @@ def step_coefficients(k):
     return (k + 2) / 8.0, 2.0 / (k + 2)
 
 
-def acrcd_step(state, cfg, rng, grad):
+def acrcd_step(state, cfg, rng, oracle):
     """Advance one iteration; exactly one coin draw, one sampled block moved.
 
     Parameters
@@ -96,26 +138,38 @@ def acrcd_step(state, cfg, rng, grad):
         Must carry numeric L_z, L_s, eta.
     rng : numpy.random.Generator
         Source of the block-sampling coin.
-    grad : callable
-        DualState -> DualState gradient of H; both components may be read,
-        but only the sampled block's step is taken (and billed).
+    oracle : BlockOracle
+        Or any object with the same ``partial``, ``gossip`` and ``adjoint``;
+        only the sampled block's partial gradient is asked for (and billed).
     """
     if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
         raise ValueError("acrcd_step needs a resolved config (L_z, L_s, eta)")
     alpha, tau = step_coefficients(state.k)
     z_mid = tau * state.z_under + (1.0 - tau) * state.z_bar
     s_mid = tau * state.s_under + (1.0 - tau) * state.s_bar
+    P_mid = tau * state.P_under + (1.0 - tau) * state.P_bar
+    Q_mid = tau * state.Q_under + (1.0 - tau) * state.Q_bar
     take_z = rng.random() < cfg.eta
-    g = grad(DualState(z_mid, s_mid))
+    g = oracle.partial(DualState(z_mid, s_mid, -(P_mid + Q_mid)), take_z)
     if take_z:
-        z_bar = z_mid - g.z / cfg.L_z
-        z_under = state.z_under - (2.0 * alpha / cfg.L_z) * g.z
-        return ACRCDState(z_bar, z_under, state.s_bar, state.s_under,
-                          z_mid, s_mid, state.k + 1, state.n_comm + 1, state.n_comp)
-    s_bar = project_box(s_mid - g.s / cfg.L_s)
-    s_under = project_box(state.s_under - (2.0 * alpha / cfg.L_s) * g.s)
-    return ACRCDState(state.z_bar, state.z_under, s_bar, s_under,
-                      z_mid, s_mid, state.k + 1, state.n_comm, state.n_comp + 1)
+        Wg = oracle.gossip(g)
+        step = 2.0 * alpha / cfg.L_z
+        return ACRCDState(z_mid - g / cfg.L_z, state.z_under - step * g,
+                          state.s_bar, state.s_under, z_mid, s_mid,
+                          P_mid - Wg / cfg.L_z, state.P_under - step * Wg,
+                          state.Q_bar, state.Q_under,
+                          state.k + 1, state.n_comm + 1, state.n_comp)
+    s_bar = project_box(s_mid - g / cfg.L_s)
+    s_under = project_box(state.s_under - (2.0 * alpha / cfg.L_s) * g)
+    return ACRCDState(state.z_bar, state.z_under, s_bar, s_under, z_mid, s_mid,
+                      state.P_bar, state.P_under,
+                      oracle.adjoint(s_bar), oracle.adjoint(s_under),
+                      state.k + 1, state.n_comm, state.n_comp + 1)
+
+
+def _running_pair(state):
+    """(z_bar, s_bar) with its carried link -(P_bar + Q_bar)."""
+    return DualState(state.z_bar, state.s_bar, -(state.P_bar + state.Q_bar))
 
 
 def run_acrcd(inst, W, cfg):
@@ -144,17 +198,14 @@ def run_acrcd(inst, W, cfg):
         eta=cfg.eta if cfg.eta is not None else consts.eta,
     )
     rng = np.random.Generator(np.random.PCG64(resolved.rng_seed))
-
-    def grad(ds):
-        g_z, g_s = dual_gradient(ds, inst, W)
-        return DualState(g_z, g_s)
+    oracle = BlockOracle(inst, W)
 
     def objective(ds):
         return dual_objective(ds, inst, W, 0.0, math.inf)
 
     t0 = time.perf_counter()
-    state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n))
-    best = DualState(state.z_bar, state.s_bar).copy()
+    state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
+    best = _running_pair(state).copy()
     best_value = objective(best)
     trace = SolverTrace()
 
@@ -166,8 +217,8 @@ def run_acrcd(inst, W, cfg):
 
     record(0)
     for _ in range(resolved.max_iter):
-        state = acrcd_step(state, resolved, rng, grad)
-        candidate = DualState(state.z_bar, state.s_bar)
+        state = acrcd_step(state, resolved, rng, oracle)
+        candidate = _running_pair(state)
         if not candidate.is_finite():
             raise NumericFailure(f"non-finite iterate at iteration {state.k}")
         value = objective(candidate)

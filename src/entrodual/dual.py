@@ -10,6 +10,12 @@ where g* is the conjugate of the block entropy (a scaled log-sum-exp) and R
 is either nu ||s||_q^q (finite q) or the hard constraint ||s||_inf <= 1
 (q = inf, i.e. p = 1).  H is smooth; its gradient needs one gossip exchange
 for the z block and only local products for the s block.
+
+Every evaluation starts from the link T = -(Wz + A^T s).  T is linear in
+(z, s), so a solver whose iterates are affine combinations of each other
+carries T on each DualState (``link``) and updates it with the iterates'
+own coefficients; an evaluation at such a point then skips the product with
+W and A^T that forming T costs.
 """
 
 import math
@@ -17,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GossipMatrix, spectral_constants
-from .problem import data_constants
+from .network import gossip_array, spectral_constants
+from .problem import block_singular_values, data_constants
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
 DUAL_BALL_SLACK = 1e-9
+# Largest accepted disagreement between eta and sqrt(L_z)/(sqrt(L_z)+sqrt(L_s)).
 ETA_IDENTITY_TOL = 1e-12
 
 
@@ -43,10 +50,16 @@ def is_infinite(value):
 
 @dataclass
 class DualState:
-    """Dual variables: z (m*d,) pairs with consensus, s (m*n,) with y = A x."""
+    """Dual variables: z (m*d,) pairs with consensus, s (m*n,) with y = A x.
+
+    ``link``, when set, is the (m, d) link -(Wz + A^T s) of this point, and
+    every evaluation here reads it instead of forming it.  It is only valid
+    while z and s keep their values; None means "not known".
+    """
 
     z: np.ndarray
     s: np.ndarray
+    link: np.ndarray | None = None
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
@@ -57,7 +70,8 @@ class DualState:
         return cls(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n))
 
     def copy(self):
-        return DualState(self.z.copy(), self.s.copy())
+        link = None if self.link is None else self.link.copy()
+        return DualState(self.z.copy(), self.s.copy(), link)
 
     def norm_sq(self):
         return float(self.z @ self.z + self.s @ self.s)
@@ -143,12 +157,24 @@ def conj_G(t, theta, d=None):
     return float(_rows_lse(_as_blocks(t, d), theta).sum())
 
 
+def gossip_image(inst, W, z):
+    """W z for a stacked z (m*d,), as an (m, d) array: one gossip product."""
+    return gossip_array(W) @ z.reshape(inst.m, inst.d)
+
+
+def data_image(inst, s):
+    """The blocks A_i^T s_i for a stacked s (m*n,), as an (m, d) array: local."""
+    return np.einsum("ind,in->id", inst.A, s.reshape(inst.m, inst.n))
+
+
 def _neg_link(inst, W, state):
     """Blocks of -(Wz + A^T s) as an (m, d) array; the argument fed to conj_G."""
-    Z = state.z.reshape(inst.m, inst.d)
-    S = state.s.reshape(inst.m, inst.n)
-    Wm = W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
-    return -(Wm @ Z + np.einsum("ind,in->id", inst.A, S))
+    return -(gossip_image(inst, W, state.z) + data_image(inst, state.s))
+
+
+def _link_of(state, inst, W):
+    """The link of ``state``: the carried one, else formed from z and s."""
+    return _neg_link(inst, W, state) if state.link is None else state.link
 
 
 def dual_objective(state, inst, W, nu, q_exponent=None):
@@ -156,9 +182,10 @@ def dual_objective(state, inst, W, nu, q_exponent=None):
 
     For q = inf the regularizer is replaced by the hard ball constraint
     ||s||_inf <= 1 (violations beyond the slack raise) and contributes 0.
+    A carried link is used as it is, so the call makes no W product.
     """
     qe = inst.q_exponent if q_exponent is None else q_exponent
-    T = _neg_link(inst, W, state)
+    T = _link_of(state, inst, W)
     h = float(state.s @ inst.stacked_b()) + float(_rows_lse(T, inst.theta).sum())
     if math.isinf(qe):
         if np.abs(state.s).max(initial=0.0) > 1.0 + DUAL_BALL_SLACK:
@@ -169,24 +196,25 @@ def dual_objective(state, inst, W, nu, q_exponent=None):
     return h + nu * float(np.sum(np.abs(state.s) ** qe))
 
 
-def dual_gradient(state, inst, W):
+def dual_gradient(state, inst, W, block=None):
     """(grad_z H, grad_s H) = (-W xhat, b - A xhat) with xhat the block softmax.
 
     The z component is the only one that touches neighbours; evaluating it
-    costs one communication round, the s component none.
+    costs one communication round, the s component none.  ``block`` "z" or
+    "s" evaluates only that component and returns None for the other.  A
+    carried link saves the products that forming it costs.
     """
-    T = _neg_link(inst, W, state)
-    X = _rows_softmax(T, inst.theta)
-    Wm = W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
-    g_z = -(Wm @ X)
-    g_s = inst.b - np.einsum("ind,id->in", inst.A, X)
-    return g_z.reshape(-1), g_s.reshape(-1)
+    X = _rows_softmax(_link_of(state, inst, W), inst.theta)
+    g_z = g_s = None
+    if block != "s":
+        g_z = -(gossip_array(W) @ X).reshape(-1)
+    if block != "z":
+        g_s = (inst.b - np.einsum("ind,id->in", inst.A, X)).reshape(-1)
+    return g_z, g_s
 
 
 def _sigma_max_blocks(inst):
-    return float(
-        max(np.linalg.svd(inst.A[i], compute_uv=False)[0] for i in range(inst.m))
-    )
+    return float(block_singular_values(inst)[:, 0].max())
 
 
 def lipschitz_constants(inst, W):
@@ -263,7 +291,7 @@ def dual_kernel_floor(inst, W):
     the pair before trusting dual_radius as a hard bound.
     """
     md = inst.m * inst.d
-    Wm = W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
+    Wm = gossip_array(W)
     M = np.kron(Wm @ Wm, np.eye(inst.d))
     for i in range(inst.m):
         sl = slice(i * inst.d, (i + 1) * inst.d)
@@ -273,9 +301,5 @@ def dual_kernel_floor(inst, W):
     positive = evals[evals > 1e-12 * lam_max]
     exact = float(positive[0]) if positive.size else 0.0
     dc = data_constants(inst)
-    if isinstance(W, GossipMatrix):
-        lam_min_plus = W.lambda_min_plus
-    else:
-        lam_min_plus = spectral_constants(Wm)[1]
-    claimed = min(lam_min_plus**2, dc.sigma_min_plus_A**2)
+    claimed = min(spectral_constants(Wm)[1] ** 2, dc.sigma_min_plus_A**2)
     return exact, claimed

@@ -188,6 +188,11 @@ class GossipMatrix:
         return self.W.shape[0]
 
 
+def gossip_array(W):
+    """The dense (m, m) array of a GossipMatrix, or of any array-like W."""
+    return W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
+
+
 def spectral_constants(W):
     """(lambda_max, lambda_min_plus) of a symmetric PSD matrix.
 
@@ -286,5 +291,4 @@ def lift(gossip, d):
     """Implicit W (x) I_d operator acting on stacked (m*d,) or (m, d) arrays."""
     if d < 1:
         raise ValueError("block size d must be positive")
-    W = gossip.W if isinstance(gossip, GossipMatrix) else np.asarray(gossip, float)
-    return LiftedMatrix(W, d)
+    return LiftedMatrix(gossip_array(gossip), d)

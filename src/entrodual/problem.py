@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GossipMatrix
+from .network import gossip_array
 
 SIMPLEX_TOL = 1e-9
 # Singular values below this fraction of sigma_max count as zero.
@@ -118,14 +118,19 @@ class DataConstants:
     sigma_min_plus_A: float
 
 
+def block_singular_values(inst):
+    """Singular values of every block A_i: row i holds A_i's, in descending order."""
+    return np.linalg.svd(inst.A, compute_uv=False)
+
+
 def data_constants(inst):
     """max_i sigma_max(A_i) and min_i sigma_min_plus(A_i).
 
     Singular values below ``ZERO_SV_REL * sigma_max`` are treated as zero;
     an all-zero block makes the constants meaningless and raises.
     """
-    svals = [np.linalg.svd(inst.A[i], compute_uv=False) for i in range(inst.m)]
-    sigma_max = float(max(s[0] for s in svals))
+    svals = block_singular_values(inst)
+    sigma_max = float(svals[:, 0].max())
     if sigma_max <= 0.0:
         raise ValueError("all data blocks are zero")
     threshold = ZERO_SV_REL * sigma_max
@@ -157,8 +162,7 @@ def distributed_objective(inst, state):
 
 def consensus_residual(W, x_blocks):
     """||(W (x) I) x||_2, zero exactly on consensual stacks."""
-    Wm = W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
-    return float(np.linalg.norm(Wm @ np.asarray(x_blocks, float)))
+    return float(np.linalg.norm(gossip_array(W) @ np.asarray(x_blocks, float)))
 
 
 def apply_blocks(inst, x_blocks):

@@ -5,7 +5,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _neg_link, _rows_lse, _rows_softmax, conj_F, is_infinite
+from .dual import (
+    DualState,
+    _link_of,
+    _neg_link,
+    _rows_lse,
+    _rows_softmax,
+    conj_F,
+    is_infinite,
+)
 from .problem import PrimalState, apply_blocks, consensus_residual, entropy
 
 
@@ -31,8 +39,7 @@ def primal_from_dual(state, inst, W):
     x_i = softmax(-[Wz + A^T s]_i / theta) is exactly the gradient of the
     conjugate entropy term, so it inherits simplex feasibility to rounding.
     """
-    T = _neg_link(inst, W, state)
-    X = _rows_softmax(T, inst.theta)
+    X = _rows_softmax(_link_of(state, inst, W), inst.theta)
     return PrimalState(X, apply_blocks(inst, X))
 
 
@@ -72,9 +79,12 @@ def duality_gap(state, inst, W, nu=0.0, q_exponent=None):
     signatures; the certificate itself is penalty-free, so only the problem's
     own conjugate pairing enters.  Weak duality makes gap >= 0 up to rounding
     whenever s is feasible; an infeasible s reports an infinite gap rather
-    than raising.
+    than raising.  The link is formed at most once per call, and not at all
+    when ``state`` carries it.
     """
     del nu, q_exponent
+    if state.link is None:
+        state = DualState(state.z, state.s, _neg_link(inst, W, state))
     ps = primal_from_dual(state, inst, W)
     xbar = consensus_candidate(ps)
     residual = inst.stacked_A() @ xbar - inst.stacked_b()
@@ -84,6 +94,5 @@ def duality_gap(state, inst, W, nu=0.0, q_exponent=None):
     fstar = conj_F(state.s, inst)
     if is_infinite(fstar):
         return GapReport(primal, math.inf, math.inf, cres, y_res)
-    T = _neg_link(inst, W, state)
-    h = float(state.s @ inst.stacked_b()) + float(_rows_lse(T, inst.theta).sum())
+    h = float(state.s @ inst.stacked_b()) + float(_rows_lse(state.link, inst.theta).sum())
     return GapReport(primal, h, primal + h, cres, y_res)

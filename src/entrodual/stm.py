@@ -12,6 +12,13 @@ smooth part H there, and applies the prox of the regularizer:
 With mu = 0 (the dual here is convex but not strongly so) the first step is
 alpha_1 = 1/L and the scheme reduces to the classical accelerated prox
 method with O(L R^2 / k^2) decay.
+
+u and q carry their links T = -(Wz + A^T s): y's link is the same
+combination of theirs and q^{k+1}'s link takes q's own weights.  Only
+u^{k+1}, which the nonlinear prox produces, has its link formed from
+scratch.  One iteration of run_stm therefore applies W twice (in u's link
+and in grad_z H = -W xhat), A^T once (in u's link) and A once (in
+grad_s H = b - A xhat); the stall check and the trace rows read q's link.
 """
 
 import math
@@ -22,6 +29,7 @@ import numpy as np
 
 from .dual import (
     DualState,
+    _neg_link,
     default_regularizer_weight,
     dual_gradient,
     dual_objective,
@@ -81,10 +89,14 @@ def stm_init(q0):
 
 
 def _combine(a, first, b, second):
-    return DualState(a * first.z + b * second.z, a * first.s + b * second.s)
+    # the links combine with the same weights, when both points carry one
+    link = None
+    if first.link is not None and second.link is not None:
+        link = a * first.link + b * second.link
+    return DualState(a * first.z + b * second.z, a * first.s + b * second.s, link)
 
 
-def stm_step(state, cfg, grad):
+def stm_step(state, cfg, grad, link=None):
     """Advance one iteration using exactly one gradient evaluation.
 
     Parameters
@@ -94,6 +106,10 @@ def stm_step(state, cfg, grad):
         Must be fully resolved: numeric L, nu and q_exponent.
     grad : callable
         Maps a DualState to the gradient of H at that point, as a DualState.
+        The point carries its link when u and q carry theirs.
+    link : callable, optional
+        Maps a DualState to its link; when given, the new u gets its link
+        from it and the new q and the next y combine theirs.
 
     Returns
     -------
@@ -109,16 +125,18 @@ def stm_step(state, cfg, grad):
     if abs(lhs - rhs) > COUPLING_RTOL * max(1.0, abs(lhs)):
         raise ArithmeticError("step-size recurrence lost precision")
     A_new = state.A_k + alpha
-    y = _combine(alpha / A_new, state.u, state.A_k / A_new, state.q)
+    a, c = alpha / A_new, state.A_k / A_new
+    y = _combine(a, state.u, c, state.q)
     g = grad(y)
     gamma = alpha / (1.0 + cfg.mu * A_new)
     lam = cfg.mu * gamma
-    target = DualState(
-        lam * y.z + (1.0 - lam) * state.u.z - gamma * g.z,
-        lam * y.s + (1.0 - lam) * state.u.s - gamma * g.s,
-    )
+    # lam y + (1 - lam) u, which is u itself when mu = 0
+    base = state.u if lam == 0.0 else _combine(lam, y, 1.0 - lam, state.u)
+    target = DualState(base.z - gamma * g.z, base.s - gamma * g.s)
     u_new = prox_R(target, ProxParams(gamma, cfg.nu, cfg.q_exponent, cfg.prox_tol))
-    q_new = _combine(alpha / A_new, u_new, state.A_k / A_new, state.q)
+    if link is not None:
+        u_new.link = link(u_new)
+    q_new = _combine(a, u_new, c, state.q)
     return STMState(A_new, alpha, q_new, u_new, y, state.k + 1)
 
 
@@ -166,6 +184,9 @@ def run_stm(inst, W, cfg=None):
         g_z, g_s = dual_gradient(ds, inst, W)
         return DualState(g_z, g_s)
 
+    def link(ds):
+        return _neg_link(inst, W, ds)
+
     def objective(ds):
         return dual_objective(ds, inst, W, cfg.nu, cfg.q_exponent)
 
@@ -177,14 +198,16 @@ def run_stm(inst, W, cfg=None):
         trace.append(k, value, rep.primal_value / inst.m, rep.gap,
                      rep.consensus_residual, counters["comm"], counters["comp"], wall)
 
-    state = stm_init(DualState.zeros(inst))
+    q0 = DualState.zeros(inst)
+    q0.link = link(q0)
+    state = stm_init(q0)
     trace = SolverTrace()
     f0 = objective(state.q)
     best = f0
     last_improvement = 0
     record(trace, 0, f0)
     for _ in range(cfg.max_iter):
-        state = stm_step(state, cfg, grad)
+        state = stm_step(state, cfg, grad, link)
         if not state.q.is_finite():
             raise NumericFailure(f"non-finite iterate at iteration {state.k}")
         value = objective(state.q)

@@ -21,10 +21,25 @@ class ScriptedRNG:
         return self.draws.pop(0)
 
 
-def constant_grad(g_z, g_s):
-    g_z = np.asarray(g_z, dtype=float)
-    g_s = np.asarray(g_s, dtype=float)
-    return lambda state: ed.DualState(g_z.copy(), g_s.copy())
+class ConstantOracle:
+    """Constant partial gradients; every link image is a zero (1,) array, so
+    the carried links stay zero and only the step arithmetic is exercised."""
+
+    def __init__(self, g_z, g_s):
+        self.g_z = np.asarray(g_z, dtype=float)
+        self.g_s = np.asarray(g_s, dtype=float)
+
+    def partial(self, point, take_z):
+        return (self.g_z if take_z else self.g_s).copy()
+
+    def gossip(self, z):
+        return np.zeros(1)
+
+    def adjoint(self, s):
+        return np.zeros(1)
+
+
+ZERO = ConstantOracle([0.0], [0.0])
 
 
 # L_z = 2, L_s = 8 gives eta = sqrt(2)/(sqrt(2)+sqrt(8)) = 1/3 exactly
@@ -86,37 +101,41 @@ class TestInit:
     def test_copies_inputs(self):
         z0 = np.array([1.0, 2.0])
         s0 = np.array([0.5])
-        state = acrcd_init(z0, s0)
+        state = acrcd_init(z0, s0, ZERO)
         z0[0] = 99.0
         s0[0] = 99.0
         assert state.z_bar[0] == 1.0
         assert state.s_bar[0] == 0.5
 
     def test_six_independent_arrays(self):
-        state = acrcd_init([1.0, 2.0], [0.5])
+        state = acrcd_init([1.0, 2.0], [0.5], ZERO)
         state.z_bar[0] = -7.0
         state.s_bar[0] = -7.0
+        state.P_bar[0] = -7.0
+        state.Q_bar[0] = -7.0
         assert state.z_under[0] == 1.0
         assert state.z_mid[0] == 1.0
         assert state.s_under[0] == 0.5
         assert state.s_mid[0] == 0.5
+        assert state.P_under[0] == 0.0
+        assert state.Q_under[0] == 0.0
 
     def test_counters_start_at_zero(self):
-        state = acrcd_init([0.0], [0.0])
+        state = acrcd_init([0.0], [0.0], ZERO)
         assert (state.k, state.n_comm, state.n_comp) == (0, 0, 0)
 
 
 class TestStepBranches:
     def test_unresolved_config_raises(self):
-        state = acrcd_init([0.0], [0.0])
+        state = acrcd_init([0.0], [0.0], ZERO)
         cfg = ed.ACRCDConfig(rng_seed=0)
         with pytest.raises(ValueError, match="resolved"):
-            acrcd_step(state, cfg, ScriptedRNG([0.1]), constant_grad([0.0], [0.0]))
+            acrcd_step(state, cfg, ScriptedRNG([0.1]), ZERO)
 
     def test_z_branch_hand_computed(self):
-        state = acrcd_init([1.0, 2.0], [0.5, -0.5])
-        grad = constant_grad([1.0, 1.0], [10.0, 10.0])
-        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), grad)
+        state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
+        oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
+        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), oracle)
         # k=0: alpha=1/4, tau=1 so the midpoint is the momentum point
         np.testing.assert_array_equal(new.z_mid, [1.0, 2.0])
         np.testing.assert_allclose(new.z_bar, [0.5, 1.5])
@@ -124,52 +143,56 @@ class TestStepBranches:
         assert (new.k, new.n_comm, new.n_comp) == (1, 1, 0)
 
     def test_z_branch_leaves_s_untouched(self):
-        state = acrcd_init([1.0, 2.0], [0.5, -0.5])
-        grad = constant_grad([1.0, 1.0], [10.0, 10.0])
-        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), grad)
+        state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
+        oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
+        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), oracle)
         assert new.s_bar is state.s_bar
         assert new.s_under is state.s_under
+        assert new.Q_bar is state.Q_bar
+        assert new.Q_under is state.Q_under
 
     def test_s_branch_hand_computed_with_box(self):
-        state = acrcd_init([1.0, 2.0], [0.5, -0.5])
-        grad = constant_grad([1.0, 1.0], [10.0, 10.0])
-        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), grad)
+        state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
+        oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
+        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), oracle)
         # raw steps [-0.75, -1.75] and [-0.125, -1.125] clamp to the box
         np.testing.assert_allclose(new.s_bar, [-0.75, -1.0])
         np.testing.assert_allclose(new.s_under, [-0.125, -1.0])
         assert (new.k, new.n_comm, new.n_comp) == (1, 0, 1)
 
     def test_s_branch_leaves_z_untouched(self):
-        state = acrcd_init([1.0, 2.0], [0.5, -0.5])
-        grad = constant_grad([1.0, 1.0], [10.0, 10.0])
-        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), grad)
+        state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
+        oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
+        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), oracle)
         assert new.z_bar is state.z_bar
         assert new.z_under is state.z_under
+        assert new.P_bar is state.P_bar
+        assert new.P_under is state.P_under
 
     def test_one_coin_per_step(self):
-        state = acrcd_init([0.0], [0.0])
+        state = acrcd_init([0.0], [0.0], ZERO)
         rng = ScriptedRNG([0.2])
-        acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), constant_grad([0.0], [0.0]))
-        state = acrcd_step(state, tiny_cfg(), rng, constant_grad([0.0], [0.0]))
+        acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), ZERO)
+        state = acrcd_step(state, tiny_cfg(), rng, ZERO)
         assert rng.draws == []
         with pytest.raises(IndexError):
-            acrcd_step(state, tiny_cfg(), rng, constant_grad([0.0], [0.0]))
+            acrcd_step(state, tiny_cfg(), rng, ZERO)
 
     def test_draw_equal_to_eta_takes_s_branch(self):
         # strict < comparison; L_z = L_s makes eta exactly one half
         cfg = ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=2.0, eta=0.5)
-        state = acrcd_init([1.0], [0.0])
-        grad = constant_grad([1.0], [1.0])
-        new = acrcd_step(state, cfg, ScriptedRNG([0.5]), grad)
+        state = acrcd_init([1.0], [0.0], ZERO)
+        oracle = ConstantOracle([1.0], [1.0])
+        new = acrcd_step(state, cfg, ScriptedRNG([0.5]), oracle)
         assert new.n_comp == 1
-        new = acrcd_step(state, cfg, ScriptedRNG([0.4999]), grad)
+        new = acrcd_step(state, cfg, ScriptedRNG([0.4999]), oracle)
         assert new.n_comm == 1
 
     def test_midpoint_formula_at_later_k(self):
-        state = acrcd_init([1.0, 2.0], [0.5, -0.5])
-        grad = constant_grad([1.0, 1.0], [1.0, 1.0])
-        state = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), grad)
-        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), grad)
+        state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
+        oracle = ConstantOracle([1.0, 1.0], [1.0, 1.0])
+        state = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), oracle)
+        new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), oracle)
         _, tau = step_coefficients(1)
         expect = tau * state.z_under + (1.0 - tau) * state.z_bar
         np.testing.assert_allclose(new.z_mid, expect)
