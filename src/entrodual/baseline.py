@@ -11,7 +11,7 @@ the method has no dual certificate; trace rows carry infinite dual_obj/gap.
 
 import numpy as np
 
-from .network import gossip_array
+from .network import gossip_operator
 from .problem import consensus_residual, primal_objective
 from .trace import SolverTrace
 
@@ -71,7 +71,7 @@ def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
     if steps < 1:
         raise ValueError("steps must be positive")
     step_of = _parse_step_rule(step_rule)
-    Wm = gossip_array(W)
+    Wm = gossip_operator(W)
     rng = np.random.default_rng(seed)
     X = rng.dirichlet(np.ones(inst.d), size=inst.m)
     trace = SolverTrace()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import gossip_array, spectral_constants
+from .network import gossip_array, gossip_operator, spectral_constants
 from .problem import block_singular_values, data_constants
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
@@ -159,7 +159,7 @@ def conj_G(t, theta, d=None):
 
 def gossip_image(inst, W, z):
     """W z for a stacked z (m*d,), as an (m, d) array: one gossip product."""
-    return gossip_array(W) @ z.reshape(inst.m, inst.d)
+    return gossip_operator(W) @ z.reshape(inst.m, inst.d)
 
 
 def data_image(inst, s):
@@ -207,7 +207,7 @@ def dual_gradient(state, inst, W, block=None):
     X = _rows_softmax(_link_of(state, inst, W), inst.theta)
     g_z = g_s = None
     if block != "s":
-        g_z = -(gossip_array(W) @ X).reshape(-1)
+        g_z = -(gossip_operator(W) @ X).reshape(-1)
     if block != "z":
         g_s = (inst.b - np.einsum("ind,id->in", inst.A, X)).reshape(-1)
     return g_z, g_s

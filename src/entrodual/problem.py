@@ -12,10 +12,11 @@ node, couples the copies through a gossip matrix, and drops the 1/m factor.
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .network import gossip_array
+from .network import gossip_operator
 
 SIMPLEX_TOL = 1e-9
 # Singular values below this fraction of sigma_max count as zero.
@@ -81,6 +82,16 @@ class ProblemInstance:
         """Holder conjugate of p (math.inf when p = 1)."""
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
+    @cached_property
+    def block_singular_values(self):
+        """Singular values of every block A_i, row i descending; read-only.
+
+        A is read-only, so one batched SVD per instance serves every caller.
+        """
+        svals = np.linalg.svd(self.A, compute_uv=False)
+        svals.setflags(write=False)
+        return svals
+
     def stacked_A(self):
         """Row-stacked (m*n, d) view of the blocks."""
         return self.A.reshape(self.m * self.n, self.d)
@@ -119,8 +130,11 @@ class DataConstants:
 
 
 def block_singular_values(inst):
-    """Singular values of every block A_i: row i holds A_i's, in descending order."""
-    return np.linalg.svd(inst.A, compute_uv=False)
+    """Singular values of every block A_i: row i holds A_i's, in descending order.
+
+    Taken once per instance and shared (``ProblemInstance.block_singular_values``).
+    """
+    return inst.block_singular_values
 
 
 def data_constants(inst):
@@ -134,13 +148,13 @@ def data_constants(inst):
     if sigma_max <= 0.0:
         raise ValueError("all data blocks are zero")
     threshold = ZERO_SV_REL * sigma_max
-    minima = []
-    for i, s in enumerate(svals):
-        positive = s[s > threshold]
-        if positive.size == 0:
-            raise ValueError(f"block A_{i} has no singular value above {threshold:.3e}")
-        minima.append(float(positive[-1]))
-    return DataConstants(sigma_max, min(minima))
+    # rows descend, so a block's smallest positive value sits at its count - 1
+    counts = np.count_nonzero(svals > threshold, axis=1)
+    if counts.min() == 0:
+        i = int(np.argmin(counts))
+        raise ValueError(f"block A_{i} has no singular value above {threshold:.3e}")
+    minima = svals[np.arange(inst.m), counts - 1]
+    return DataConstants(sigma_max, float(minima.min()))
 
 
 def primal_objective(inst, x):
@@ -162,7 +176,7 @@ def distributed_objective(inst, state):
 
 def consensus_residual(W, x_blocks):
     """||(W (x) I) x||_2, zero exactly on consensual stacks."""
-    return float(np.linalg.norm(gossip_array(W) @ np.asarray(x_blocks, float)))
+    return float(np.linalg.norm(gossip_operator(W) @ np.asarray(x_blocks, float)))
 
 
 def apply_blocks(inst, x_blocks):

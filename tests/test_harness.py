@@ -286,6 +286,27 @@ class TestRunExperiment:
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("solver", ["stm", "acrcd"])
+    def test_reruns_byte_identical_on_slot_ring(self, solver, tmp_path):
+        # a ring large enough that W is applied from its neighbour slots
+        assert isinstance(ed.build_laplacian(ed.topology_ring(256)).operator,
+                          ed.network.NeighbourSlots)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            ed.run_experiment(self.small_cfg(m=256, p=1.0, theta=3.0, solver=solver,
+                                             solver_seed=4, max_iter=300,
+                                             out=str(out)))
+            outs.append((out / "trace.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_block_svd_taken_once_per_run(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        ed.run_experiment(self.small_cfg())
+        assert len(calls) == 1
+
 
 class TestWriteSummary:
     def test_floats_use_repr(self, tmp_path):

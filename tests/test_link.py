@@ -1,5 +1,6 @@
 """The carried dual link -(Wz + A^T s): agreement with a fresh link, and the
-gossip products it saves, counted at the one place W becomes an array."""
+gossip products it saves, counted at the one place products with W are taken
+from (``gossip_operator``), on dense and on neighbour-slot graphs."""
 
 import math
 
@@ -11,6 +12,7 @@ import entrodual.dual as dual_mod
 import entrodual.stm as stm_mod
 from entrodual.acrcd import BlockOracle, acrcd_init, acrcd_step
 from entrodual.dual import _neg_link
+from entrodual.network import NeighbourSlots
 
 LINK_RTOL = 1e-12
 
@@ -24,7 +26,7 @@ class ScriptedRNG:
 
 
 class CountingGossip:
-    """Stands in for the dense W and logs every product taken with it."""
+    """Stands in for the operator that applies W and logs every product taken with it."""
 
     def __init__(self, W, log):
         self.W = W
@@ -38,14 +40,26 @@ class CountingGossip:
 @pytest.fixture
 def gossip_log(monkeypatch):
     log = []
-    real = dual_mod.gossip_array
-    monkeypatch.setattr(dual_mod, "gossip_array", lambda W: CountingGossip(real(W), log))
+    real = dual_mod.gossip_operator
+    monkeypatch.setattr(dual_mod, "gossip_operator", lambda W: CountingGossip(real(W), log))
     return log
 
 
 @pytest.fixture(scope="module")
 def ring64():
     return ed.build_laplacian(ed.topology_ring(64))
+
+
+@pytest.fixture(scope="module")
+def ring256():
+    """A ring whose W is applied from its neighbour slots."""
+    W = ed.build_laplacian(ed.topology_ring(256))
+    assert isinstance(W.operator, NeighbourSlots)
+    return W
+
+
+def ring256_instance(p):
+    return ed.generate_instance(7, 256, 2, 4, p, 3.0 if p == 1.0 else 0.5)
 
 
 def link_error(state, inst, W):
@@ -76,6 +90,13 @@ class TestCarriedLinkAgrees:
         state, trace = run_solver(solver, inst, ring64, 600)
         assert trace.iter[-1] == 600
         assert link_error(state, inst, ring64) <= LINK_RTOL
+
+    @pytest.mark.parametrize("solver,p", [("stm", 1.0), ("stm", 2.0), ("acrcd", 1.0)])
+    def test_slot_ring(self, solver, p, ring256):
+        inst = ring256_instance(p)
+        state, trace = run_solver(solver, inst, ring256, 600)
+        assert trace.iter[-1] == 600
+        assert link_error(state, inst, ring256) <= LINK_RTOL
 
     def test_acrcd_images_of_both_pairs(self, toy_p1, ring4):
         # P = W z and Q = A^T s of the running and the momentum pair, after
@@ -109,6 +130,16 @@ class TestGossipProducts:
             counts[iters] = (len(gossip_log), len(fresh))
         assert counts[11][0] - counts[1][0] == 2 * 10
         assert counts[11][1] - counts[1][1] == 10
+
+    def test_stm_iteration_on_slot_ring(self, ring256, gossip_log):
+        inst = ring256_instance(1.0)
+        counts = {}
+        for iters in (1, 11):
+            gossip_log.clear()
+            ed.run_stm(inst, ring256, ed.STMConfig(max_iter=iters, trace_every=iters))
+            counts[iters] = len(gossip_log)
+        assert counts[11] - counts[1] == 2 * 10
+        assert set(gossip_log) == {(256, 4)}
 
     @pytest.fixture
     def acrcd_setup(self, toy_p1, ring4):

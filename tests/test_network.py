@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
-from entrodual.network import ZERO_EIG_REL
+from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _off_diagonal
 
 from reference_values import RING4_EIGS
 from strategies import connected_topologies
@@ -218,7 +220,100 @@ class TestTopologyIO:
             ed.load_topology(path)
 
 
+# one Erdos-Renyi edge probability per size, each connected at seed 0
+ER_SPECS = {4: "erdos-renyi 0.7 0", 64: "erdos-renyi 0.1 0",
+            256: "erdos-renyi 0.03 0", 512: "erdos-renyi 0.02 0"}
+SLOT_RTOL = 1e-14
+
+
+def slots_of(W):
+    """The neighbour slots of W, whatever the rule picks for it."""
+    return NeighbourSlots.from_entries(W, *_off_diagonal(W))
+
+
+def assert_same_product(op, W, X):
+    dense = W @ X
+    out = op @ X
+    assert out.shape == dense.shape
+    assert np.abs(out - dense).max() <= SLOT_RTOL * np.abs(dense).max()
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    cache = {}
+
+    def get(spec, m):
+        if (spec, m) not in cache:
+            cache[spec, m] = ed.build_laplacian(ed.make_topology(spec, m))
+        return cache[spec, m]
+
+    return get
+
+
+class TestNeighbourSlots:
+    @pytest.mark.parametrize("m", [4, 64, 256, 512])
+    @pytest.mark.parametrize("spec", ["ring", "path", "star", "complete", "erdos-renyi"])
+    def test_product_matches_dense(self, spec, m, graphs):
+        g = graphs(ER_SPECS[m] if spec == "erdos-renyi" else spec, m)
+        op = slots_of(g.W)
+        rng = np.random.default_rng(m)
+        for X in (rng.standard_normal(m), rng.standard_normal((m, 1)),
+                  rng.standard_normal((m, 8))):
+            assert_same_product(op, g.W, X)
+
+    @pytest.mark.parametrize("m", [4, 64, 256, 512])
+    def test_weighted_matrix(self, m, graphs):
+        base = graphs("ring", m)
+        g = ed.gossip_from_matrix(0.5 * base.W, base.topology)
+        rng = np.random.default_rng(m + 1)
+        for op in (g.operator, slots_of(g.W)):
+            for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):
+                assert_same_product(op, g.W, X)
+
+    def test_edge_list_and_nonzero_pattern_agree(self, graphs):
+        g = graphs("ring", 512)
+        again = slots_of(g.W)
+        for name in ("diag", "cols", "vals"):
+            np.testing.assert_array_equal(getattr(g.operator, name), getattr(again, name))
+
+    def test_padding_points_at_the_row_itself(self, graphs):
+        # the path's end nodes have one neighbour, so their second slot pads
+        op = graphs("path", 512).operator
+        assert op.cols.shape == (2, 512)
+        assert op.cols[1, 0] == 0 and op.vals[1, 0, 0] == 0.0
+        assert op.cols[1, 511] == 511 and op.vals[1, 511, 0] == 0.0
+        assert op.shape == (512, 512)
+
+
+class TestApplyRule:
+    @pytest.mark.parametrize("spec,m", [("ring", 4), ("ring", 64), ("complete", 64),
+                                        (ER_SPECS[512], 512)])
+    def test_dense(self, spec, m, graphs):
+        g = graphs(spec, m)
+        assert g.operator is g.W
+        assert ed.network.gossip_operator(g) is g.W
+
+    @pytest.mark.parametrize("spec", ["ring", "path"])
+    def test_slots(self, spec, graphs):
+        g = graphs(spec, 512)
+        assert isinstance(g.operator, NeighbourSlots)
+        assert ed.network.gossip_operator(g) is g.operator
+
+    def test_the_rule_reads_the_row_counts(self, graphs):
+        # k = 2 for a ring: slots from m = 3 * SLOT_CROSSOVER on
+        m = 3 * ed.network.SLOT_CROSSOVER
+        assert isinstance(graphs("ring", m).operator, NeighbourSlots)
+        assert graphs("ring", m - 1).operator is graphs("ring", m - 1).W
+
+
 class TestLift:
+    def test_slot_form_matches_dense(self, graphs):
+        g = graphs("ring", 512)
+        op = ed.lift(g, 3)
+        X = np.random.default_rng(2).standard_normal((512, 3))
+        assert_same_product(ed.network.gossip_operator(g), g.W, X)
+        np.testing.assert_array_equal(op.apply(X.reshape(-1)), (g.operator @ X).reshape(-1))
+
     def test_matches_dense_kronecker(self, ring4):
         rng = np.random.default_rng(0)
         d = 3
@@ -254,6 +349,17 @@ class TestGossipMatrixObject:
     def test_matrix_is_read_only(self, ring4):
         with pytest.raises(ValueError):
             ring4.W[0, 0] = 7.0
+
+    def test_slots_are_read_only(self, graphs):
+        g = graphs("ring", 512)
+        op = g.operator
+        for array in (op.diag, op.cols, op.vals):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.cols = op.cols.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.operator = g.W
 
     def test_m_property(self, ring4):
         assert ring4.m == 4

@@ -167,6 +167,20 @@ class TestDataConstants:
         with pytest.raises(ValueError, match="zero"):
             ed.data_constants(inst)
 
+    def test_zero_block_leaves_lipschitz_constants_defined(self):
+        A = np.zeros((2, 1, 2))
+        A[0] = [[3.0, 4.0]]
+        inst = ed.ProblemInstance(2, 1, 2, 2.0, 0.5, A, np.zeros((2, 1)))
+        c = ed.lipschitz_constants(inst, ed.build_laplacian(ed.topology_path(2)))
+        assert c.L_s == pytest.approx(np.sqrt(2.0) * 25.0 / 0.5, rel=1e-12)
+        with pytest.raises(ValueError, match="A_1"):
+            ed.data_constants(inst)
+
+    def test_singular_values_taken_once_and_read_only(self, toy_p2):
+        svals = ed.problem.block_singular_values(toy_p2)
+        assert ed.problem.block_singular_values(toy_p2) is svals
+        assert not svals.flags.writeable
+
 
 class TestGenerator:
     def test_deterministic(self):
