@@ -80,7 +80,7 @@ def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
         xbar = np.maximum(X.mean(axis=0), 0.0)
         xbar /= xbar.sum()
         trace.append(k, np.inf, primal_objective(inst, xbar), np.inf,
-                     consensus_residual(Wm, X), n_round, n_round, 0.0)
+                     consensus_residual(W, X), n_round, n_round, 0.0)
 
     record(0, 0)
     for k in range(steps):

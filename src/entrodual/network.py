@@ -13,7 +13,8 @@ count of any row), one neighbour column and weight per row, so that
     W X = diag * X + sum_t vals_t * X[cols_t],
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
-neighbours pad with their own index and weight 0.  The slots are used when
+neighbours pad with their own index and weight 0.  The slots are read from
+W's nonzero pattern, so weighted matrices work too.  They are used when
 (k + 1) * SLOT_CROSSOVER <= m.  SLOT_CROSSOVER = 64 comes from timing both
 products, one thread, on a 2-core x86 machine.  On rings and paths (k = 2)
 the slots win from m = 160 at d = 50 and from m = 224-256 at d = 8; they
@@ -24,7 +25,7 @@ between.  On the Erdos-Renyi graph G(512, 0.02), k = 22, the slots lose
 differently, at the ulp level.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,7 +226,11 @@ class NeighbourSlots:
 
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
-        rows = X.reshape(self.diag.shape[0], -1)
+        m = self.diag.shape[0]
+        if X.ndim not in (1, 2) or X.shape[0] != m:
+            raise ValueError(f"operand of shape {X.shape} does not match W of shape {(m, m)}; "
+                             "expected (m,) or (m, d)")
+        rows = X.reshape(m, -1)
         out = self.diag * rows
         for cols, vals in zip(self.cols, self.vals):
             out += vals * np.take(rows, cols, axis=0)
@@ -233,15 +238,20 @@ class NeighbourSlots:
 
 
 def _off_diagonal(W):
-    """Positions (rows, cols) of the off-diagonal nonzeros of W."""
-    rows, cols = np.nonzero(W)
+    """Positions (rows, cols) of the off-diagonal nonzeros of W, row by row."""
+    # a flat scan of a boolean mask is several times faster than 2-D np.nonzero
+    rows, cols = np.divmod(np.flatnonzero(W != 0), W.shape[1])
     off = rows != cols
     return rows[off], cols[off]
 
 
-def _apply_form(W, rows, cols):
+def _apply_form(W):
     """W's neighbour slots when (k + 1) * SLOT_CROSSOVER <= m, else W itself."""
     m = W.shape[0]
+    if SLOT_CROSSOVER > m:
+        # dense for every k; skips the nonzero scan on small graphs
+        return W
+    rows, cols = _off_diagonal(W)
     k = int(np.bincount(rows, minlength=m).max(initial=0))
     if (k + 1) * SLOT_CROSSOVER > m:
         return W
@@ -258,9 +268,8 @@ class GossipMatrix:
     ``operator`` is what applies W, fixed at construction by one rule on W's
     own sparsity (see the module docstring): the ``NeighbourSlots`` of W
     when (k + 1) * SLOT_CROSSOVER <= m, with k the largest off-diagonal
-    nonzero count of any row, else the dense ``W``.  ``neighbours`` gives
-    the positions (rows, cols) of W's off-diagonal nonzeros, for instance
-    from an edge list; when omitted they are read from W.  W stays the
+    nonzero count of any row, else the dense ``W``.  The slots are read
+    from W's nonzero pattern, so weighted matrices work too.  W stays the
     dense, read-only matrix for spectra and tests.
     """
 
@@ -269,13 +278,11 @@ class GossipMatrix:
     lambda_min_plus: float
     chi: float
     topology: Topology | None = None
-    neighbours: InitVar[tuple | None] = None
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
-    def __post_init__(self, neighbours):
+    def __post_init__(self):
         self.W.setflags(write=False)
-        rows, cols = _off_diagonal(self.W) if neighbours is None else neighbours
-        object.__setattr__(self, "operator", _apply_form(self.W, rows, cols))
+        object.__setattr__(self, "operator", _apply_form(self.W))
 
     @property
     def m(self):
@@ -341,8 +348,7 @@ def build_laplacian(topology):
     W[rows, cols] = -1.0
     W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
     lam_max, lam_min_plus = _validate_spectrum(W, m)
-    return GossipMatrix(W, lam_max, lam_min_plus, lam_max / lam_min_plus, topology,
-                        (rows, cols))
+    return GossipMatrix(W, lam_max, lam_min_plus, lam_max / lam_min_plus, topology)
 
 
 def gossip_from_matrix(W, topology=None):

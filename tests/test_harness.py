@@ -300,6 +300,19 @@ class TestRunExperiment:
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_baseline_on_slot_ring_matches_dense(self):
+        # the penalty product and the observer's residual both take the slots
+        summary, trace = ed.run_experiment(self.small_cfg(
+            m=256, p=1.0, theta=3.0, solver="subgradient", max_iter=40, trace_every=10))
+        assert summary["iters"] == 40
+        inst = ed.generate_instance(3, 256, 2, 3, 1.0, 3.0)
+        W = ed.build_laplacian(ed.topology_ring(256))
+        dense = ed.subgradient_baseline(inst, W.W, 40, seed=3, trace_every=10)
+        assert trace.iter == dense.iter
+        np.testing.assert_allclose(trace.primal_obj, dense.primal_obj, rtol=1e-12)
+        np.testing.assert_allclose(trace.consensus_residual, dense.consensus_residual,
+                                   rtol=1e-12)
+
     def test_block_svd_taken_once_per_run(self, monkeypatch):
         calls = []
         real = np.linalg.svd

@@ -270,11 +270,14 @@ class TestNeighbourSlots:
             for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):
                 assert_same_product(op, g.W, X)
 
-    def test_edge_list_and_nonzero_pattern_agree(self, graphs):
+    def test_misshaped_operand_raises_on_both_forms(self, graphs):
         g = graphs("ring", 512)
-        again = slots_of(g.W)
-        for name in ("diag", "cols", "vals"):
-            np.testing.assert_array_equal(getattr(g.operator, name), getattr(again, name))
+        rng = np.random.default_rng(3)
+        for X in (rng.standard_normal((8, 512)), rng.standard_normal(512 * 8),
+                  rng.standard_normal((512, 2, 4)), rng.standard_normal(511)):
+            for op in (g.W, g.operator):
+                with pytest.raises(ValueError):
+                    op @ X
 
     def test_padding_points_at_the_row_itself(self, graphs):
         # the path's end nodes have one neighbour, so their second slot pads
