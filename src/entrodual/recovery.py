@@ -12,7 +12,6 @@ from .dual import (
     _rows_lse,
     _rows_softmax,
     conj_F,
-    is_infinite,
 )
 from .problem import PrimalState, apply_blocks, consensus_residual, entropy
 
@@ -30,7 +29,6 @@ class GapReport:
     dual_value: float
     gap: float
     consensus_residual: float
-    y_residual: float
 
 
 def primal_from_dual(state, inst, W):
@@ -70,19 +68,18 @@ def ergodic_average(history, weights):
     return PrimalState(X, Y / w.sum())
 
 
-def duality_gap(state, inst, W, nu=0.0, q_exponent=None):
+def duality_gap(state, inst, W):
     """Gap between the consensual recovered point and the dual certificate.
 
     The primal side evaluates the distributed objective at the renormalized
     block mean replicated to every node; the dual side is Phi = -conj_F(s) -
-    conj_G(-Wz - A^T s).  nu and q_exponent are accepted to mirror the solver
-    signatures; the certificate itself is penalty-free, so only the problem's
-    own conjugate pairing enters.  Weak duality makes gap >= 0 up to rounding
-    whenever s is feasible; an infeasible s reports an infinite gap rather
-    than raising.  The link is formed at most once per call, and not at all
-    when ``state`` carries it.
+    conj_G(-Wz - A^T s).  The certificate is penalty-free: only the problem's
+    own conjugate pairing enters, whatever penalty the solver used.  Weak
+    duality makes gap >= 0 up to rounding whenever s is feasible; an
+    infeasible s reports an infinite gap rather than raising.  The link is
+    formed at most once per call, and not at all when ``state`` carries it;
+    the call makes two passes of the row kernel (softmax and log-sum-exp).
     """
-    del nu, q_exponent
     if state.link is None:
         state = DualState(state.z, state.s, _neg_link(inst, W, state))
     ps = primal_from_dual(state, inst, W)
@@ -90,9 +87,8 @@ def duality_gap(state, inst, W, nu=0.0, q_exponent=None):
     residual = inst.stacked_A() @ xbar - inst.stacked_b()
     primal = float(np.linalg.norm(residual, inst.p)) + inst.m * inst.theta * entropy(xbar)
     cres = consensus_residual(W, ps.x_blocks)
-    y_res = float(np.linalg.norm(ps.y - apply_blocks(inst, ps.x_blocks)))
     fstar = conj_F(state.s, inst)
-    if is_infinite(fstar):
-        return GapReport(primal, math.inf, math.inf, cres, y_res)
+    if math.isinf(fstar):
+        return GapReport(primal, math.inf, math.inf, cres)
     h = float(state.s @ inst.stacked_b()) + float(_rows_lse(state.link, inst.theta).sum())
-    return GapReport(primal, h, primal + h, cres, y_res)
+    return GapReport(primal, h, primal + h, cres)

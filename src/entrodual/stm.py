@@ -19,6 +19,9 @@ u^{k+1}, which the nonlinear prox produces, has its link formed from
 scratch.  One iteration of run_stm therefore applies W twice (in u's link
 and in grad_z H = -W xhat), A^T once (in u's link) and A once (in
 grad_s H = b - A xhat); the stall check and the trace rows read q's link.
+It also makes two passes of the row kernel ``dual._rows_shifted_exp``: the
+softmax xhat at y and the log-sum-exp of the stall-check objective at q.  A
+trace row adds two more (``duality_gap``).
 """
 
 import math
@@ -193,7 +196,7 @@ def run_stm(inst, W, cfg=None):
     t0 = time.perf_counter()
 
     def record(trace, k, value):
-        rep = duality_gap(state.q, inst, W, cfg.nu, cfg.q_exponent)
+        rep = duality_gap(state.q, inst, W)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
         trace.append(k, value, rep.primal_value / inst.m, rep.gap,
                      rep.consensus_residual, counters["comm"], counters["comp"], wall)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import entrodual as ed
-from entrodual.dual import DUAL_BALL_SLACK
+from entrodual.dual import DUAL_BALL_SLACK, _rows_lse, _rows_softmax
 
-from oracles import dense_dual_grad, dense_dual_value, dense_operators
+from oracles import _lse_rows, _softmax_rows, dense_dual_grad, dense_dual_value, dense_operators
 from strategies import small_instances
 
 
@@ -116,6 +117,80 @@ class TestConjGBlocks:
             ed.conj_G(np.zeros(8), 0.8)
 
 
+
+def assert_rows_match_oracle(T, theta):
+    """Both row kernels against the row-major textbook oracle: each
+    log-sum-exp to 1e-14 relative, and simplex softmax rows to 1e-14
+    relative in every entry above the subnormal range."""
+    lse, ref_lse = _rows_lse(T, theta), _lse_rows(T, theta)
+    X, ref_X = _rows_softmax(T, theta), _softmax_rows(T, theta)
+    assert np.isfinite(lse).all() and np.isfinite(ref_lse).all()
+    np.testing.assert_allclose(lse, ref_lse, rtol=1e-14, atol=0.0)
+    assert X.shape == T.shape
+    assert X.flags.c_contiguous
+    np.testing.assert_allclose(X, ref_X, rtol=1e-14, atol=1e-300)
+    assert X.min() >= 0.0
+    np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("m,d", [(1, 1), (4, 5), (64, 50), (512, 8), (1024, 25)])
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 3.0])
+    def test_match_the_oracle(self, m, d, theta):
+        rng = np.random.default_rng(m * d)
+        assert_rows_match_oracle(rng.standard_normal((m, d)) + 2.0, theta)
+
+    def test_softmax_is_c_contiguous(self):
+        T = np.random.default_rng(14).standard_normal((512, 8))
+        X = _rows_softmax(T, 3.0)
+        assert X.flags.c_contiguous and not X.flags.f_contiguous
+        assert _rows_softmax(np.asfortranarray(T), 3.0).flags.c_contiguous
+
+    def test_spread_far_beyond_the_exp_range(self):
+        # spreads of 1e4 theta: every entry below the row maximum underflows
+        theta = 0.5
+        T = np.array([[0.0, -5e3, -2e3], [1e3, -4e3, 1e3], [7.0, 7.0 - 1e4, 7.0 - 400.0]])
+        assert_rows_match_oracle(T, theta)
+        np.testing.assert_array_equal(_rows_lse(T, theta)[:2], [0.0, 1e3 + theta * math.log(2.0)])
+        np.testing.assert_array_equal(_rows_softmax(T, theta)[:2], [[1, 0, 0], [0.5, 0, 0.5]])
+
+    def test_row_far_below_the_others(self):
+        rng = np.random.default_rng(15)
+        T = rng.standard_normal((64, 8))
+        T[5] -= 1e6
+        assert_rows_match_oracle(T, 0.5)
+        # the shift is per row, so the low row keeps its own softmax
+        np.testing.assert_allclose(
+            _rows_softmax(T, 0.5)[5], _softmax_rows(T[5:6] + 1e6, 0.5)[0], rtol=1e-9)
+
+    def test_entries_near_the_float_limit(self):
+        T = np.array([[1e300, -1e300, 0.0], [-1e300, -1e300, -1e300], [1e300, 1e300, -1e300]])
+        for theta in (0.5, 3.0):
+            assert_rows_match_oracle(T, theta)
+            np.testing.assert_array_equal(_rows_softmax(T, theta),
+                                          [[1, 0, 0], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.floats(-1e6, 1e6),
+        ),
+        theta=st.sampled_from([1e-3, 0.1, 0.5, 3.0]),
+    )
+    def test_random_links(self, T, theta):
+        lse, X = _rows_lse(T, theta), _rows_softmax(T, theta)
+        ref_lse, ref_X = _lse_rows(T, theta), _softmax_rows(T, theta)
+        # the maxima are exact; only the sums of exponentials are reordered
+        assert np.all(np.abs(lse - ref_lse) <= 1e-14 * (np.abs(ref_lse) + theta))
+        assert np.all(lse >= T.max(axis=1))
+        assert np.all(lse <= T.max(axis=1) + theta * math.log(T.shape[1]) * (1 + 1e-14))
+        np.testing.assert_allclose(X, ref_X, rtol=1e-14, atol=1e-300)
+        assert X.flags.c_contiguous and X.min() >= 0.0
+        np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
 class TestConjF:
     def test_linear_inside_ball_p2(self, toy_p2):
         rng = np.random.default_rng(7)
@@ -126,24 +201,20 @@ class TestConjF:
     def test_infinite_outside_ball_p2(self, toy_p2):
         t = np.zeros(12)
         t[0] = 1.1
-        assert ed.is_infinite(ed.conj_F(t, toy_p2))
+        assert math.isinf(ed.conj_F(t, toy_p2))
 
     def test_ball_slack_edge(self, toy_p2):
         t = np.zeros(12)
         t[0] = 1.0 + 0.5 * DUAL_BALL_SLACK
-        assert not ed.is_infinite(ed.conj_F(t, toy_p2))
+        assert math.isfinite(ed.conj_F(t, toy_p2))
         t[0] = 1.0 + 1e-6
-        assert ed.is_infinite(ed.conj_F(t, toy_p2))
+        assert math.isinf(ed.conj_F(t, toy_p2))
 
     def test_p1_uses_sup_norm(self, toy_p1):
         t = np.full(12, 0.999)
-        assert not ed.is_infinite(ed.conj_F(t, toy_p1))
+        assert math.isfinite(ed.conj_F(t, toy_p1))
         t[3] = 1.01
-        assert ed.is_infinite(ed.conj_F(t, toy_p1))
-
-    def test_marker_identity(self):
-        assert ed.is_infinite(ed.INFINITE)
-        assert not ed.is_infinite(math.inf)
+        assert math.isinf(ed.conj_F(t, toy_p1))
 
 
 class TestDualObjective:

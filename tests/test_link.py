@@ -1,6 +1,8 @@
 """The carried dual link -(Wz + A^T s): agreement with a fresh link, and the
 gossip products it saves, counted at the one place products with W are taken
-from (``gossip_operator``), on dense and on neighbour-slot graphs."""
+from (``gossip_operator``), on dense and on neighbour-slot graphs.  Passes of
+the per-node log-sum-exp/softmax kernel are counted the same way, at
+``dual._rows_shifted_exp``."""
 
 import math
 
@@ -42,6 +44,16 @@ def gossip_log(monkeypatch):
     log = []
     real = dual_mod.gossip_operator
     monkeypatch.setattr(dual_mod, "gossip_operator", lambda W: CountingGossip(real(W), log))
+    return log
+
+
+@pytest.fixture
+def kernel_log(monkeypatch):
+    """Shapes of the links passed to the row kernel, one entry per pass."""
+    log = []
+    real = dual_mod._rows_shifted_exp
+    monkeypatch.setattr(dual_mod, "_rows_shifted_exp",
+                        lambda T, theta: log.append(T.shape) or real(T, theta))
     return log
 
 
@@ -175,6 +187,36 @@ class TestGossipProducts:
         gossip_log.clear()
         assert ed.duality_gap(carried, toy_p1, ring4) == rep
         assert gossip_log == []
+
+
+class TestKernelPasses:
+    """Two passes per solver iteration (softmax at the gradient's point,
+    log-sum-exp for the objective) and two per certificate."""
+
+    @pytest.mark.parametrize("solver", ["stm", "acrcd"])
+    def test_per_untraced_iteration(self, solver, toy_p1, ring4, kernel_log):
+        counts = {}
+        for iters in (1, 11):
+            kernel_log.clear()
+            run_solver(solver, toy_p1, ring4, iters)
+            counts[iters] = len(kernel_log)
+        assert counts[11] - counts[1] == 2 * 10
+        assert set(kernel_log) == {(4, 5)}
+
+    def test_per_trace_row(self, toy_p1, ring4, kernel_log):
+        # 11 iterations traced at every row against one traced only at the ends
+        ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=11, trace_every=11))
+        ends = len(kernel_log)
+        kernel_log.clear()
+        ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=11, trace_every=1))
+        assert len(kernel_log) - ends == 2 * 10
+
+    def test_duality_gap(self, toy_p1, ring4, kernel_log):
+        rng = np.random.default_rng(2)
+        for s in (rng.uniform(-1, 1, 12), np.zeros(12)):
+            kernel_log.clear()
+            ed.duality_gap(ed.DualState(rng.standard_normal(20), s), toy_p1, ring4)
+            assert kernel_log == [(4, 5), (4, 5)]
 
 
 def test_block_singular_values_match_the_per_block_loop(toy_p1):

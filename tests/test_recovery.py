@@ -130,7 +130,6 @@ class TestDualityGap:
         assert rep.primal_value == 0.0
         assert rep.dual_value == 0.0
         assert rep.consensus_residual == 0.0
-        assert rep.y_residual == 0.0
 
     def test_infeasible_s_reports_infinite_gap(self, toy_p1, ring4):
         state = ed.DualState(np.zeros(toy_p1.m * toy_p1.d), np.full(toy_p1.m * toy_p1.n, 2.0))
@@ -144,10 +143,6 @@ class TestDualityGap:
         s[:toy_p2.n] = 2.0
         rep = ed.duality_gap(ed.DualState(np.zeros(toy_p2.m * toy_p2.d), s), toy_p2, ring4)
         assert math.isinf(rep.gap)
-
-    def test_recovered_y_residual_vanishes(self, toy_p2, ring4):
-        rep = ed.duality_gap(random_state(toy_p2, 4, 2.0, 0.4), toy_p2, ring4)
-        assert rep.y_residual == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
