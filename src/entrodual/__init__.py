@@ -15,14 +15,11 @@ from .dual import (
     block_radii,
     conj_F,
     conj_G,
-    conj_g,
     default_regularizer_weight,
     dual_gradient,
-    dual_kernel_floor,
     dual_objective,
     dual_radius,
     lipschitz_constants,
-    softmax_map,
 )
 from .errors import ConfigError, NumericFailure
 from .harness import ExperimentConfig, compare_solvers, load_config, run_experiment
@@ -58,7 +55,7 @@ from .problem import (
     primal_objective,
     save_instance,
 )
-from .prox import ProxParams, project_box, prox_R, prox_lq_scalar
+from .prox import ProxParams, project_box, prox_R
 from .recovery import (
     GapReport,
     consensus_candidate,

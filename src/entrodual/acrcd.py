@@ -22,6 +22,12 @@ pair's link -(P + Q).  Each iteration of run_acrcd makes two passes of the
 row kernel ``dual._rows_shifted_exp``: the softmax xhat at the midpoint and
 the log-sum-exp of the candidate objective; a trace row adds two more
 (``duality_gap``).
+
+Each pair keeps a block and its image in one float64 buffer (``Stacked``),
+[z | P] and [s | Q], so the midpoint is two fused combinations.  A step
+allocates the two midpoints and two new buffers for the sampled block (plus
+the temporaries of its gradient, and of [g | W g] on a z step), passes the
+other block's buffers along, and never writes into a buffer it did not make.
 """
 
 import math
@@ -92,38 +98,68 @@ class BlockOracle:
         """P = W z as an (m, d) array: one gossip product."""
         return gossip_image(self.inst, self.W, z)
 
-    def adjoint(self, s):
-        """Q = A^T s as an (m, d) array: local."""
-        return data_image(self.inst, s)
+    def adjoint(self, s, out=None):
+        """Q = A^T s as an (m, d) array, written into ``out`` when given: local."""
+        return data_image(self.inst, s, out)
+
+
+class Stacked:
+    """A dual block x and its link image in one buffer ``buf`` = [x | image].
+
+    ``x`` and ``image`` are views into ``buf``, made once, so a state that
+    passes the block along passes the same arrays.
+    """
+
+    __slots__ = ("buf", "x", "image")
+
+    def __init__(self, buf, n, shape):
+        self.buf = buf
+        self.x = buf[:n]
+        self.image = buf[n:].reshape(shape)
+
+    @classmethod
+    def of(cls, x, image):
+        """A new buffer holding copies of x and image."""
+        return cls(np.concatenate((x, image.reshape(-1))), x.size, image.shape)
+
+    def like(self, buf):
+        """``buf`` laid out as this block."""
+        return Stacked(buf, self.x.size, self.image.shape)
 
 
 @dataclass
 class ACRCDState:
-    """Running pair (bar), momentum pair (under), the last midpoints, and the
-    link images P = W z and Q = A^T s of both pairs."""
+    """Running pair (bar), momentum pair (under) and the last midpoints; each
+    pair's blocks as [z | P] and [s | Q] buffers, which ``z_bar``, ``P_bar``,
+    ``s_under`` and the rest view."""
 
-    z_bar: np.ndarray
-    z_under: np.ndarray
-    s_bar: np.ndarray
-    s_under: np.ndarray
+    zP_bar: Stacked
+    zP_under: Stacked
+    sQ_bar: Stacked
+    sQ_under: Stacked
     z_mid: np.ndarray
     s_mid: np.ndarray
-    P_bar: np.ndarray
-    P_under: np.ndarray
-    Q_bar: np.ndarray
-    Q_under: np.ndarray
     k: int = 0
     n_comm: int = 0
     n_comp: int = 0
+
+    z_bar = property(lambda self: self.zP_bar.x)
+    P_bar = property(lambda self: self.zP_bar.image)
+    z_under = property(lambda self: self.zP_under.x)
+    P_under = property(lambda self: self.zP_under.image)
+    s_bar = property(lambda self: self.sQ_bar.x)
+    Q_bar = property(lambda self: self.sQ_bar.image)
+    s_under = property(lambda self: self.sQ_under.x)
+    Q_under = property(lambda self: self.sQ_under.image)
 
 
 def acrcd_init(z0, s0, oracle):
     z0 = np.asarray(z0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    P0 = oracle.gossip(z0)
-    Q0 = oracle.adjoint(s0)
-    return ACRCDState(z0.copy(), z0.copy(), s0.copy(), s0.copy(), z0.copy(), s0.copy(),
-                      P0, P0.copy(), Q0, Q0.copy())
+    zP = Stacked.of(z0, oracle.gossip(z0))
+    sQ = Stacked.of(s0, oracle.adjoint(s0))
+    return ACRCDState(zP, zP.like(zP.buf.copy()), sQ, sQ.like(sQ.buf.copy()),
+                      z0.copy(), s0.copy())
 
 
 def step_coefficients(k):
@@ -142,31 +178,36 @@ def acrcd_step(state, cfg, rng, oracle):
     rng : numpy.random.Generator
         Source of the block-sampling coin.
     oracle : BlockOracle
-        Or any object with the same ``partial``, ``gossip`` and ``adjoint``;
-        only the sampled block's partial gradient is asked for (and billed).
+        Or any object with the same ``partial``, ``gossip`` and ``adjoint``
+        (which must accept ``out``); only the sampled block's partial
+        gradient is asked for (and billed).
     """
     if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
         raise ValueError("acrcd_step needs a resolved config (L_z, L_s, eta)")
     alpha, tau = step_coefficients(state.k)
-    z_mid = tau * state.z_under + (1.0 - tau) * state.z_bar
-    s_mid = tau * state.s_under + (1.0 - tau) * state.s_bar
-    P_mid = tau * state.P_under + (1.0 - tau) * state.P_bar
-    Q_mid = tau * state.Q_under + (1.0 - tau) * state.Q_bar
+    zP_mid = tau * state.zP_under.buf + (1.0 - tau) * state.zP_bar.buf
+    sQ_mid = tau * state.sQ_under.buf + (1.0 - tau) * state.sQ_bar.buf
+    nz, ns = state.zP_bar.x.size, state.sQ_bar.x.size
+    z_mid, s_mid = zP_mid[:nz], sQ_mid[:ns]
+    link = -(zP_mid[nz:] + sQ_mid[ns:]).reshape(state.zP_bar.image.shape)
     take_z = rng.random() < cfg.eta
-    g = oracle.partial(DualState(z_mid, s_mid, -(P_mid + Q_mid)), take_z)
+    g = oracle.partial(DualState(z_mid, s_mid, link), take_z)
     if take_z:
-        Wg = oracle.gossip(g)
+        # [g | W g] moves [z | P] with the coefficients that move z
+        gWg = np.concatenate((g, oracle.gossip(g).reshape(-1)))
         step = 2.0 * alpha / cfg.L_z
-        return ACRCDState(z_mid - g / cfg.L_z, state.z_under - step * g,
-                          state.s_bar, state.s_under, z_mid, s_mid,
-                          P_mid - Wg / cfg.L_z, state.P_under - step * Wg,
-                          state.Q_bar, state.Q_under,
+        return ACRCDState(state.zP_bar.like(zP_mid - gWg / cfg.L_z),
+                          state.zP_under.like(state.zP_under.buf - step * gWg),
+                          state.sQ_bar, state.sQ_under, z_mid, s_mid,
                           state.k + 1, state.n_comm + 1, state.n_comp)
-    s_bar = project_box(s_mid - g / cfg.L_s)
-    s_under = project_box(state.s_under - (2.0 * alpha / cfg.L_s) * g)
-    return ACRCDState(state.z_bar, state.z_under, s_bar, s_under, z_mid, s_mid,
-                      state.P_bar, state.P_under,
-                      oracle.adjoint(s_bar), oracle.adjoint(s_under),
+    # [s | Q] is written in place: the projected s, then its image A^T s
+    bar = state.sQ_bar.like(np.empty_like(sQ_mid))
+    under = state.sQ_under.like(np.empty_like(sQ_mid))
+    project_box(s_mid - g / cfg.L_s, bar.x)
+    project_box(state.sQ_under.x - (2.0 * alpha / cfg.L_s) * g, under.x)
+    oracle.adjoint(bar.x, bar.image)
+    oracle.adjoint(under.x, under.image)
+    return ACRCDState(state.zP_bar, state.zP_under, bar, under, z_mid, s_mid,
                       state.k + 1, state.n_comm, state.n_comp + 1)
 
 
@@ -208,7 +249,8 @@ def run_acrcd(inst, W, cfg):
 
     t0 = time.perf_counter()
     state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
-    best = _running_pair(state).copy()
+    # a step writes only buffers it creates, so the best pair is kept uncopied
+    best = _running_pair(state)
     best_value = objective(best)
     trace = SolverTrace()
 
@@ -227,7 +269,7 @@ def run_acrcd(inst, W, cfg):
         value = objective(candidate)
         if value < best_value:
             best_value = value
-            best = candidate.copy()
+            best = candidate
         if state.k % resolved.trace_every == 0 or state.k == resolved.max_iter:
             record(state.k)
     return best, trace

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import gossip_array, gossip_operator, spectral_constants
+from .network import gossip_operator
 from .problem import block_singular_values, data_constants
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
@@ -103,23 +103,6 @@ class DualConstants:
             )
 
 
-def conj_g(t, theta):
-    """Conjugate of the entropy block: theta * log(sum exp(t / theta)).
-
-    Evaluated in max-shifted form so large arguments cannot overflow.
-    """
-    t = np.asarray(t, dtype=float)
-    tmax = float(t.max())
-    return tmax + theta * math.log(float(np.sum(np.exp((t - tmax) / theta))))
-
-
-def softmax_map(t, theta):
-    """Gradient of conj_g: the simplex point exp(t/theta) / sum exp(t/theta)."""
-    t = np.asarray(t, dtype=float)
-    e = np.exp((t - t.max()) / theta)
-    return e / e.sum()
-
-
 def conj_F(t, inst):
     """Conjugate of the p-norm loss: <t, b> on the dual-norm unit ball, else math.inf."""
     t = np.asarray(t, dtype=float)
@@ -166,7 +149,8 @@ def _rows_softmax(T, theta):
 
 
 def conj_G(t, theta, d=None):
-    """Separable sum of conj_g over blocks of length d (rows if t is 2-D)."""
+    """Separable sum of the entropy conjugate theta * log(sum exp(t_i / theta))
+    over blocks t_i of length d (rows if t is 2-D)."""
     return float(_rows_lse(_as_blocks(t, d), theta).sum())
 
 
@@ -175,19 +159,22 @@ def gossip_image(inst, W, z):
     return gossip_operator(W) @ z.reshape(inst.m, inst.d)
 
 
-def data_image(inst, s):
+def data_image(inst, s, out=None):
     """The blocks A_i^T s_i for a stacked s (m*n,), as an (m, d) array: local."""
-    return np.einsum("ind,in->id", inst.A, s.reshape(inst.m, inst.n))
+    return np.einsum("ind,in->id", inst.A, s.reshape(inst.m, inst.n), out=out)
 
 
-def _neg_link(inst, W, state):
-    """Blocks of -(Wz + A^T s) as an (m, d) array; the argument fed to conj_G."""
-    return -(gossip_image(inst, W, state.z) + data_image(inst, state.s))
+def _neg_link(inst, W, z, s, out=None):
+    """Blocks of -(Wz + A^T s) as an (m, d) array, into ``out`` when given;
+    the argument fed to conj_G."""
+    out = data_image(inst, s, out)
+    out += gossip_image(inst, W, z)
+    return np.negative(out, out=out)
 
 
 def _link_of(state, inst, W):
     """The link of ``state``: the carried one, else formed from z and s."""
-    return _neg_link(inst, W, state) if state.link is None else state.link
+    return _neg_link(inst, W, state.z, state.s) if state.link is None else state.link
 
 
 def dual_objective(state, inst, W, nu, q_exponent=None):
@@ -257,26 +244,32 @@ def dual_radius(inst, W, x_star):
 
     R^2 = theta^2 m ||log x* + 1||^2 / min(sigma_min_plus^2, lambda_min_plus^2).
     Valid when the dual solution has no component in the kernel of the
-    stacked constraint map; see dual_kernel_floor for a diagnostic.
+    stacked constraint map, i.e. when the smallest positive eigenvalue of
+    W^2 + A^T A is the per-factor floor in the denominator.
     """
     dc = data_constants(inst)
     denom = min(dc.sigma_min_plus_A**2, W.lambda_min_plus**2)
     return inst.theta**2 * inst.m * _log_shift_sq(x_star) / denom
 
 
+def _dual_ball_radius_sq(inst, q_exponent):
+    """R_s^2 = max(1, (mn)^(1 - 2/q)), mn at q = inf: the squared 2-norm
+    radius of the dual ball ||s||_q <= 1 in R^(mn)."""
+    mn = inst.m * inst.n
+    if math.isinf(q_exponent):
+        return float(mn)
+    return max(1.0, float(mn) ** (1.0 - 2.0 / q_exponent))
+
+
 def block_radii(inst, W, x_star, q_exponent):
     """Per-block radius bounds (R_z^2, R_s^2) used by the coordinate method.
 
-    R_s^2 = max(1, (mn)^(1 - 2/q)) bounds the dual-ball radius in 2-norm;
+    R_s^2 is the dual ball's squared 2-norm radius (``_dual_ball_radius_sq``);
     R_z^2 folds the solution shift and the data through lambda_min_plus.
     """
     if q_exponent < 1.0:
         raise ValueError("q must be at least 1")
-    mn = inst.m * inst.n
-    if math.isinf(q_exponent):
-        R_s_sq = float(mn)
-    else:
-        R_s_sq = max(1.0, float(mn) ** (1.0 - 2.0 / q_exponent))
+    R_s_sq = _dual_ball_radius_sq(inst, q_exponent)
     sA = _sigma_max_blocks(inst)
     num = 2.0 * inst.theta**2 * inst.m * _log_shift_sq(x_star) + 2.0 * sA**2 * R_s_sq
     return num / W.lambda_min_plus**2, R_s_sq
@@ -287,32 +280,4 @@ def default_regularizer_weight(inst, target_eps, q_exponent=None):
     if target_eps <= 0.0:
         raise ValueError("target accuracy must be positive")
     qe = inst.q_exponent if q_exponent is None else q_exponent
-    mn = inst.m * inst.n
-    if math.isinf(qe):
-        R_s_sq = float(mn)
-    else:
-        R_s_sq = max(1.0, float(mn) ** (1.0 - 2.0 / qe))
-    return target_eps / (2.0 * R_s_sq)
-
-
-def dual_kernel_floor(inst, W):
-    """(exact, claimed) smallest positive eigenvalue of W^2 + A^T A.
-
-    The radius bounds divide by the claimed per-factor floor
-    min(lambda_min_plus(W)^2, sigma_min_plus(A)^2); that floor matches the
-    exact value only when the two kernels line up, so callers should compare
-    the pair before trusting dual_radius as a hard bound.
-    """
-    md = inst.m * inst.d
-    Wm = gossip_array(W)
-    M = np.kron(Wm @ Wm, np.eye(inst.d))
-    for i in range(inst.m):
-        sl = slice(i * inst.d, (i + 1) * inst.d)
-        M[sl, sl] += inst.A[i].T @ inst.A[i]
-    evals = np.linalg.eigvalsh(M)
-    lam_max = float(evals[-1])
-    positive = evals[evals > 1e-12 * lam_max]
-    exact = float(positive[0]) if positive.size else 0.0
-    dc = data_constants(inst)
-    claimed = min(spectral_constants(Wm)[1] ** 2, dc.sigma_min_plus_A**2)
-    return exact, claimed
+    return target_eps / (2.0 * _dual_ball_radius_sq(inst, qe))

@@ -298,30 +298,26 @@ def gossip_operator(W):
     return W.operator if isinstance(W, GossipMatrix) else np.asarray(W, float)
 
 
-def gossip_array(W):
-    """The dense (m, m) array of a GossipMatrix, or of any array-like W."""
-    return W.W if isinstance(W, GossipMatrix) else np.asarray(W, float)
-
-
-def spectral_constants(W):
-    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix.
-
-    Eigenvalues below ``ZERO_EIG_REL * lambda_max`` are treated as zero.
-    Raises if there is no positive eigenvalue at all.
-    """
-    evals = np.linalg.eigvalsh(np.asarray(W, dtype=float))
+def _extreme_eigenvalues(evals):
+    """(lambda_max, lambda_min_plus) from ascending eigenvalues; those below
+    ``ZERO_EIG_REL * lambda_max`` count as zero, and none positive raises."""
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
         raise ValueError("matrix has no positive eigenvalue")
-    positive = evals[evals > ZERO_EIG_REL * lam_max]
-    return lam_max, float(positive[0])
+    return lam_max, float(evals[evals > ZERO_EIG_REL * lam_max][0])
+
+
+def spectral_constants(W):
+    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix."""
+    return _extreme_eigenvalues(np.linalg.eigvalsh(np.asarray(W, dtype=float)))
 
 
 def _validate_spectrum(W, m):
+    if m < 2:
+        # one node has no neighbour: W = [0] has no positive eigenvalue
+        raise ValueError(f"a gossip matrix needs at least 2 nodes, got m = {m}")
     evals = np.linalg.eigvalsh(W)
-    lam_max = float(evals[-1])
-    if lam_max <= 0.0:
-        raise ValueError("gossip matrix has no positive eigenvalue")
+    lam_max, lam_min_plus = _extreme_eigenvalues(evals)
     slack = SPECTRAL_SLACK_REL * lam_max
     if float(evals[0]) < -slack:
         raise ValueError(f"gossip matrix is not PSD (min eigenvalue {evals[0]:.3e})")
@@ -334,7 +330,6 @@ def _validate_spectrum(W, m):
     ones = np.ones(m)
     if np.linalg.norm(W @ ones) > slack * np.sqrt(m) * max(1.0, lam_max):
         raise ValueError("gossip matrix does not annihilate the consensus vector")
-    lam_min_plus = float(evals[evals > ZERO_EIG_REL * lam_max][0])
     return lam_max, lam_min_plus
 
 

@@ -17,9 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualState
-
 BISECT_MAX_ITER = 200
+
+
+def _check_prox_params(gamma, nu, q_exponent, tol):
+    """Raise unless gamma > 0, nu >= 0, q >= 1 and tol > 0."""
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    if nu < 0.0:
+        raise ValueError("nu must be nonnegative")
+    if q_exponent < 1.0:
+        raise ValueError("q must be at least 1")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -32,53 +42,11 @@ class ProxParams:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
-        if self.q_exponent < 1.0:
-            raise ValueError("q must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-
-
-def prox_lq_scalar(t, params):
-    """Minimizer of (t - s)^2 / (2 gamma) + nu |s|^q over real s.
-
-    Bisects the magnitude equation r + gamma q nu r^(q-1) = |t| on [0, |t|]
-    down to ``params.tol``; the result keeps the sign of t and never exceeds
-    |t|.  Exceeding the iteration cap is an internal error and raises.
-    """
-    t = float(t)
-    q = params.q_exponent
-    if math.isinf(q):
-        return min(1.0, max(-1.0, t))
-    if params.nu == 0.0 or t == 0.0:
-        return t
-    if q == 1.0:
-        shift = params.gamma * params.nu
-        return math.copysign(max(abs(t) - shift, 0.0), t)
-    coef = params.gamma * q * params.nu
-    target = abs(t)
-    lo, hi = 0.0, target
-    iters = 0
-    while hi - lo > params.tol:
-        if iters >= BISECT_MAX_ITER:
-            raise RuntimeError(
-                f"prox bisection failed to reach tol={params.tol} within "
-                f"{BISECT_MAX_ITER} iterations (|t|={target})"
-            )
-        mid = 0.5 * (lo + hi)
-        if mid + coef * mid ** (q - 1.0) <= target:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return math.copysign(0.5 * (lo + hi), t)
+        _check_prox_params(self.gamma, self.nu, self.q_exponent, self.tol)
 
 
 def _bisect_magnitudes(target, coef, q, tol):
-    # vectorized counterpart of the scalar bisection, same cap and tolerance
+    # bisects every magnitude at once until all brackets are within tol
     lo = np.zeros_like(target)
     hi = target.copy()
     iters = 0
@@ -96,30 +64,31 @@ def _bisect_magnitudes(target, coef, q, tol):
     return 0.5 * (lo + hi)
 
 
-def prox_R(state, params):
-    """Prox of the separable dual regularizer: identity in z, elementwise in s.
+def prox_R(s, gamma, nu, q_exponent, tol=1e-12, out=None):
+    """Prox of gamma R at s for R(s) = nu ||s||_q^q, elementwise.
 
-    Closed forms cover nu = 0, q = 1 (soft threshold), q = 2, and q = inf
-    (box projection); other exponents use the vectorized bisection, which
-    agrees with prox_lq_scalar to its tolerance.
+    The dual regularizer acts on the s block only.  Closed forms cover
+    nu = 0, q = 1 (soft threshold), q = 2, and q = inf (box projection);
+    other exponents bisect the magnitude equation r + gamma q nu r^(q-1) = |t|
+    to ``tol``.  The result is written into ``out`` when given (``out`` may be
+    ``s`` itself), else into a new array.
     """
-    s = state.s
-    if math.isinf(params.q_exponent):
-        return DualState(state.z.copy(), project_box(s))
-    if params.nu == 0.0:
-        return DualState(state.z.copy(), s.copy())
-    q = params.q_exponent
-    if q == 1.0:
-        shift = params.gamma * params.nu
-        new_s = np.sign(s) * np.maximum(np.abs(s) - shift, 0.0)
-    elif q == 2.0:
-        new_s = s / (1.0 + 2.0 * params.gamma * params.nu)
+    _check_prox_params(gamma, nu, q_exponent, tol)
+    if math.isinf(q_exponent):
+        return project_box(s, out)
+    if nu == 0.0:
+        return np.positive(s, out=out)
+    if q_exponent == 1.0:
+        shrunk = np.maximum(np.abs(s) - gamma * nu, 0.0)
+    elif q_exponent == 2.0:
+        return np.divide(s, 1.0 + 2.0 * gamma * nu, out=out)
     else:
-        coef = params.gamma * q * params.nu
-        new_s = np.sign(s) * _bisect_magnitudes(np.abs(s), coef, q, params.tol)
-    return DualState(state.z.copy(), new_s)
+        shrunk = _bisect_magnitudes(np.abs(s), gamma * q_exponent * nu, q_exponent, tol)
+    return np.multiply(np.sign(s), shrunk, out=out)
 
 
-def project_box(s):
-    """Euclidean projection onto the unit box [-1, 1]^k."""
-    return np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
+def project_box(s, out=None):
+    """Euclidean projection onto the unit box [-1, 1]^k, into ``out`` when given
+    (two ufuncs: ``np.clip``'s Python dispatch costs more on short arrays)."""
+    out = np.maximum(np.asarray(s, dtype=float), -1.0, out=out)
+    return np.minimum(out, 1.0, out=out)

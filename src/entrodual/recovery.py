@@ -81,7 +81,7 @@ def duality_gap(state, inst, W):
     the call makes two passes of the row kernel (softmax and log-sum-exp).
     """
     if state.link is None:
-        state = DualState(state.z, state.s, _neg_link(inst, W, state))
+        state = DualState(state.z, state.s, _neg_link(inst, W, state.z, state.s))
     ps = primal_from_dual(state, inst, W)
     xbar = consensus_candidate(ps)
     residual = inst.stacked_A() @ xbar - inst.stacked_b()

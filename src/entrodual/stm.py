@@ -13,15 +13,17 @@ With mu = 0 (the dual here is convex but not strongly so) the first step is
 alpha_1 = 1/L and the scheme reduces to the classical accelerated prox
 method with O(L R^2 / k^2) decay.
 
-u and q carry their links T = -(Wz + A^T s): y's link is the same
-combination of theirs and q^{k+1}'s link takes q's own weights.  Only
-u^{k+1}, which the nonlinear prox produces, has its link formed from
-scratch.  One iteration of run_stm therefore applies W twice (in u's link
-and in grad_z H = -W xhat), A^T once (in u's link) and A once (in
-grad_s H = b - A xhat); the stall check and the trace rows read q's link.
-It also makes two passes of the row kernel ``dual._rows_shifted_exp``: the
-softmax xhat at y and the log-sum-exp of the stall-check objective at q.  A
-trace row adds two more (``duality_gap``).
+Each iterate is one float64 buffer [z | s | T], T the carried link
+-(Wz + A^T s) flattened.  T is linear in (z, s), so y and q^{k+1} are each
+one fused combination a u + c q of whole buffers; only u^{k+1}, which the
+nonlinear prox produces, has its link formed from scratch.  A step
+allocates three buffers (y, u, q) and the temporaries of the gradient and
+of u's link.  It applies W twice (in u's link and in grad_z H = -W xhat),
+A^T once (in u's link) and A once (in grad_s H = b - A xhat); the stall
+check and the trace rows read q's link.  It also makes two passes of the
+row kernel ``dual._rows_shifted_exp``: the softmax xhat at y and the
+log-sum-exp of the stall-check objective at q.  A trace row adds two more
+(``duality_gap``).
 """
 
 import math
@@ -39,7 +41,7 @@ from .dual import (
     lipschitz_constants,
 )
 from .errors import NumericFailure
-from .prox import ProxParams, prox_R
+from .prox import prox_R
 from .recovery import duality_gap
 from .trace import SolverTrace
 
@@ -77,26 +79,37 @@ class STMConfig:
 
 @dataclass
 class STMState:
-    """Triple of iterates plus the accumulated step weights."""
+    """The accumulated step weights and the iterates q and u.
+
+    Each iterate is one flat buffer [z | s | T]; ``layout`` is
+    (len(z), len(s), shape of T), the shape None when the buffers carry no
+    link.  ``q`` and ``u`` view the buffers as DualStates.
+    """
 
     A_k: float
     alpha_k: float
-    q: DualState
-    u: DualState
-    y: DualState
+    q_buf: np.ndarray
+    u_buf: np.ndarray
+    layout: tuple
     k: int = 0
+
+    def view(self, buf):
+        """``buf`` as a DualState whose z, s and link are views into it."""
+        nz, ns, link_shape = self.layout
+        link = None if link_shape is None else buf[nz + ns:].reshape(link_shape)
+        return DualState(buf[:nz], buf[nz:nz + ns], link)
+
+    q = property(lambda self: self.view(self.q_buf))
+    u = property(lambda self: self.view(self.u_buf))
 
 
 def stm_init(q0):
-    return STMState(0.0, 0.0, q0.copy(), q0.copy(), q0.copy(), 0)
-
-
-def _combine(a, first, b, second):
-    # the links combine with the same weights, when both points carry one
-    link = None
-    if first.link is not None and second.link is not None:
-        link = a * first.link + b * second.link
-    return DualState(a * first.z + b * second.z, a * first.s + b * second.s, link)
+    """Start with u and q at the DualState q0, and its link if it carries one."""
+    if q0.link is None:
+        buf, link_shape = np.concatenate((q0.z, q0.s)), None
+    else:
+        buf, link_shape = np.concatenate((q0.z, q0.s, q0.link.reshape(-1))), q0.link.shape
+    return STMState(0.0, 0.0, buf, buf.copy(), (q0.z.size, q0.s.size, link_shape))
 
 
 def stm_step(state, cfg, grad, link=None):
@@ -108,19 +121,23 @@ def stm_step(state, cfg, grad, link=None):
     cfg : STMConfig
         Must be fully resolved: numeric L, nu and q_exponent.
     grad : callable
-        Maps a DualState to the gradient of H at that point, as a DualState.
-        The point carries its link when u and q carry theirs.
+        Maps y, a DualState viewing y's buffer (with its link when the
+        buffers carry one), to the gradient of H there as (g_z, g_s).
     link : callable, optional
-        Maps a DualState to its link; when given, the new u gets its link
-        from it and the new q and the next y combine theirs.
+        ``link(z, s, out)`` writes the link of (z, s) into the (m, d) array
+        ``out``; required when the buffers carry a link, which it fills in
+        for the new u.
 
     Returns
     -------
     STMState
-        The advanced state; ``state`` itself is not modified.
+        The advanced state in new buffers; ``state`` is not modified.
     """
     if cfg.L is None or cfg.nu is None or cfg.q_exponent is None:
         raise ValueError("stm_step needs a resolved config (L, nu, q_exponent)")
+    nz, ns, link_shape = state.layout
+    if link_shape is not None and link is None:
+        raise ValueError("iterates that carry their link need a link callable")
     one = 1.0 + cfg.mu * state.A_k
     alpha = (one + math.sqrt(one * one + 4.0 * cfg.L * state.A_k * one)) / (2.0 * cfg.L)
     lhs = cfg.L * alpha * alpha
@@ -129,18 +146,21 @@ def stm_step(state, cfg, grad, link=None):
         raise ArithmeticError("step-size recurrence lost precision")
     A_new = state.A_k + alpha
     a, c = alpha / A_new, state.A_k / A_new
-    y = _combine(a, state.u, c, state.q)
-    g = grad(y)
+    y = a * state.u_buf + c * state.q_buf
+    g_z, g_s = grad(state.view(y))
     gamma = alpha / (1.0 + cfg.mu * A_new)
     lam = cfg.mu * gamma
     # lam y + (1 - lam) u, which is u itself when mu = 0
-    base = state.u if lam == 0.0 else _combine(lam, y, 1.0 - lam, state.u)
-    target = DualState(base.z - gamma * g.z, base.s - gamma * g.s)
-    u_new = prox_R(target, ProxParams(gamma, cfg.nu, cfg.q_exponent, cfg.prox_tol))
-    if link is not None:
-        u_new.link = link(u_new)
-    q_new = _combine(a, u_new, c, state.q)
-    return STMState(A_new, alpha, q_new, u_new, y, state.k + 1)
+    base = state.u_buf if lam == 0.0 else lam * y + (1.0 - lam) * state.u_buf
+    u = np.empty_like(y)
+    z, s = u[:nz], u[nz:nz + ns]
+    np.subtract(base[:nz], np.multiply(g_z, gamma, out=z), out=z)
+    np.subtract(base[nz:nz + ns], np.multiply(g_s, gamma, out=s), out=s)
+    prox_R(s, gamma, cfg.nu, cfg.q_exponent, cfg.prox_tol, out=s)
+    if link_shape is not None:
+        link(z, s, u[nz + ns:].reshape(link_shape))
+    q = a * u + c * state.q_buf
+    return STMState(A_new, alpha, q, u, state.layout, state.k + 1)
 
 
 def resolve_config(cfg, inst, W):
@@ -184,11 +204,10 @@ def run_stm(inst, W, cfg=None):
         # one gossip exchange and one local pass per evaluation
         counters["comm"] += 1
         counters["comp"] += 1
-        g_z, g_s = dual_gradient(ds, inst, W)
-        return DualState(g_z, g_s)
+        return dual_gradient(ds, inst, W)
 
-    def link(ds):
-        return _neg_link(inst, W, ds)
+    def link(z, s, out):
+        _neg_link(inst, W, z, s, out)
 
     def objective(ds):
         return dual_objective(ds, inst, W, cfg.nu, cfg.q_exponent)
@@ -202,7 +221,7 @@ def run_stm(inst, W, cfg=None):
                      rep.consensus_residual, counters["comm"], counters["comp"], wall)
 
     q0 = DualState.zeros(inst)
-    q0.link = link(q0)
+    q0.link = _neg_link(inst, W, q0.z, q0.s)
     state = stm_init(q0)
     trace = SolverTrace()
     f0 = objective(state.q)
@@ -211,7 +230,8 @@ def run_stm(inst, W, cfg=None):
     record(trace, 0, f0)
     for _ in range(cfg.max_iter):
         state = stm_step(state, cfg, grad, link)
-        if not state.q.is_finite():
+        # z, s and the carried link in one pass over q's buffer
+        if not np.isfinite(state.q_buf).all():
             raise NumericFailure(f"non-finite iterate at iteration {state.k}")
         value = objective(state.q)
         if not math.isfinite(value):

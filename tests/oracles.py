@@ -2,12 +2,19 @@
 
 Everything here is written against dense matrices and textbook update rules,
 on purpose: these oracles share no code with the package beyond the raw
-problem data, so agreement is meaningful evidence of correctness.
+problem data, so agreement is meaningful evidence of correctness.  The
+exceptions are ``dual_kernel_floor``, which reads the package's spectral and
+data constants, and ``prox_lq_scalar``, which takes its ``ProxParams`` and
+bisection cap.
 """
 
 import math
 
 import numpy as np
+
+from entrodual.network import spectral_constants
+from entrodual.problem import data_constants
+from entrodual.prox import BISECT_MAX_ITER
 
 
 def dense_operators(inst, W):
@@ -128,3 +135,82 @@ def primal_subgradient_reference(inst, iters):
         np.sum(pos * np.log(pos))
     )
     return xavg, value
+
+
+# Scalar and dense forms that the package itself does not use: the blockwise
+# kernels and the vectorized prox are checked against these.
+
+
+def conj_g(t, theta):
+    """Conjugate of the entropy block: theta * log(sum exp(t / theta)).
+
+    Evaluated in max-shifted form so large arguments cannot overflow.
+    """
+    t = np.asarray(t, dtype=float)
+    tmax = float(t.max())
+    return tmax + theta * math.log(float(np.sum(np.exp((t - tmax) / theta))))
+
+
+def softmax_map(t, theta):
+    """Gradient of conj_g: the simplex point exp(t/theta) / sum exp(t/theta)."""
+    t = np.asarray(t, dtype=float)
+    e = np.exp((t - t.max()) / theta)
+    return e / e.sum()
+
+
+def prox_lq_scalar(t, params):
+    """Minimizer of (t - s)^2 / (2 gamma) + nu |s|^q over real s.
+
+    ``params`` is an ``entrodual.ProxParams``.  Bisects the magnitude
+    equation r + gamma q nu r^(q-1) = |t| on [0, |t|] down to ``params.tol``;
+    the result keeps the sign of t and never exceeds |t|.  Exceeding the
+    iteration cap is an internal error and raises.
+    """
+    t = float(t)
+    q = params.q_exponent
+    if math.isinf(q):
+        return min(1.0, max(-1.0, t))
+    if params.nu == 0.0 or t == 0.0:
+        return t
+    if q == 1.0:
+        shift = params.gamma * params.nu
+        return math.copysign(max(abs(t) - shift, 0.0), t)
+    coef = params.gamma * q * params.nu
+    target = abs(t)
+    lo, hi = 0.0, target
+    iters = 0
+    while hi - lo > params.tol:
+        if iters >= BISECT_MAX_ITER:
+            raise RuntimeError(
+                f"prox bisection failed to reach tol={params.tol} within "
+                f"{BISECT_MAX_ITER} iterations (|t|={target})"
+            )
+        mid = 0.5 * (lo + hi)
+        if mid + coef * mid ** (q - 1.0) <= target:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return math.copysign(0.5 * (lo + hi), t)
+
+
+def dual_kernel_floor(inst, W):
+    """(exact, claimed) smallest positive eigenvalue of W^2 + A^T A.
+
+    The radius bounds divide by the claimed per-factor floor
+    min(lambda_min_plus(W)^2, sigma_min_plus(A)^2); that floor matches the
+    exact value only when the two kernels line up, so callers should compare
+    the pair before trusting dual_radius as a hard bound.
+    """
+    Wm = W.W if hasattr(W, "W") else np.asarray(W, dtype=float)
+    M = np.kron(Wm @ Wm, np.eye(inst.d))
+    for i in range(inst.m):
+        sl = slice(i * inst.d, (i + 1) * inst.d)
+        M[sl, sl] += inst.A[i].T @ inst.A[i]
+    evals = np.linalg.eigvalsh(M)
+    lam_max = float(evals[-1])
+    positive = evals[evals > 1e-12 * lam_max]
+    exact = float(positive[0]) if positive.size else 0.0
+    dc = data_constants(inst)
+    claimed = min(spectral_constants(Wm)[1] ** 2, dc.sigma_min_plus_A**2)
+    return exact, claimed

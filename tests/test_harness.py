@@ -430,6 +430,13 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_single_node_exit_code(self, capsys):
+        code = main(["solve", "--m", "1", "--seed", "7", "--p", "1", "--theta", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "a gossip matrix needs at least 2 nodes, got m = 1" in err
+
     def test_numeric_failure_exit_code(self, capsys):
         code = main(["solve", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",
                      "--L", "1e-7", "--max-iter", "3000"])

@@ -2,7 +2,7 @@
 gossip products it saves, counted at the one place products with W are taken
 from (``gossip_operator``), on dense and on neighbour-slot graphs.  Passes of
 the per-node log-sum-exp/softmax kernel are counted the same way, at
-``dual._rows_shifted_exp``."""
+``dual._rows_shifted_exp``, and products with A and A^T at ``np.einsum``."""
 
 import math
 
@@ -11,6 +11,7 @@ import pytest
 
 import entrodual as ed
 import entrodual.dual as dual_mod
+import entrodual.prox as prox_mod
 import entrodual.stm as stm_mod
 from entrodual.acrcd import BlockOracle, acrcd_init, acrcd_step
 from entrodual.dual import _neg_link
@@ -75,7 +76,7 @@ def ring256_instance(p):
 
 
 def link_error(state, inst, W):
-    fresh = _neg_link(inst, W, state)
+    fresh = _neg_link(inst, W, state.z, state.s)
     return float(np.abs(state.link - fresh).max() / np.abs(fresh).max())
 
 
@@ -182,7 +183,7 @@ class TestGossipProducts:
         rep = ed.duality_gap(state, toy_p1, ring4)
         assert len(gossip_log) == 1
         gossip_log.clear()
-        carried = ed.DualState(state.z, state.s, _neg_link(toy_p1, ring4, state))
+        carried = ed.DualState(state.z, state.s, _neg_link(toy_p1, ring4, state.z, state.s))
         assert gossip_log == [(4, 5)]
         gossip_log.clear()
         assert ed.duality_gap(carried, toy_p1, ring4) == rep
@@ -217,6 +218,68 @@ class TestKernelPasses:
             kernel_log.clear()
             ed.duality_gap(ed.DualState(rng.standard_normal(20), s), toy_p1, ring4)
             assert kernel_log == [(4, 5), (4, 5)]
+
+
+class TestPerIterationCounts:
+    """Everything one solver iteration applies or builds, counted together."""
+
+    @pytest.fixture
+    def data_log(self, monkeypatch):
+        """Subscripts of every einsum: "ind,in->id" is A^T s, "ind,id->in" is A x."""
+        log = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda spec, *a, **k: log.append(spec) or real(spec, *a, **k))
+        return log
+
+    @pytest.fixture
+    def prox_params_log(self, monkeypatch):
+        """One entry per ProxParams built through the ``prox`` or the ``stm`` module."""
+        log = []
+
+        class Counted(prox_mod.ProxParams):
+            def __post_init__(self):
+                log.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(prox_mod, "ProxParams", Counted)
+        monkeypatch.setattr(stm_mod, "ProxParams", Counted, raising=False)
+        prox_mod.ProxParams(1.0, 0.0, 2.0)
+        assert len(log) == 1
+        log.clear()
+        return log
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_stm_builds_no_prox_params(self, p, toy_p1, toy_p2, ring4, prox_params_log):
+        inst = toy_p1 if p == 1.0 else toy_p2
+        _, trace = ed.run_stm(inst, ring4, ed.STMConfig(max_iter=50, trace_every=50))
+        assert trace.iter[-1] == 50
+        assert prox_params_log == []
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_stm_products_and_passes(self, p, toy_p1, toy_p2, ring4,
+                                     gossip_log, kernel_log, data_log):
+        inst = toy_p1 if p == 1.0 else toy_p2
+        counts = {}
+        for iters in (1, 11):
+            for log in (gossip_log, kernel_log, data_log):
+                log.clear()
+            ed.run_stm(inst, ring4, ed.STMConfig(max_iter=iters, trace_every=iters))
+            counts[iters] = (len(gossip_log), data_log.count("ind,in->id"),
+                             data_log.count("ind,id->in"), len(kernel_log))
+        per_iter = [(b - a) / 10 for a, b in zip(counts[1], counts[11])]
+        assert per_iter == [2, 1, 1, 2]
+
+    def test_acrcd_w_products_follow_the_coin(self, toy_p1, ring4, gossip_log):
+        # 2 W products per z step, none per s step
+        logged = {}
+        for iters in (1, 41):
+            gossip_log.clear()
+            _, trace = run_solver("acrcd", toy_p1, ring4, iters)
+            logged[iters] = (len(gossip_log), trace.n_comm[-1], trace.n_comp[-1])
+        (w1, z1, s1), (w41, z41, s41) = logged[1], logged[41]
+        assert 0 < z41 - z1 < 40 and (z41 - z1) + (s41 - s1) == 40
+        assert w41 - w1 == 2 * (z41 - z1)
 
 
 def test_block_singular_values_match_the_per_block_loop(toy_p1):

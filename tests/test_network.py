@@ -121,6 +121,25 @@ class TestSpectrum:
         assert lam_max == pytest.approx(4.0, abs=1e-12)
         assert lam_min_plus == pytest.approx(2.0, abs=1e-12)
 
+    def test_spectral_constants_need_a_positive_eigenvalue(self):
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            ed.spectral_constants(np.zeros((3, 3)))
+
+    def test_single_node_has_no_gossip_matrix(self):
+        message = "a gossip matrix needs at least 2 nodes, got m = 1"
+        with pytest.raises(ValueError, match=message):
+            ed.build_laplacian(ed.Topology(1, ()))
+        with pytest.raises(ValueError, match=message):
+            ed.gossip_from_matrix([[0.0]])
+
+    def test_one_eigensolve_per_laplacian(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or real(M))
+        g = ed.build_laplacian(ed.topology_ring(8))
+        assert calls == [(8, 8)]
+        assert (g.lambda_max, g.lambda_min_plus) == ed.spectral_constants(g.W)
+
     @settings(max_examples=40, deadline=None)
     @given(connected_topologies())
     def test_laplacian_properties(self, top):

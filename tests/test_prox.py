@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import entrodual as ed
 
+from oracles import prox_lq_scalar
+
 
 def prox_objective(s, t, params):
     return (t - s) ** 2 / (2.0 * params.gamma) + params.nu * abs(s) ** params.q_exponent
@@ -38,29 +40,29 @@ class TestClosedForms:
                 q_exponent=2.0,
             )
             expected = t / (1.0 + 2.0 * params.gamma * params.nu)
-            assert abs(ed.prox_lq_scalar(t, params) - expected) <= 1e-12
+            assert abs(prox_lq_scalar(t, params) - expected) <= 1e-12
 
     def test_q1_soft_threshold(self):
         params = ed.ProxParams(gamma=0.5, nu=0.4, q_exponent=1.0)
         shift = 0.2
-        assert ed.prox_lq_scalar(1.0, params) == pytest.approx(1.0 - shift, abs=1e-15)
-        assert ed.prox_lq_scalar(-1.0, params) == pytest.approx(-0.8, abs=1e-15)
-        assert ed.prox_lq_scalar(0.1, params) == 0.0
-        assert ed.prox_lq_scalar(-0.15, params) == 0.0
+        assert prox_lq_scalar(1.0, params) == pytest.approx(1.0 - shift, abs=1e-15)
+        assert prox_lq_scalar(-1.0, params) == pytest.approx(-0.8, abs=1e-15)
+        assert prox_lq_scalar(0.1, params) == 0.0
+        assert prox_lq_scalar(-0.15, params) == 0.0
 
     def test_q_inf_clamps(self):
         params = ed.ProxParams(gamma=1.0, nu=0.0, q_exponent=math.inf)
-        assert ed.prox_lq_scalar(2.5, params) == 1.0
-        assert ed.prox_lq_scalar(-3.0, params) == -1.0
-        assert ed.prox_lq_scalar(0.4, params) == 0.4
+        assert prox_lq_scalar(2.5, params) == 1.0
+        assert prox_lq_scalar(-3.0, params) == -1.0
+        assert prox_lq_scalar(0.4, params) == 0.4
 
     def test_zero_nu_is_identity(self):
         params = ed.ProxParams(gamma=0.3, nu=0.0, q_exponent=3.0)
-        assert ed.prox_lq_scalar(1.7, params) == 1.7
+        assert prox_lq_scalar(1.7, params) == 1.7
 
     def test_zero_input_fixed(self):
         params = ed.ProxParams(gamma=0.3, nu=0.9, q_exponent=1.5)
-        assert ed.prox_lq_scalar(0.0, params) == 0.0
+        assert prox_lq_scalar(0.0, params) == 0.0
 
 
 class TestBisection:
@@ -74,7 +76,7 @@ class TestBisection:
                 nu=float(10 ** rng.uniform(-3, 0)),
                 q_exponent=q,
             )
-            s = ed.prox_lq_scalar(t, params)
+            s = prox_lq_scalar(t, params)
             # t = s + gamma q nu |s|^(q-1) sign(s) at the minimizer
             resid = s + params.gamma * q * params.nu * abs(s) ** (q - 1) * np.sign(s) - t
             assert abs(resid) <= 5e-11 * max(1.0, abs(t))
@@ -89,7 +91,7 @@ class TestBisection:
                 nu=float(10 ** rng.uniform(-2, 0)),
                 q_exponent=q,
             )
-            s = ed.prox_lq_scalar(t, params)
+            s = prox_lq_scalar(t, params)
             s_grid = grid_refine_minimizer(t, params)
             assert prox_objective(s, t, params) <= prox_objective(
                 s_grid, t, params
@@ -98,14 +100,14 @@ class TestBisection:
     def test_odd_symmetry(self):
         params = ed.ProxParams(gamma=0.7, nu=0.3, q_exponent=1.5)
         for t in (0.5, 1.3, 2.9):
-            assert ed.prox_lq_scalar(-t, params) == pytest.approx(
-                -ed.prox_lq_scalar(t, params), abs=1e-14
+            assert prox_lq_scalar(-t, params) == pytest.approx(
+                -prox_lq_scalar(t, params), abs=1e-14
             )
 
     def test_shrinks_toward_zero(self):
         params = ed.ProxParams(gamma=1.0, nu=0.5, q_exponent=3.0)
         for t in (0.1, 1.0, 10.0, 1e4):
-            s = ed.prox_lq_scalar(t, params)
+            s = prox_lq_scalar(t, params)
             assert 0.0 <= s <= t
 
     @settings(max_examples=60, deadline=None)
@@ -116,39 +118,52 @@ class TestBisection:
     )
     def test_nonexpansive(self, t1, t2, q):
         params = ed.ProxParams(gamma=0.8, nu=0.25, q_exponent=q)
-        a, b = ed.prox_lq_scalar(t1, params), ed.prox_lq_scalar(t2, params)
+        a, b = prox_lq_scalar(t1, params), prox_lq_scalar(t2, params)
         assert abs(a - b) <= abs(t1 - t2) + 4 * params.tol
 
 
 class TestProxR:
-    def test_z_passthrough_copy(self):
-        state = ed.DualState(np.array([1.0, 2.0]), np.array([0.5]))
-        out = ed.prox_R(state, ed.ProxParams(gamma=1.0, nu=0.1, q_exponent=2.0))
-        assert np.array_equal(out.z, state.z)
-        out.z[0] = 99.0
-        assert state.z[0] == 1.0
-
     def test_q_inf_projects_box(self):
-        state = ed.DualState(np.zeros(2), np.array([2.0, -0.5, -4.0]))
-        out = ed.prox_R(state, ed.ProxParams(gamma=1.0, nu=0.0, q_exponent=math.inf))
-        assert np.array_equal(out.s, [1.0, -0.5, -1.0])
+        s = np.array([2.0, -0.5, -4.0])
+        out = ed.prox_R(s, 1.0, 0.0, math.inf)
+        assert np.array_equal(out, [1.0, -0.5, -1.0])
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
     def test_matches_scalar_map(self, q):
         rng = np.random.default_rng(3)
         s = rng.uniform(-3, 3, size=9)
-        state = ed.DualState(np.zeros(4), s)
         params = ed.ProxParams(gamma=0.6, nu=0.2, q_exponent=q)
-        out = ed.prox_R(state, params)
-        expected = [ed.prox_lq_scalar(v, params) for v in s]
-        assert np.allclose(out.s, expected, atol=5e-12)
+        out = ed.prox_R(s, params.gamma, params.nu, params.q_exponent, params.tol)
+        expected = [prox_lq_scalar(v, params) for v in s]
+        assert np.allclose(out, expected, atol=5e-12)
 
     def test_zero_nu_copies(self):
-        state = ed.DualState(np.zeros(2), np.array([3.0, -3.0]))
-        out = ed.prox_R(state, ed.ProxParams(gamma=1.0, nu=0.0, q_exponent=2.0))
-        assert np.array_equal(out.s, state.s)
-        out.s[0] = 0.0
-        assert state.s[0] == 3.0
+        s = np.array([3.0, -3.0])
+        out = ed.prox_R(s, 1.0, 0.0, 2.0)
+        assert np.array_equal(out, s)
+        out[0] = 0.0
+        assert s[0] == 3.0
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_in_place_matches_fresh(self, q, nu):
+        # the solver writes the prox over its own input
+        s = np.random.default_rng(4).uniform(-3, 3, size=9)
+        fresh = ed.prox_R(s, 0.6, nu, q)
+        target = s.copy()
+        assert ed.prox_R(target, 0.6, nu, q, out=target) is target
+        assert np.array_equal(target, fresh)
+
+    def test_rejects_bad_parameters(self):
+        s = np.zeros(2)
+        with pytest.raises(ValueError, match="gamma"):
+            ed.prox_R(s, 0.0, 0.1, 2.0)
+        with pytest.raises(ValueError, match="nu"):
+            ed.prox_R(s, 1.0, -0.1, 2.0)
+        with pytest.raises(ValueError, match="q must"):
+            ed.prox_R(s, 1.0, 0.1, 0.5)
+        with pytest.raises(ValueError, match="tol"):
+            ed.prox_R(s, 1.0, 0.1, 2.0, tol=0.0)
 
 
 class TestProjectBox:

@@ -23,7 +23,7 @@ def run_quadratic(L, mu, steps, center_z, center_s, scale=1.0):
     """Drive the stepper on H(u) = scale/2 ||u - center||^2."""
 
     def grad(ds):
-        return ed.DualState(scale * (ds.z - center_z), scale * (ds.s - center_s))
+        return scale * (ds.z - center_z), scale * (ds.s - center_s)
 
     state = stm_init(ed.DualState(np.zeros_like(center_z), np.zeros_like(center_s)))
     cfg = resolved_quadratic_cfg(L, mu)
@@ -42,7 +42,7 @@ class TestStepCoefficients:
             L = 3.0
 
             def grad(ds):
-                return ed.DualState(np.zeros(2), np.zeros(1))
+                return np.zeros(2), np.zeros(1)
 
             state = stm_init(ed.DualState(np.zeros(2), np.zeros(1)))
             cfg = resolved_quadratic_cfg(L, mu)
@@ -61,7 +61,7 @@ class TestStepCoefficients:
         L = 7.0
 
         def grad(ds):
-            return ed.DualState(np.zeros(1), np.zeros(1))
+            return np.zeros(1), np.zeros(1)
 
         state = stm_step(
             stm_init(ed.DualState(np.zeros(1), np.zeros(1))),
@@ -76,7 +76,7 @@ class TestStepCoefficients:
         L = 2.0
 
         def grad(ds):
-            return ed.DualState(np.zeros(1), np.zeros(1))
+            return np.zeros(1), np.zeros(1)
 
         state = stm_init(ed.DualState(np.zeros(1), np.zeros(1)))
         cfg = resolved_quadratic_cfg(L)
@@ -91,6 +91,35 @@ class TestStepCoefficients:
                 ed.STMConfig(),
                 lambda ds: ds,
             )
+
+
+class TestFlatIterates:
+    def test_views_share_the_buffers(self):
+        q0 = ed.DualState(np.array([1.0, 2.0]), np.array([0.5]), np.array([[3.0, 4.0]]))
+        state = stm_init(q0)
+        q = state.q
+        for part in (q.z, q.s, q.link):
+            assert np.shares_memory(part, state.q_buf)
+        np.testing.assert_array_equal(state.q_buf, [1.0, 2.0, 0.5, 3.0, 4.0])
+        assert state.u_buf is not state.q_buf
+
+    def test_step_leaves_its_input_untouched(self):
+        def grad(ds):
+            return ds.z - 1.0, ds.s + 2.0
+
+        state = stm_step(stm_init(ed.DualState(np.zeros(3), np.zeros(2))),
+                         resolved_quadratic_cfg(2.0), grad)
+        before = (state.q_buf.copy(), state.u_buf.copy())
+        new = stm_step(state, resolved_quadratic_cfg(2.0), grad)
+        np.testing.assert_array_equal(state.q_buf, before[0])
+        np.testing.assert_array_equal(state.u_buf, before[1])
+        assert new.q_buf is not state.q_buf and new.u_buf is not state.u_buf
+
+    def test_carried_link_needs_a_link_callable(self):
+        q0 = ed.DualState(np.zeros(2), np.zeros(1), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="link callable"):
+            stm_step(stm_init(q0), resolved_quadratic_cfg(1.0),
+                     lambda ds: (np.zeros(2), np.zeros(1)))
 
 
 class TestQuadraticConvergence:
@@ -128,7 +157,7 @@ class TestQuadraticConvergence:
         center_s = np.array([2.0, -3.0])
 
         def grad(ds):
-            return ed.DualState(ds.z - center_z, ds.s - center_s)
+            return ds.z - center_z, ds.s - center_s
 
         state = stm_init(ed.DualState(np.zeros(2), np.zeros(2)))
         cfg = resolved_quadratic_cfg(1.0)
