@@ -14,7 +14,6 @@ from .dual import (
     DualState,
     block_radii,
     conj_F,
-    conj_G,
     default_regularizer_weight,
     dual_gradient,
     dual_objective,
@@ -28,11 +27,8 @@ from .network import (
     Topology,
     build_laplacian,
     gossip_from_matrix,
-    lift,
     load_topology,
     make_topology,
-    save_topology,
-    spectral_constants,
     topology_complete,
     topology_erdos_renyi,
     topology_path,
@@ -47,7 +43,6 @@ from .problem import (
     check_simplex,
     consensus_residual,
     data_constants,
-    distributed_objective,
     entropy,
     generate_instance,
     instance_checksum,
@@ -55,12 +50,11 @@ from .problem import (
     primal_objective,
     save_instance,
 )
-from .prox import ProxParams, project_box, prox_R
+from .prox import project_box, prox_R
 from .recovery import (
     GapReport,
     consensus_candidate,
     duality_gap,
-    ergodic_average,
     primal_from_dual,
 )
 from .stm import STMConfig, STMState, run_stm, stm_init, stm_step

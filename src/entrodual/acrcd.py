@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import (
-    ETA_IDENTITY_TOL,
     DualState,
+    check_eta,
     data_image,
     dual_gradient,
     dual_objective,
@@ -70,15 +70,8 @@ class ACRCDConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.eta is not None and not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie strictly in (0, 1)")
-        if self.eta is not None and self.L_z is not None and self.L_s is not None:
-            implied = math.sqrt(self.L_z) / (math.sqrt(self.L_z) + math.sqrt(self.L_s))
-            if abs(self.eta - implied) > ETA_IDENTITY_TOL:
-                raise ValueError(
-                    f"eta={self.eta!r} inconsistent with block constants "
-                    f"(sqrt(L_z)/(sqrt(L_z)+sqrt(L_s))={implied!r})"
-                )
+        if self.eta is not None:
+            check_eta(self.eta, self.L_z, self.L_s)
 
 
 class BlockOracle:
@@ -262,10 +255,12 @@ def run_acrcd(inst, W, cfg):
 
     record(0)
     for _ in range(resolved.max_iter):
-        state = acrcd_step(state, resolved, rng, oracle)
-        candidate = _running_pair(state)
-        if not candidate.is_finite():
+        prev, state = state, acrcd_step(state, resolved, rng, oracle)
+        # only the sampled block's buffers are new; the other passed when written
+        written = state.zP_bar if state.zP_bar is not prev.zP_bar else state.sQ_bar
+        if not np.isfinite(written.x).all():
             raise NumericFailure(f"non-finite iterate at iteration {state.k}")
+        candidate = _running_pair(state)
         value = objective(candidate)
         if value < best_value:
             best_value = value

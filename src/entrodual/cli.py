@@ -9,6 +9,8 @@ import sys
 
 from .errors import ConfigError, NumericFailure
 from .harness import (
+    CONFIG_TYPES,
+    SOLVERS,
     ExperimentConfig,
     compare_solvers,
     comparison_table,
@@ -24,39 +26,35 @@ from .trace import fit_rate, load_trace
 REFERENCE_MARGIN = 1e-12
 
 
+# Help texts of the flags that have one; every other config flag is bare.
+_FLAG_HELP = {
+    "config": "flat key=value config file",
+    "topology": "generator spec or file:<path>",
+    "instance": "instance file to load instead of generating",
+    "seed": "instance generator seed",
+    "timing": "record wall times (makes traces run-dependent)",
+    "out": "output directory",
+}
+
+
 def _add_config_flags(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--solver", choices=("stm", "acrcd", "subgradient"))
-    sub.add_argument("--topology", help="generator spec or file:<path>")
-    sub.add_argument("--instance", help="instance file to load instead of generating")
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--seed", type=int, help="instance generator seed")
-    sub.add_argument("--scale", type=float)
-    sub.add_argument("--max-iter", type=int, dest="max_iter")
-    sub.add_argument("--target-eps", type=float, dest="target_eps")
-    sub.add_argument("--L", type=float)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--nu", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--solver-seed", type=int, dest="solver_seed")
-    sub.add_argument("--step-rule", dest="step_rule")
-    sub.add_argument("--penalty", type=float)
-    sub.add_argument("--trace-every", type=int, dest="trace_every")
-    sub.add_argument("--timing", action="store_const", const=True, default=None,
-                     help="record wall times (makes traces run-dependent)")
-    sub.add_argument("--out", help="output directory")
+    """--config, then one --key flag per ExperimentConfig key (underscores
+    become dashes); each defaults to None so that unset flags override nothing."""
+    sub.add_argument("--config", help=_FLAG_HELP["config"])
+    for key, kind in CONFIG_TYPES.items():
+        flag, help_text = "--" + key.replace("_", "-"), _FLAG_HELP.get(key)
+        if kind is bool:
+            sub.add_argument(flag, dest=key, action="store_const", const=True,
+                             default=None, help=help_text)
+        else:
+            sub.add_argument(flag, dest=key, help=help_text,
+                             type=None if kind is str else kind,
+                             choices=SOLVERS if key == "solver" else None)
 
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    keys = ("solver", "topology", "instance", "m", "n", "d", "p", "theta",
-            "seed", "scale", "max_iter", "target_eps", "L", "mu", "nu", "q",
-            "solver_seed", "step_rule", "penalty", "trace_every", "timing", "out")
-    return merge_config(cfg, {k: getattr(args, k) for k in keys})
+    return merge_config(cfg, {key: getattr(args, key) for key in CONFIG_TYPES})
 
 
 def _cmd_gen(args):

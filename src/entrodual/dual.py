@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import gossip_operator
-from .problem import block_singular_values, data_constants
+from .problem import data_constants, sigma_max
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
 DUAL_BALL_SLACK = 1e-9
@@ -65,42 +65,36 @@ class DualState:
     def zeros(cls, inst):
         return cls(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n))
 
-    def copy(self):
-        link = None if self.link is None else self.link.copy()
-        return DualState(self.z.copy(), self.s.copy(), link)
-
-    def norm_sq(self):
-        return float(self.z @ self.z + self.s @ self.s)
-
-    def is_finite(self):
-        return bool(np.isfinite(self.z).all() and np.isfinite(self.s).all())
-
 
 @dataclass(frozen=True)
 class DualConstants:
     """Smoothness constants of H and the block-sampling probability eta.
 
     eta equals both lambda_max(W) / (lambda_max(W) + sigma_max(A)) and
-    sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)); the identity is asserted here.
-    Radius bounds are optional because they need a solution estimate.
+    sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)); ``check_eta`` asserts the identity.
     """
 
     L_H: float
     L_z: float
     L_s: float
     eta: float
-    R_dual_sq: float | None = None
-    R_z_sq: float | None = None
-    R_s_sq: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie strictly in (0, 1), got {self.eta}")
-        alt = math.sqrt(self.L_z) / (math.sqrt(self.L_z) + math.sqrt(self.L_s))
-        if abs(self.eta - alt) > ETA_IDENTITY_TOL:
-            raise ValueError(
-                f"eta={self.eta!r} disagrees with sqrt(L_z)/(sqrt(L_z)+sqrt(L_s))={alt!r}"
-            )
+        check_eta(self.eta, self.L_z, self.L_s)
+
+
+def check_eta(eta, L_z=None, L_s=None):
+    """Raise unless 0 < eta < 1 and, when both block constants are given,
+    eta = sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)) to within ETA_IDENTITY_TOL."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie strictly in (0, 1), got {eta}")
+    if L_z is None or L_s is None:
+        return
+    implied = math.sqrt(L_z) / (math.sqrt(L_z) + math.sqrt(L_s))
+    if abs(eta - implied) > ETA_IDENTITY_TOL:
+        raise ValueError(
+            f"eta={eta!r} disagrees with sqrt(L_z)/(sqrt(L_z)+sqrt(L_s))={implied!r}"
+        )
 
 
 def conj_F(t, inst):
@@ -109,15 +103,6 @@ def conj_F(t, inst):
     if np.linalg.norm(t, inst.q_exponent) <= 1.0 + DUAL_BALL_SLACK:
         return float(t @ inst.stacked_b())
     return math.inf
-
-
-def _as_blocks(t, d):
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 2:
-        return t
-    if d is None or t.size % d != 0:
-        raise ValueError("flat input needs a block size d dividing its length")
-    return t.reshape(-1, d)
 
 
 def _rows_shifted_exp(T, theta):
@@ -148,12 +133,6 @@ def _rows_softmax(T, theta):
     return E.T.copy()
 
 
-def conj_G(t, theta, d=None):
-    """Separable sum of the entropy conjugate theta * log(sum exp(t_i / theta))
-    over blocks t_i of length d (rows if t is 2-D)."""
-    return float(_rows_lse(_as_blocks(t, d), theta).sum())
-
-
 def gossip_image(inst, W, z):
     """W z for a stacked z (m*d,), as an (m, d) array: one gossip product."""
     return gossip_operator(W) @ z.reshape(inst.m, inst.d)
@@ -166,7 +145,7 @@ def data_image(inst, s, out=None):
 
 def _neg_link(inst, W, z, s, out=None):
     """Blocks of -(Wz + A^T s) as an (m, d) array, into ``out`` when given;
-    the argument fed to conj_G."""
+    row i is the argument of node i's entropy conjugate g*."""
     out = data_image(inst, s, out)
     out += gossip_image(inst, W, z)
     return np.negative(out, out=out)
@@ -213,10 +192,6 @@ def dual_gradient(state, inst, W, block=None):
     return g_z, g_s
 
 
-def _sigma_max_blocks(inst):
-    return float(block_singular_values(inst)[:, 0].max())
-
-
 def lipschitz_constants(inst, W):
     """Global and per-block gradient Lipschitz bounds, plus eta.
 
@@ -224,7 +199,7 @@ def lipschitz_constants(inst, W):
     L_z = sqrt(m) lambda_max^2 / theta,  L_s = sqrt(m) sigma_max^2 / theta.
     """
     sW = W.lambda_max
-    sA = _sigma_max_blocks(inst)
+    sA = sigma_max(inst)
     L_H = inst.m * (sA**2 + sW**2) / inst.theta
     L_z = math.sqrt(inst.m) * sW**2 / inst.theta
     L_s = math.sqrt(inst.m) * sA**2 / inst.theta
@@ -270,7 +245,7 @@ def block_radii(inst, W, x_star, q_exponent):
     if q_exponent < 1.0:
         raise ValueError("q must be at least 1")
     R_s_sq = _dual_ball_radius_sq(inst, q_exponent)
-    sA = _sigma_max_blocks(inst)
+    sA = sigma_max(inst)
     num = 2.0 * inst.theta**2 * inst.m * _log_shift_sq(x_star) + 2.0 * sA**2 * R_s_sq
     return num / W.lambda_min_plus**2, R_s_sq
 

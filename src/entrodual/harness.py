@@ -11,6 +11,7 @@ times are only measured when timing is switched on.
 import dataclasses
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,15 @@ class ExperimentConfig:
         return self
 
 
-_INT_KEYS = {"m", "n", "d", "seed", "solver_seed", "max_iter", "trace_every"}
-_FLOAT_KEYS = {"p", "theta", "scale", "target_eps", "L", "mu", "nu", "q", "penalty"}
-_BOOL_KEYS = {"timing"}
-_ALL_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _value_type(annotation):
+    """int, float, bool or str: the annotation with an optional None dropped."""
+    kinds = [t for t in typing.get_args(annotation) if t is not type(None)]
+    return kinds[0] if kinds else annotation
+
+
+# The config schema: every ExperimentConfig key, in field order, with the type
+# its value takes in a config file and on the command line.
+CONFIG_TYPES = {f.name: _value_type(f.type) for f in dataclasses.fields(ExperimentConfig)}
 _BOOL_TRUE = {"on", "true", "yes", "1"}
 _BOOL_FALSE = {"off", "false", "no", "0"}
 
@@ -108,19 +114,16 @@ def _coerce(key, raw, where=""):
     raw = raw.strip()
     if raw == "":
         return None
+    kind = CONFIG_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in _BOOL_TRUE:
                 return True
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}bad value {raw!r} for key {key!r}") from None
 
@@ -140,7 +143,7 @@ def load_config(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         coerced = _coerce(key, raw, where=f"{path}:{lineno}: ")
         if coerced is not None:
@@ -151,7 +154,7 @@ def load_config(path):
 def merge_config(cfg, overrides):
     """New config with non-None override values applied on top of cfg."""
     updates = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(updates) - _ALL_KEYS
+    unknown = set(updates) - CONFIG_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return dataclasses.replace(cfg, **updates)
@@ -271,24 +274,6 @@ def write_summary(path, summary):
             lines.append(f"{key}={value}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_summary(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, raw = line.split("=", 1)
-            try:
-                out[key] = int(raw)
-            except ValueError:
-                try:
-                    out[key] = float(raw)
-                except ValueError:
-                    out[key] = raw
-    return out
 
 
 def compare_solvers(cfg, solvers):

@@ -155,14 +155,6 @@ def make_topology(spec, m):
     )
 
 
-def save_topology(topology, path):
-    """Write the edge-list format: first line m, then one 'i j' line per edge."""
-    lines = [str(topology.m)]
-    lines += [f"{i} {j}" for i, j in topology.edges]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_topology(path):
     with open(path) as fh:
         raw = [line.strip() for line in fh]
@@ -284,10 +276,6 @@ class GossipMatrix:
         self.W.setflags(write=False)
         object.__setattr__(self, "operator", _apply_form(self.W))
 
-    @property
-    def m(self):
-        return self.W.shape[0]
-
 
 def gossip_operator(W):
     """What applies a GossipMatrix (its ``operator``), or any array-like W.
@@ -305,11 +293,6 @@ def _extreme_eigenvalues(evals):
     if lam_max <= 0.0:
         raise ValueError("matrix has no positive eigenvalue")
     return lam_max, float(evals[evals > ZERO_EIG_REL * lam_max][0])
-
-
-def spectral_constants(W):
-    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix."""
-    return _extreme_eigenvalues(np.linalg.eigvalsh(np.asarray(W, dtype=float)))
 
 
 def _validate_spectrum(W, m):
@@ -369,31 +352,3 @@ def gossip_from_matrix(W, topology=None):
                     raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
     lam_max, lam_min_plus = _validate_spectrum(W, m)
     return GossipMatrix(W, lam_max, lam_min_plus, lam_max / lam_min_plus, topology)
-
-
-class LiftedMatrix:
-    """Kronecker lift W (x) I_d applied without forming the dense product.
-
-    One ``apply`` equals one synchronous exchange with graph neighbours, so the
-    ``calls`` attribute can serve as a communication-round counter.
-    """
-
-    def __init__(self, W, d):
-        self.W = gossip_operator(W)
-        self.d = int(d)
-        self.m = self.W.shape[0]
-        self.calls = 0
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ndim == 1
-        out = self.W @ x.reshape(self.m, self.d)
-        self.calls += 1
-        return out.reshape(-1) if flat else out
-
-
-def lift(gossip, d):
-    """Implicit W (x) I_d operator acting on stacked (m*d,) or (m, d) arrays."""
-    if d < 1:
-        raise ValueError("block size d must be positive")
-    return LiftedMatrix(gossip, d)

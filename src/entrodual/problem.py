@@ -130,12 +130,10 @@ class DataConstants:
     sigma_min_plus_A: float
 
 
-def block_singular_values(inst):
-    """Singular values of every block A_i: row i holds A_i's, in descending order.
-
-    Taken once per instance and shared (``ProblemInstance.block_singular_values``).
-    """
-    return inst.block_singular_values
+def sigma_max(inst):
+    """max_i sigma_max(A_i), from the shared block singular values; 0 when
+    every block is zero."""
+    return float(inst.block_singular_values[:, 0].max())
 
 
 def data_constants(inst):
@@ -144,18 +142,18 @@ def data_constants(inst):
     Singular values below ``ZERO_SV_REL * sigma_max`` are treated as zero;
     an all-zero block makes the constants meaningless and raises.
     """
-    svals = block_singular_values(inst)
-    sigma_max = float(svals[:, 0].max())
-    if sigma_max <= 0.0:
+    svals = inst.block_singular_values
+    s_max = sigma_max(inst)
+    if s_max <= 0.0:
         raise ValueError("all data blocks are zero")
-    threshold = ZERO_SV_REL * sigma_max
+    threshold = ZERO_SV_REL * s_max
     # rows descend, so a block's smallest positive value sits at its count - 1
     counts = np.count_nonzero(svals > threshold, axis=1)
     if counts.min() == 0:
         i = int(np.argmin(counts))
         raise ValueError(f"block A_{i} has no singular value above {threshold:.3e}")
     minima = svals[np.arange(inst.m), counts - 1]
-    return DataConstants(sigma_max, float(minima.min()))
+    return DataConstants(s_max, float(minima.min()))
 
 
 def primal_objective(inst, x):
@@ -163,16 +161,6 @@ def primal_objective(inst, x):
     x = check_simplex(x)
     residual = inst.stacked_A() @ x - inst.stacked_b()
     return float(np.linalg.norm(residual, inst.p)) / inst.m + inst.theta * entropy(x)
-
-
-def distributed_objective(inst, state):
-    """||y - b||_p + theta <x, log x> on stacked per-node copies (no 1/m).
-
-    At a consensual state with y = A x this equals m times primal_objective.
-    """
-    residual = state.y - inst.stacked_b()
-    ent = entropy(state.x_blocks.reshape(-1))
-    return float(np.linalg.norm(residual, inst.p)) + inst.theta * ent
 
 
 def consensus_residual(W, x_blocks):

@@ -13,7 +13,6 @@ is the box projection.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +29,6 @@ def _check_prox_params(gamma, nu, q_exponent, tol):
         raise ValueError("q must be at least 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-
-
-@dataclass(frozen=True)
-class ProxParams:
-    """Step gamma, penalty weight nu, exponent q, and bisection tolerance."""
-
-    gamma: float
-    nu: float
-    q_exponent: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        _check_prox_params(self.gamma, self.nu, self.q_exponent, self.tol)
 
 
 def _bisect_magnitudes(target, coef, q, tol):

@@ -47,33 +47,13 @@ def consensus_candidate(ps):
     return x / x.sum()
 
 
-def ergodic_average(history, weights):
-    """Weighted average of primal snapshots, blocks renormalized to the simplex.
-
-    The linked vectors y are averaged with the same weights, so the result of
-    averaging recovered states stays consistent with its blocks to rounding.
-    """
-    history = list(history)
-    if not history:
-        raise ValueError("cannot average an empty history")
-    w = np.asarray(list(weights), dtype=float)
-    if w.shape != (len(history),):
-        raise ValueError("need exactly one weight per snapshot")
-    if w.min() <= 0.0:
-        raise ValueError("weights must be positive")
-    X = np.tensordot(w, np.stack([ps.x_blocks for ps in history]), axes=1)
-    Y = np.tensordot(w, np.stack([ps.y for ps in history]), axes=1)
-    X = np.maximum(X / w.sum(), 0.0)
-    X /= X.sum(axis=1, keepdims=True)
-    return PrimalState(X, Y / w.sum())
-
-
 def duality_gap(state, inst, W):
     """Gap between the consensual recovered point and the dual certificate.
 
     The primal side evaluates the distributed objective at the renormalized
     block mean replicated to every node; the dual side is Phi = -conj_F(s) -
-    conj_G(-Wz - A^T s).  The certificate is penalty-free: only the problem's
+    sum_i g*(-[Wz + A^T s]_i), with g* the entropy conjugate (a scaled
+    log-sum-exp per node).  The certificate is penalty-free: only the problem's
     own conjugate pairing enters, whatever penalty the solver used.  Weak
     duality makes gap >= 0 up to rounding whenever s is feasible; an
     infeasible s reports an infinite gap rather than raising.  The link is

@@ -1,20 +1,22 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations, and the helpers only tests use.
 
 Everything here is written against dense matrices and textbook update rules,
 on purpose: these oracles share no code with the package beyond the raw
 problem data, so agreement is meaningful evidence of correctness.  The
 exceptions are ``dual_kernel_floor``, which reads the package's spectral and
-data constants, and ``prox_lq_scalar``, which takes its ``ProxParams`` and
-bisection cap.
+data constants, and ``prox_lq_scalar``, which takes the package's bisection
+cap.  The helpers at the end (``ProxParams``, ``spectral_constants``,
+``save_topology``, ``read_summary``) serve tests; no solver needs them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from entrodual.network import spectral_constants
+from entrodual.network import _extreme_eigenvalues
 from entrodual.problem import data_constants
-from entrodual.prox import BISECT_MAX_ITER
+from entrodual.prox import BISECT_MAX_ITER, _check_prox_params
 
 
 def dense_operators(inst, W):
@@ -161,7 +163,7 @@ def softmax_map(t, theta):
 def prox_lq_scalar(t, params):
     """Minimizer of (t - s)^2 / (2 gamma) + nu |s|^q over real s.
 
-    ``params`` is an ``entrodual.ProxParams``.  Bisects the magnitude
+    ``params`` is a ``ProxParams``.  Bisects the magnitude
     equation r + gamma q nu r^(q-1) = |t| on [0, |t|] down to ``params.tol``;
     the result keeps the sign of t and never exceeds |t|.  Exceeding the
     iteration cap is an internal error and raises.
@@ -214,3 +216,52 @@ def dual_kernel_floor(inst, W):
     dc = data_constants(inst)
     claimed = min(spectral_constants(Wm)[1] ** 2, dc.sigma_min_plus_A**2)
     return exact, claimed
+
+
+# Test-only helpers.
+
+
+@dataclass(frozen=True)
+class ProxParams:
+    """Step gamma, penalty weight nu, exponent q and bisection tolerance of
+    one prox, checked as ``prox_R`` checks them."""
+
+    gamma: float
+    nu: float
+    q_exponent: float
+    tol: float = 1e-12
+
+    def __post_init__(self):
+        _check_prox_params(self.gamma, self.nu, self.q_exponent, self.tol)
+
+
+def spectral_constants(W):
+    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix."""
+    return _extreme_eigenvalues(np.linalg.eigvalsh(np.asarray(W, dtype=float)))
+
+
+def save_topology(topology, path):
+    """Write the edge-list format: first line m, then one 'i j' line per edge."""
+    lines = [str(topology.m)]
+    lines += [f"{i} {j}" for i, j in topology.edges]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_summary(path):
+    """The key=value lines of a summary.txt, values as int, float or str."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            key, raw = line.split("=", 1)
+            try:
+                out[key] = int(raw)
+            except ValueError:
+                try:
+                    out[key] = float(raw)
+                except ValueError:
+                    out[key] = raw
+    return out

@@ -14,7 +14,7 @@ import pytest
 import entrodual as ed
 from entrodual.cli import main
 
-from oracles import conj_g, dual_kernel_floor, prox_lq_scalar, softmax_map
+from oracles import ProxParams, conj_g, dual_kernel_floor, prox_lq_scalar, softmax_map
 from reference_values import (
     DUAL_OPT_P1_BOX,
     TOY_D,
@@ -205,7 +205,7 @@ def test_criterion_04_prox_matches_nested_grid():
     for q in (1.0, 1.5, 2.0, 3.0):
         for _ in range(25):
             t = float(rng.uniform(-3, 3))
-            params = ed.ProxParams(
+            params = ProxParams(
                 gamma=float(10 ** rng.uniform(-1, 0.5)),
                 nu=float(10 ** rng.uniform(-2, 0)),
                 q_exponent=q,

@@ -87,8 +87,18 @@ class TestConfigValidation:
             ed.ACRCDConfig(rng_seed=0, eta=eta)
 
     def test_eta_identity_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="disagrees with sqrt"):
             ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=8.0, eta=0.5)
+
+    def test_one_eta_message_for_solver_and_constants(self):
+        messages = []
+        for build in (lambda: ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=8.0, eta=0.5),
+                      lambda: ed.DualConstants(L_H=10.0, L_z=2.0, L_s=8.0, eta=0.5)):
+            with pytest.raises(ValueError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("eta=0.5 disagrees with sqrt(L_z)/(sqrt(L_z)+sqrt(L_s))=")
 
     def test_consistent_triple_accepted(self):
         cfg = tiny_cfg()
@@ -209,7 +219,7 @@ class TestRunACRCD:
     def test_partial_constant_override_rejected(self, toy_p1, ring4):
         # a lone L_z override cannot satisfy the eta identity against the
         # instance's other resolved constants
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="disagrees with sqrt"):
             ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=0, L_z=1.0, max_iter=5))
 
     def test_same_seed_byte_identical(self, toy_p1, ring4, tmp_path):
@@ -239,7 +249,7 @@ class TestRunACRCD:
     def test_best_state_in_box(self, toy_p1, ring4):
         best, _ = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=2, max_iter=2000, trace_every=2000))
         assert float(np.abs(best.s).max()) <= 1.0 + 1e-12
-        assert best.is_finite()
+        assert np.isfinite(best.z).all() and np.isfinite(best.s).all()
 
     def test_converges_to_reference_optimum(self, toy_p1, ring4):
         _, trace = ed.run_acrcd(

@@ -1,18 +1,16 @@
 """Experiment harness, trace round-trips, rate fitting, and the CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import entrodual as ed
-from entrodual.cli import main
-from entrodual.harness import (
-    comparison_table,
-    merge_config,
-    read_summary,
-    write_summary,
-)
+from entrodual.cli import _config_from_args, build_parser, main
+from entrodual.harness import CONFIG_TYPES, comparison_table, merge_config, write_summary
+
+from oracles import read_summary, save_topology
 
 
 def synthetic_trace(values, start=1):
@@ -208,6 +206,34 @@ class TestLoadConfig:
             ed.load_config(tmp_path / "missing.cfg")
 
 
+class TestConfigSchema:
+    """A config file and the command line read every ExperimentConfig key alike."""
+
+    # one value per type, each unlike every default of that type
+    SAMPLES = {int: "7", float: "0.25", str: "acrcd", bool: "on"}
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ed.ExperimentConfig)])
+    def test_flag_and_file_agree(self, key, tmp_path):
+        kind = CONFIG_TYPES[key]
+        raw = self.SAMPLES[kind]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {raw}\n")
+        from_file = ed.load_config(path)
+        flag = ["--" + key.replace("_", "-")] + ([] if kind is bool else [raw])
+        from_flag = _config_from_args(build_parser().parse_args(["solve", *flag]))
+        assert from_flag == from_file
+        value = getattr(from_flag, key)
+        assert value != getattr(ed.ExperimentConfig(), key)
+        assert type(value) is kind and type(getattr(from_file, key)) is kind
+
+    def test_solver_flag_takes_the_harness_solvers(self):
+        for name in ed.harness.SOLVERS:
+            args = build_parser().parse_args(["solve", "--solver", name])
+            assert args.solver == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--solver", "newton"])
+
+
 class TestRunExperiment:
     def small_cfg(self, **kw):
         base = dict(seed=3, m=3, n=2, d=3, p=2.0, theta=0.5,
@@ -269,7 +295,7 @@ class TestRunExperiment:
 
     def test_topology_node_mismatch(self, tmp_path):
         top_path = tmp_path / "top.txt"
-        ed.save_topology(ed.topology_ring(5), top_path)
+        save_topology(ed.topology_ring(5), top_path)
         cfg = self.small_cfg(topology=f"file:{top_path}")
         with pytest.raises(ed.ConfigError, match="nodes"):
             ed.run_experiment(cfg)

@@ -11,7 +11,6 @@ import pytest
 
 import entrodual as ed
 import entrodual.dual as dual_mod
-import entrodual.prox as prox_mod
 import entrodual.stm as stm_mod
 from entrodual.acrcd import BlockOracle, acrcd_init, acrcd_step
 from entrodual.dual import _neg_link
@@ -221,7 +220,7 @@ class TestKernelPasses:
 
 
 class TestPerIterationCounts:
-    """Everything one solver iteration applies or builds, counted together."""
+    """Everything one solver iteration applies, counted together."""
 
     @pytest.fixture
     def data_log(self, monkeypatch):
@@ -231,30 +230,6 @@ class TestPerIterationCounts:
         monkeypatch.setattr(np, "einsum",
                             lambda spec, *a, **k: log.append(spec) or real(spec, *a, **k))
         return log
-
-    @pytest.fixture
-    def prox_params_log(self, monkeypatch):
-        """One entry per ProxParams built through the ``prox`` or the ``stm`` module."""
-        log = []
-
-        class Counted(prox_mod.ProxParams):
-            def __post_init__(self):
-                log.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(prox_mod, "ProxParams", Counted)
-        monkeypatch.setattr(stm_mod, "ProxParams", Counted, raising=False)
-        prox_mod.ProxParams(1.0, 0.0, 2.0)
-        assert len(log) == 1
-        log.clear()
-        return log
-
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_stm_builds_no_prox_params(self, p, toy_p1, toy_p2, ring4, prox_params_log):
-        inst = toy_p1 if p == 1.0 else toy_p2
-        _, trace = ed.run_stm(inst, ring4, ed.STMConfig(max_iter=50, trace_every=50))
-        assert trace.iter[-1] == 50
-        assert prox_params_log == []
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_stm_products_and_passes(self, p, toy_p1, toy_p2, ring4,
@@ -285,4 +260,4 @@ class TestPerIterationCounts:
 def test_block_singular_values_match_the_per_block_loop(toy_p1):
     for inst in (toy_p1, ed.generate_instance(7, 64, 20, 50, 1.0, 3.0)):
         loop = np.stack([np.linalg.svd(inst.A[i], compute_uv=False) for i in range(inst.m)])
-        np.testing.assert_array_equal(ed.problem.block_singular_values(inst), loop)
+        np.testing.assert_array_equal(inst.block_singular_values, loop)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import entrodual as ed
 from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _off_diagonal
 
+from oracles import save_topology, spectral_constants
 from reference_values import RING4_EIGS
 from strategies import connected_topologies
 
@@ -117,13 +118,13 @@ class TestSpectrum:
         assert g.chi == pytest.approx(6.0, abs=1e-12)
 
     def test_spectral_constants_match_eigvalsh(self, ring4):
-        lam_max, lam_min_plus = ed.spectral_constants(ring4.W)
+        lam_max, lam_min_plus = spectral_constants(ring4.W)
         assert lam_max == pytest.approx(4.0, abs=1e-12)
         assert lam_min_plus == pytest.approx(2.0, abs=1e-12)
 
     def test_spectral_constants_need_a_positive_eigenvalue(self):
         with pytest.raises(ValueError, match="no positive eigenvalue"):
-            ed.spectral_constants(np.zeros((3, 3)))
+            spectral_constants(np.zeros((3, 3)))
 
     def test_single_node_has_no_gossip_matrix(self):
         message = "a gossip matrix needs at least 2 nodes, got m = 1"
@@ -138,7 +139,7 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or real(M))
         g = ed.build_laplacian(ed.topology_ring(8))
         assert calls == [(8, 8)]
-        assert (g.lambda_max, g.lambda_min_plus) == ed.spectral_constants(g.W)
+        assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(g.W)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_topologies())
@@ -205,14 +206,14 @@ class TestTopologyIO:
     def test_round_trip(self, tmp_path):
         top = ed.topology_erdos_renyi(6, 0.6, 1)
         path = tmp_path / "top.txt"
-        ed.save_topology(top, path)
+        save_topology(top, path)
         loaded = ed.load_topology(path)
         assert loaded.m == top.m
         assert loaded.edges == top.edges
 
     def test_format_is_plain_edge_list(self, tmp_path):
         path = tmp_path / "top.txt"
-        ed.save_topology(ed.topology_path(3), path)
+        save_topology(ed.topology_path(3), path)
         assert path.read_text() == "3\n0 1\n1 2\n"
 
     def test_load_normalizes_reversed_edges(self, tmp_path):
@@ -328,43 +329,18 @@ class TestApplyRule:
         assert graphs("ring", m - 1).operator is graphs("ring", m - 1).W
 
 
-class TestLift:
+class TestGossipOperator:
     def test_slot_form_matches_dense(self, graphs):
         g = graphs("ring", 512)
-        op = ed.lift(g, 3)
         X = np.random.default_rng(2).standard_normal((512, 3))
         assert_same_product(ed.network.gossip_operator(g), g.W, X)
-        np.testing.assert_array_equal(op.apply(X.reshape(-1)), (g.operator @ X).reshape(-1))
 
-    def test_matches_dense_kronecker(self, ring4):
-        rng = np.random.default_rng(0)
-        d = 3
-        op = ed.lift(ring4, d)
-        x = rng.standard_normal(ring4.m * d)
-        dense = np.kron(ring4.W, np.eye(d))
-        assert np.allclose(op.apply(x), dense @ x, atol=1e-12)
-
-    def test_block_and_flat_views_agree(self, ring4):
-        rng = np.random.default_rng(1)
-        op = ed.lift(ring4, 2)
-        X = rng.standard_normal((4, 2))
-        assert np.allclose(op.apply(X), op.apply(X.reshape(-1)).reshape(4, 2))
-
-    def test_counts_applications(self, ring4):
-        op = ed.lift(ring4, 2)
-        assert op.calls == 0
-        op.apply(np.zeros(8))
-        op.apply(np.zeros((4, 2)))
-        assert op.calls == 2
-
-    def test_annihilates_consensual_stack(self, ring4):
-        op = ed.lift(ring4, 3)
-        X = np.tile(np.array([0.2, 0.3, 0.5]), (4, 1))
-        assert np.allclose(op.apply(X), 0.0, atol=1e-12)
-
-    def test_rejects_bad_block_size(self, ring4):
-        with pytest.raises(ValueError):
-            ed.lift(ring4, 0)
+    def test_annihilates_consensual_stack(self, graphs):
+        # W 1 = 0 on the dense form (ring4) and on the slot form (ring512)
+        for m in (4, 512):
+            X = np.tile(np.array([0.2, 0.3, 0.5]), (m, 1))
+            out = ed.network.gossip_operator(graphs("ring", m)) @ X
+            assert np.abs(out).max() <= 1e-12
 
 
 class TestGossipMatrixObject:
@@ -382,6 +358,3 @@ class TestGossipMatrixObject:
             op.cols = op.cols.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.operator = g.W
-
-    def test_m_property(self, ring4):
-        assert ring4.m == 4

@@ -116,15 +116,6 @@ class TestPrimalState:
 
 
 class TestObjectives:
-    def test_distributed_equals_m_times_primal_on_consensus(self, toy_p2):
-        rng = np.random.default_rng(5)
-        x = rng.dirichlet(np.ones(toy_p2.d))
-        blocks = np.tile(x, (toy_p2.m, 1))
-        state = ed.PrimalState(blocks, ed.apply_blocks(toy_p2, blocks))
-        assert ed.distributed_objective(toy_p2, state) == pytest.approx(
-            toy_p2.m * ed.primal_objective(toy_p2, x), rel=1e-12
-        )
-
     def test_p1_norm_used(self, toy_p1):
         x = np.full(toy_p1.d, 1.0 / toy_p1.d)
         res = toy_p1.stacked_A() @ x - toy_p1.stacked_b()
@@ -177,8 +168,8 @@ class TestDataConstants:
             ed.data_constants(inst)
 
     def test_singular_values_taken_once_and_read_only(self, toy_p2):
-        svals = ed.problem.block_singular_values(toy_p2)
-        assert ed.problem.block_singular_values(toy_p2) is svals
+        svals = toy_p2.block_singular_values
+        assert toy_p2.block_singular_values is svals
         assert not svals.flags.writeable
 
 

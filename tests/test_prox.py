@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import entrodual as ed
 
-from oracles import prox_lq_scalar
+from oracles import ProxParams, prox_lq_scalar
 
 
 def prox_objective(s, t, params):
@@ -34,7 +34,7 @@ class TestClosedForms:
         rng = np.random.default_rng(0)
         for _ in range(30):
             t = float(rng.uniform(-5, 5))
-            params = ed.ProxParams(
+            params = ProxParams(
                 gamma=float(10 ** rng.uniform(-2, 1)),
                 nu=float(10 ** rng.uniform(-3, 0)),
                 q_exponent=2.0,
@@ -43,7 +43,7 @@ class TestClosedForms:
             assert abs(prox_lq_scalar(t, params) - expected) <= 1e-12
 
     def test_q1_soft_threshold(self):
-        params = ed.ProxParams(gamma=0.5, nu=0.4, q_exponent=1.0)
+        params = ProxParams(gamma=0.5, nu=0.4, q_exponent=1.0)
         shift = 0.2
         assert prox_lq_scalar(1.0, params) == pytest.approx(1.0 - shift, abs=1e-15)
         assert prox_lq_scalar(-1.0, params) == pytest.approx(-0.8, abs=1e-15)
@@ -51,17 +51,17 @@ class TestClosedForms:
         assert prox_lq_scalar(-0.15, params) == 0.0
 
     def test_q_inf_clamps(self):
-        params = ed.ProxParams(gamma=1.0, nu=0.0, q_exponent=math.inf)
+        params = ProxParams(gamma=1.0, nu=0.0, q_exponent=math.inf)
         assert prox_lq_scalar(2.5, params) == 1.0
         assert prox_lq_scalar(-3.0, params) == -1.0
         assert prox_lq_scalar(0.4, params) == 0.4
 
     def test_zero_nu_is_identity(self):
-        params = ed.ProxParams(gamma=0.3, nu=0.0, q_exponent=3.0)
+        params = ProxParams(gamma=0.3, nu=0.0, q_exponent=3.0)
         assert prox_lq_scalar(1.7, params) == 1.7
 
     def test_zero_input_fixed(self):
-        params = ed.ProxParams(gamma=0.3, nu=0.9, q_exponent=1.5)
+        params = ProxParams(gamma=0.3, nu=0.9, q_exponent=1.5)
         assert prox_lq_scalar(0.0, params) == 0.0
 
 
@@ -71,7 +71,7 @@ class TestBisection:
         rng = np.random.default_rng(1)
         for _ in range(25):
             t = float(rng.uniform(-4, 4))
-            params = ed.ProxParams(
+            params = ProxParams(
                 gamma=float(10 ** rng.uniform(-2, 0.5)),
                 nu=float(10 ** rng.uniform(-3, 0)),
                 q_exponent=q,
@@ -86,7 +86,7 @@ class TestBisection:
         rng = np.random.default_rng(2)
         for _ in range(10):
             t = float(rng.uniform(-3, 3))
-            params = ed.ProxParams(
+            params = ProxParams(
                 gamma=float(10 ** rng.uniform(-1, 0.5)),
                 nu=float(10 ** rng.uniform(-2, 0)),
                 q_exponent=q,
@@ -98,14 +98,14 @@ class TestBisection:
             ) + 1e-8
 
     def test_odd_symmetry(self):
-        params = ed.ProxParams(gamma=0.7, nu=0.3, q_exponent=1.5)
+        params = ProxParams(gamma=0.7, nu=0.3, q_exponent=1.5)
         for t in (0.5, 1.3, 2.9):
             assert prox_lq_scalar(-t, params) == pytest.approx(
                 -prox_lq_scalar(t, params), abs=1e-14
             )
 
     def test_shrinks_toward_zero(self):
-        params = ed.ProxParams(gamma=1.0, nu=0.5, q_exponent=3.0)
+        params = ProxParams(gamma=1.0, nu=0.5, q_exponent=3.0)
         for t in (0.1, 1.0, 10.0, 1e4):
             s = prox_lq_scalar(t, params)
             assert 0.0 <= s <= t
@@ -117,7 +117,7 @@ class TestBisection:
         st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
     )
     def test_nonexpansive(self, t1, t2, q):
-        params = ed.ProxParams(gamma=0.8, nu=0.25, q_exponent=q)
+        params = ProxParams(gamma=0.8, nu=0.25, q_exponent=q)
         a, b = prox_lq_scalar(t1, params), prox_lq_scalar(t2, params)
         assert abs(a - b) <= abs(t1 - t2) + 4 * params.tol
 
@@ -132,7 +132,7 @@ class TestProxR:
     def test_matches_scalar_map(self, q):
         rng = np.random.default_rng(3)
         s = rng.uniform(-3, 3, size=9)
-        params = ed.ProxParams(gamma=0.6, nu=0.2, q_exponent=q)
+        params = ProxParams(gamma=0.6, nu=0.2, q_exponent=q)
         out = ed.prox_R(s, params.gamma, params.nu, params.q_exponent, params.tol)
         expected = [prox_lq_scalar(v, params) for v in s]
         assert np.allclose(out, expected, atol=5e-12)
@@ -177,15 +177,3 @@ class TestProjectBox:
     def test_interior_unchanged(self):
         s = np.array([-0.9, 0.0, 0.3])
         assert np.array_equal(ed.project_box(s), s)
-
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="gamma"):
-            ed.ProxParams(gamma=0.0, nu=0.1, q_exponent=2.0)
-        with pytest.raises(ValueError, match="nu"):
-            ed.ProxParams(gamma=1.0, nu=-0.1, q_exponent=2.0)
-        with pytest.raises(ValueError, match="q must"):
-            ed.ProxParams(gamma=1.0, nu=0.1, q_exponent=0.5)
-        with pytest.raises(ValueError, match="tol"):
-            ed.ProxParams(gamma=1.0, nu=0.1, q_exponent=2.0, tol=0.0)

@@ -79,48 +79,6 @@ class TestConsensusCandidate:
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestErgodicAverage:
-    def make_states(self):
-        a = ed.PrimalState(np.array([[0.8, 0.2], [0.4, 0.6]]), np.array([1.0, 2.0]))
-        b = ed.PrimalState(np.array([[0.2, 0.8], [0.6, 0.4]]), np.array([3.0, 6.0]))
-        return a, b
-
-    def test_empty_history_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            ed.ergodic_average([], [])
-
-    def test_weight_count_mismatch_raises(self):
-        a, b = self.make_states()
-        with pytest.raises(ValueError, match="one weight per"):
-            ed.ergodic_average([a, b], [1.0])
-
-    def test_nonpositive_weight_raises(self):
-        a, b = self.make_states()
-        with pytest.raises(ValueError, match="positive"):
-            ed.ergodic_average([a, b], [1.0, 0.0])
-
-    def test_equal_weights_average(self):
-        a, b = self.make_states()
-        avg = ed.ergodic_average([a, b], [1.0, 1.0])
-        np.testing.assert_allclose(avg.x_blocks, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-        np.testing.assert_allclose(avg.y, [2.0, 4.0], atol=1e-15)
-
-    def test_weighted_average(self):
-        a, b = self.make_states()
-        avg = ed.ergodic_average([a, b], [3.0, 1.0])
-        np.testing.assert_allclose(avg.x_blocks[0], [0.65, 0.35], atol=1e-15)
-        np.testing.assert_allclose(avg.y, [1.5, 3.0], atol=1e-15)
-
-    def test_blocks_stay_on_simplex(self, toy_p2, ring4):
-        states = [
-            ed.primal_from_dual(random_state(toy_p2, seed, 2.0, 1.0), toy_p2, ring4)
-            for seed in range(5)
-        ]
-        avg = ed.ergodic_average(states, [1.0, 2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_allclose(avg.x_blocks.sum(axis=1), 1.0, atol=1e-12)
-        assert avg.x_blocks.min() >= 0.0
-
-
 class TestDualityGap:
     def test_zero_data_zero_state_exact_zero(self):
         inst = ed.ProblemInstance(2, 1, 1, 2.0, 0.5, np.zeros((2, 1, 1)), np.zeros((2, 1)))

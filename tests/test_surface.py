@@ -1,0 +1,45 @@
+"""The package's public surface: names deleted or moved to ``tests/oracles.py``
+because no solver, command or script uses them stay out of ``src/``."""
+
+import dataclasses
+
+import pytest
+
+import entrodual as ed
+from entrodual import dual, harness, network, problem, prox, recovery
+
+GONE = [
+    (recovery, "ergodic_average"),
+    (problem, "distributed_objective"),
+    (problem, "block_singular_values"),
+    (network, "LiftedMatrix"),
+    (network, "lift"),
+    (network, "spectral_constants"),
+    (network, "save_topology"),
+    (prox, "ProxParams"),
+    (dual, "conj_G"),
+    (dual, "_as_blocks"),
+    (dual, "_sigma_max_blocks"),
+    (harness, "read_summary"),
+]
+
+
+@pytest.mark.parametrize("module, name", GONE, ids=[f"{m.__name__}.{n}" for m, n in GONE])
+def test_name_is_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(ed, name)
+
+
+def test_dual_constants_hold_no_radius_fields():
+    fields = {f.name for f in dataclasses.fields(ed.DualConstants)}
+    assert fields == {"L_H", "L_z", "L_s", "eta"}
+
+
+@pytest.mark.parametrize("owner, name", [
+    (ed.DualState, "norm_sq"),
+    (ed.DualState, "copy"),
+    (ed.DualState, "is_finite"),
+    (ed.GossipMatrix, "m"),
+])
+def test_method_is_gone(owner, name):
+    assert not hasattr(owner, name)
