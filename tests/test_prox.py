@@ -166,6 +166,18 @@ class TestProxR:
             ed.prox_R(s, 1.0, 0.1, 2.0, tol=0.0)
 
 
+class TestParams:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="gamma"):
+            ProxParams(gamma=0.0, nu=0.1, q_exponent=2.0)
+        with pytest.raises(ValueError, match="nu"):
+            ProxParams(gamma=1.0, nu=-0.1, q_exponent=2.0)
+        with pytest.raises(ValueError, match="q must"):
+            ProxParams(gamma=1.0, nu=0.1, q_exponent=0.5)
+        with pytest.raises(ValueError, match="tol"):
+            ProxParams(gamma=1.0, nu=0.1, q_exponent=2.0, tol=0.0)
+
+
 class TestProjectBox:
     def test_idempotent(self):
         rng = np.random.default_rng(4)
