@@ -20,8 +20,8 @@ grad_s H = b - A xhat, and A^T twice, to form Q afresh after the box
 projection; it applies no W.  The candidate objective reads the running
 pair's link -(P + Q).  Each iteration of run_acrcd makes two passes of the
 row kernel ``dual._rows_shifted_exp``: the softmax xhat at the midpoint and
-the log-sum-exp of the candidate objective; a trace row adds two more
-(``duality_gap``).
+the log-sum-exp of the candidate objective; a trace row adds one more
+(``duality_gap``, whose single pass yields both softmax and log-sum-exp).
 
 Each pair keeps a block and its image in one float64 buffer (``Stacked``),
 [z | P] and [s | Q], so the midpoint is two fused combinations.  A step

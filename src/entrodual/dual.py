@@ -70,7 +70,9 @@ class DualState:
 class DualConstants:
     """Smoothness constants of H and the block-sampling probability eta.
 
-    eta equals both lambda_max(W) / (lambda_max(W) + sigma_max(A)) and
+    L_z and L_s bound the curvature of H along the z and the s block, L_H
+    along both together; ``lipschitz_constants`` derives them.  eta equals
+    both lambda_max(W) / (lambda_max(W) + sigma_max(A)) and
     sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)); ``check_eta`` asserts the identity.
     """
 
@@ -120,15 +122,29 @@ def _rows_shifted_exp(T, theta):
     return M, E, E.sum(axis=0)
 
 
+def _lse_from(M, S, theta, out=None):
+    """M + theta log S, the per-row log-sum-exp from the kernel's M and S."""
+    out = np.log(S, out=out)
+    out *= theta
+    out += M
+    return out
+
+
 def _rows_lse(T, theta):
     """Stabilized per-row log-sum-exp, scaled by theta: (m,)."""
     M, _, S = _rows_shifted_exp(T, theta)
-    return M + theta * np.log(S)
+    return _lse_from(M, S, theta)
 
 
-def _rows_softmax(T, theta):
-    """Per-row softmax of T / theta, as a C-contiguous (m, d) array."""
-    _, E, S = _rows_shifted_exp(T, theta)
+def _rows_softmax(T, theta, lse=None):
+    """Per-row softmax of T / theta, as a C-contiguous (m, d) array.
+
+    When ``lse`` (an (m,) array) is given, the same kernel pass also writes
+    the per-row log-sum-exp into it, equal bit for bit to ``_rows_lse``.
+    """
+    M, E, S = _rows_shifted_exp(T, theta)
+    if lse is not None:
+        _lse_from(M, S, theta, out=lse)
     E /= S
     return E.T.copy()
 
@@ -195,14 +211,34 @@ def dual_gradient(state, inst, W, block=None):
 def lipschitz_constants(inst, W):
     """Global and per-block gradient Lipschitz bounds, plus eta.
 
+    L_z = lambda_max^2 / (2 theta),  L_s = sigma_max^2 / (2 theta),
     L_H = m (sigma_max^2 + lambda_max^2) / theta,
-    L_z = sqrt(m) lambda_max^2 / theta,  L_s = sqrt(m) sigma_max^2 / theta.
+
+    with sigma_max the largest sigma_max(A_i) over the nodes.
+
+    The Hessian of H is K^T D K, where K(z, s) = Wz + A^T s block by block
+    and D is block diagonal with node i's softmax Jacobian
+    (diag x_i - x_i x_i^T) / theta.  v^T (diag x - x x^T) v is the variance of
+    v under x, and Popoviciu's inequality bounds it by (max v - min v)^2 / 4
+    <= ||v||^2 / 2, so ||D|| <= 1 / (2 theta).  The z block's Hessian W D W
+    then has norm at most lambda_max^2 / (2 theta), and the s block's,
+    block diagonal in A_i D_i A_i^T, at most sigma_max^2 / (2 theta).  eta is
+    the same for any common factor of L_z and L_s.
+
+    L_H still carries the factor m.  It is valid but loose: since
+    ||K||^2 <= lambda_max^2 + sigma_max^2, the same argument gives
+    (lambda_max^2 + sigma_max^2) / (2 theta), and L_H exceeds ||K||^2 / theta
+    by 4.8x on the 4x3x5 ring, 68x on the 64x20x50 ring and 637x on the
+    512x2x8 ring (instance seed 7, theta = 3).  STM steps with 1 / L_H, so
+    tightening it changes every STM trajectory, including the iteration
+    counts and p = 2 reference values that the benchmark pins; it waits for
+    the benchmark's re-base.
     """
     sW = W.lambda_max
     sA = sigma_max(inst)
     L_H = inst.m * (sA**2 + sW**2) / inst.theta
-    L_z = math.sqrt(inst.m) * sW**2 / inst.theta
-    L_s = math.sqrt(inst.m) * sA**2 / inst.theta
+    L_z = sW**2 / (2.0 * inst.theta)
+    L_s = sA**2 / (2.0 * inst.theta)
     return DualConstants(L_H, L_z, L_s, eta=sW / (sW + sA))
 
 

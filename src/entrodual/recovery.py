@@ -5,14 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (
-    DualState,
-    _link_of,
-    _neg_link,
-    _rows_lse,
-    _rows_softmax,
-    conj_F,
-)
+from .dual import _link_of, _rows_softmax, conj_F
 from .problem import PrimalState, apply_blocks, consensus_residual, entropy
 
 
@@ -31,13 +24,15 @@ class GapReport:
     consensus_residual: float
 
 
-def primal_from_dual(state, inst, W):
+def primal_from_dual(state, inst, W, lse=None):
     """Map a dual point to per-node primal blocks via the block softmax.
 
     x_i = softmax(-[Wz + A^T s]_i / theta) is exactly the gradient of the
     conjugate entropy term, so it inherits simplex feasibility to rounding.
+    When ``lse`` (an (m,) array) is given, the same row-kernel pass also
+    writes each node's g*(-[Wz + A^T s]_i), the scaled log-sum-exp, into it.
     """
-    X = _rows_softmax(_link_of(state, inst, W), inst.theta)
+    X = _rows_softmax(_link_of(state, inst, W), inst.theta, lse)
     return PrimalState(X, apply_blocks(inst, X))
 
 
@@ -58,11 +53,11 @@ def duality_gap(state, inst, W):
     duality makes gap >= 0 up to rounding whenever s is feasible; an
     infeasible s reports an infinite gap rather than raising.  The link is
     formed at most once per call, and not at all when ``state`` carries it;
-    the call makes two passes of the row kernel (softmax and log-sum-exp).
+    the call makes one pass of the row kernel, which yields both the softmax
+    and the log-sum-exp.
     """
-    if state.link is None:
-        state = DualState(state.z, state.s, _neg_link(inst, W, state.z, state.s))
-    ps = primal_from_dual(state, inst, W)
+    lse = np.empty(inst.m)
+    ps = primal_from_dual(state, inst, W, lse)
     xbar = consensus_candidate(ps)
     residual = inst.stacked_A() @ xbar - inst.stacked_b()
     primal = float(np.linalg.norm(residual, inst.p)) + inst.m * inst.theta * entropy(xbar)
@@ -70,5 +65,5 @@ def duality_gap(state, inst, W):
     fstar = conj_F(state.s, inst)
     if math.isinf(fstar):
         return GapReport(primal, math.inf, math.inf, cres)
-    h = float(state.s @ inst.stacked_b()) + float(_rows_lse(state.link, inst.theta).sum())
+    h = float(state.s @ inst.stacked_b()) + float(lse.sum())
     return GapReport(primal, h, primal + h, cres)

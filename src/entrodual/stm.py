@@ -22,8 +22,8 @@ of u's link.  It applies W twice (in u's link and in grad_z H = -W xhat),
 A^T once (in u's link) and A once (in grad_s H = b - A xhat); the stall
 check and the trace rows read q's link.  It also makes two passes of the
 row kernel ``dual._rows_shifted_exp``: the softmax xhat at y and the
-log-sum-exp of the stall-check objective at q.  A trace row adds two more
-(``duality_gap``).
+log-sum-exp of the stall-check objective at q.  A trace row adds one more
+(``duality_gap``, whose single pass yields both softmax and log-sum-exp).
 """
 
 import math

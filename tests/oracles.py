@@ -218,6 +218,42 @@ def dual_kernel_floor(inst, W):
     return exact, claimed
 
 
+def block_hessian_norms(inst, W, z, s, iters=300, seed=0):
+    """Power-iteration estimates of the largest eigenvalues of the dual's
+    z block W D W and s block A D A^T at (z, s): (lambda_z, lambda_s).
+
+    D is block diagonal in the per-node softmax Jacobians
+    (diag x_i - x_i x_i^T) / theta, x_i the softmax of the link
+    -(Wz + A^T s)_i / theta.  Each estimate is a Rayleigh quotient of a unit
+    vector, so it never exceeds the true eigenvalue.
+    """
+    Wm = W.W
+    A = inst.A
+    T = -(Wm @ z.reshape(inst.m, inst.d) + np.einsum("ind,in->id", A, s.reshape(inst.m, inst.n)))
+    X = _softmax_rows(T, inst.theta)
+
+    def jac(V):
+        return (X * V - X * (X * V).sum(axis=1, keepdims=True)) / inst.theta
+
+    def hz(V):
+        return Wm @ jac(Wm @ V)
+
+    def hs(U):
+        return np.einsum("ind,id->in", A, jac(np.einsum("ind,in->id", A, U)))
+
+    rng = np.random.default_rng(seed)
+    estimates = []
+    for hv, shape in ((hz, (inst.m, inst.d)), (hs, (inst.m, inst.n))):
+        v = rng.standard_normal(shape)
+        v /= np.linalg.norm(v)
+        for _ in range(iters):
+            w = hv(v)
+            lam = float(np.vdot(v, w))
+            v = w / np.linalg.norm(w)
+        estimates.append(lam)
+    return tuple(estimates)
+
+
 # Test-only helpers.
 
 

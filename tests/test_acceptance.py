@@ -159,7 +159,7 @@ def test_criterion_02_gradient_matches_central_differences(toy_p1, toy_p2, ring4
 def test_criterion_03_smoothness_constants_bound_gradients(toy_p1, toy_p2, ring4):
     slack = 1e-12
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = worst_z = worst_s = 0.0
     for inst in (toy_p2, toy_p1):
         consts = ed.lipschitz_constants(inst, ring4)
         nz, ns = inst.m * inst.d, inst.m * inst.n
@@ -175,13 +175,18 @@ def test_criterion_03_smoothness_constants_bound_gradients(toy_p1, toy_p2, ring4
             gza, _ = ed.dual_gradient(ed.DualState(za, sa), inst, ring4)
             gzb, _ = ed.dual_gradient(ed.DualState(zb, sa), inst, ring4)
             assert np.linalg.norm(gza - gzb) <= consts.L_z * np.linalg.norm(za - zb) + slack
+            worst_z = max(worst_z, float(np.linalg.norm(gza - gzb)
+                                         / (consts.L_z * np.linalg.norm(za - zb))))
 
             _, gsa = ed.dual_gradient(ed.DualState(za, sa), inst, ring4)
             _, gsb = ed.dual_gradient(ed.DualState(za, sb), inst, ring4)
             assert np.linalg.norm(gsa - gsb) <= consts.L_s * np.linalg.norm(sa - sb) + slack
+            worst_s = max(worst_s, float(np.linalg.norm(gsa - gsb)
+                                         / (consts.L_s * np.linalg.norm(sa - sb))))
     _report(3, True,
             f"100 random pairs within L_H/L_z/L_s bounds (worst joint ratio "
-            f"{worst:.3f} of L_H)")
+            f"{worst:.3f} of L_H, z block {worst_z:.3f} of L_z, s block "
+            f"{worst_s:.3f} of L_s)")
 
 
 def grid_refine(t, params, stages=6, points=2001):

@@ -279,3 +279,13 @@ class TestRunACRCD:
         _, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=7, max_iter=n, trace_every=n))
         ratio = trace.n_comm[-1] / trace.n_comp[-1]
         assert abs(ratio - target) <= 0.25 * target
+
+    @pytest.mark.parametrize("coin", [0, 1, 2])
+    def test_ring64_certifies_within_800_iterations(self, coin):
+        # the benchmark's ring64 workload and its eps: with the tight block
+        # constants coins 0-2 certify at 401/358/346 iterations, with the
+        # sqrt(m)-scaled ones at 1648/1622/1561
+        inst = ed.generate_instance(7, 64, 20, 50, 1.0, 3.0)
+        W = ed.build_laplacian(ed.topology_ring(64))
+        _, trace = ed.run_acrcd(inst, W, ed.ACRCDConfig(rng_seed=coin, max_iter=800, trace_every=1))
+        assert min(trace.gap) <= 15.0

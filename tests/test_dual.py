@@ -12,6 +12,7 @@ from entrodual.dual import DUAL_BALL_SLACK, _rows_lse, _rows_softmax
 from oracles import (
     _lse_rows,
     _softmax_rows,
+    block_hessian_norms,
     conj_g,
     dense_dual_grad,
     dense_dual_value,
@@ -118,6 +119,10 @@ def assert_rows_match_oracle(T, theta):
     np.testing.assert_allclose(X, ref_X, rtol=1e-14, atol=1e-300)
     assert X.min() >= 0.0
     np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+    # the softmax pass that also fills lse matches both kernels bit for bit
+    out = np.full(T.shape[0], np.nan)
+    np.testing.assert_array_equal(_rows_softmax(T, theta, lse=out), X)
+    np.testing.assert_array_equal(out, lse)
 
 
 class TestRowKernels:
@@ -304,9 +309,22 @@ class TestConstants:
         c = ed.lipschitz_constants(toy_p2, ring4)
         m, theta = toy_p2.m, toy_p2.theta
         assert c.L_H == pytest.approx(m * (sig**2 + lam**2) / theta, rel=1e-12)
-        assert c.L_z == pytest.approx(math.sqrt(m) * lam**2 / theta, rel=1e-12)
-        assert c.L_s == pytest.approx(math.sqrt(m) * sig**2 / theta, rel=1e-12)
+        assert c.L_z == pytest.approx(lam**2 / (2 * theta), rel=1e-12)
+        assert c.L_s == pytest.approx(sig**2 / (2 * theta), rel=1e-12)
         assert c.eta == pytest.approx(lam / (lam + sig), rel=1e-12)
+
+    @pytest.mark.parametrize("m,n,d", [(4, 3, 5), (64, 20, 50), (512, 2, 8)])
+    def test_block_constants_bound_the_block_hessians(self, m, n, d):
+        # the benchmark's toy, ring64 and ring512 instances: ring, seed 7, theta 3
+        inst = ed.generate_instance(7, m, n, d, 1.0, 3.0)
+        W = ed.build_laplacian(ed.topology_ring(m))
+        c = ed.lipschitz_constants(inst, W)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            z, s = rng.standard_normal(m * d), rng.uniform(-1.0, 1.0, m * n)
+            lam_z, lam_s = block_hessian_norms(inst, W, z, s)
+            assert 0.0 < lam_z / c.L_z <= 1.0 + 1e-9
+            assert 0.0 < lam_s / c.L_s <= 1.0 + 1e-9
 
     def test_eta_identity_enforced(self):
         with pytest.raises(ValueError, match="disagrees with sqrt"):

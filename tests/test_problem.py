@@ -163,7 +163,7 @@ class TestDataConstants:
         A[0] = [[3.0, 4.0]]
         inst = ed.ProblemInstance(2, 1, 2, 2.0, 0.5, A, np.zeros((2, 1)))
         c = ed.lipschitz_constants(inst, ed.build_laplacian(ed.topology_path(2)))
-        assert c.L_s == pytest.approx(np.sqrt(2.0) * 25.0 / 0.5, rel=1e-12)
+        assert c.L_s == pytest.approx(25.0 / (2 * 0.5), rel=1e-12)
         with pytest.raises(ValueError, match="A_1"):
             ed.data_constants(inst)
 
