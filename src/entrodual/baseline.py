@@ -83,10 +83,11 @@ def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
                      consensus_residual(W, X), n_round, n_round, 0.0)
 
     record(0, 0)
+    products = inst.block_products
     for k in range(steps):
-        residual = np.einsum("ind,id->in", inst.A, X).reshape(-1) - inst.stacked_b()
+        residual = products.apply(X).reshape(-1) - inst.stacked_b()
         dual_vec = _norm_subgradient(residual, inst.p).reshape(inst.m, inst.n)
-        G = np.einsum("ind,in->id", inst.A, dual_vec)
+        G = products.adjoint(dual_vec)
         G += inst.theta * (np.log(np.maximum(X, ENTROPY_FLOOR)) + 1.0)
         G += penalty * (Wm @ X)  # the one term that talks to neighbours
         X = project_simplex_rows(X - step_of(k) * G)

@@ -17,6 +17,13 @@ carries T on each DualState (``link``) and updates it with the iterates'
 own coefficients; an evaluation at such a point then skips the product with
 W and A^T that forming T costs.
 
+Products with W come from ``network.gossip_operator``, products with the
+data blocks from ``ProblemInstance.block_products``: A xhat (the rows
+A_i xhat_i) and A^T s (the rows A_i^T s_i).  The instance picks once, from
+its block size n * d, between np.einsum, whose fixed cost is lower, and
+batched BLAS np.matmul, about twice as fast on large blocks (see
+``problem.BLAS_BLOCK_MIN``); the einsum form adds no Python call.
+
 Every evaluation of g* or of its gradient is a per-node (per-row) log-sum-exp
 or softmax of the (m, d) link, and both come from one kernel,
 ``_rows_shifted_exp``.  It copies T into a (d, m) workspace and takes the row
@@ -156,7 +163,7 @@ def gossip_image(inst, W, z):
 
 def data_image(inst, s, out=None):
     """The blocks A_i^T s_i for a stacked s (m*n,), as an (m, d) array: local."""
-    return np.einsum("ind,in->id", inst.A, s.reshape(inst.m, inst.n), out=out)
+    return inst.block_products.adjoint(s.reshape(inst.m, inst.n), out=out)
 
 
 def _neg_link(inst, W, z, s, out=None):
@@ -204,7 +211,7 @@ def dual_gradient(state, inst, W, block=None):
     if block != "s":
         g_z = -(gossip_operator(W) @ X).reshape(-1)
     if block != "z":
-        g_s = (inst.b - np.einsum("ind,id->in", inst.A, X)).reshape(-1)
+        g_s = (inst.b - inst.block_products.apply(X)).reshape(-1)
     return g_z, g_s
 
 

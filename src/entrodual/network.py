@@ -13,16 +13,24 @@ count of any row), one neighbour column and weight per row, so that
     W X = diag * X + sum_t vals_t * X[cols_t],
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
-neighbours pad with their own index and weight 0.  The slots are read from
-W's nonzero pattern, so weighted matrices work too.  They are used when
-(k + 1) * SLOT_CROSSOVER <= m.  SLOT_CROSSOVER = 64 comes from timing both
-products, one thread, on a 2-core x86 machine.  On rings and paths (k = 2)
-the slots win from m = 160 at d = 50 and from m = 224-256 at d = 8; they
-lose 2.3-2.8x at m = 128, d = 8, and win 6x at m = 512.  So the crossover
-lies near m / (k + 1) = 50 at d = 50 and 75-85 at d = 8, and 64 sits
-between.  On the Erdos-Renyi graph G(512, 0.02), k = 22, the slots lose
-1.4-1.8x, and the rule keeps it dense.  The two products round
-differently, at the ulp level.
+neighbours pad with their own index and weight 0.  A slot product is one
+gather of the k + 1 rows each node needs, one multiply by weights expanded
+once per operand width, and one sum over the slots.  The slots are read
+from W's nonzero pattern, so weighted matrices work too.  They are used
+when (k + 1) * SLOT_CROSSOVER <= m.
+
+SLOT_CROSSOVER = 36 comes from ``scripts/crossover.py`` (one thread, a
+2-core x86 machine with 4 MiB of L2 per core).  On rings (k = 2) the slots
+win from m = 160-192 at d = 8 (1.1x at 192, 2x at 256, 7x at 512) and from
+m = 108-144 at d = 50; at m = 96 they lose 1.3-1.8x, so ring64 stays dense.
+The dense product's cost per entry rises once W leaves the cache, so at
+m = 1024 the slots win on Erdos-Renyi graphs up to k = 27 at every d
+(1.1-2.6x), and at k = 34-35 they win 1.8-1.9x at d = 8 and tie at d = 50;
+at m = 512, k = 22 they win at d = 8 (1.5x) and lose at d = 20-50
+(1.2-1.7x).  A rule linear in m cannot follow both.  36 sends rings to the
+slots from m = 108, where below m = 160 they lose up to 2x at d = 8 (5-7 us
+per product), and G(1024, 0.01) (k = 21-27) too, where each product saves
+0.5-1 ms.  The two products round differently, at the ulp level.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +42,7 @@ ZERO_EIG_REL = 1e-9
 # Slack for the PSD / kernel checks, relative to lambda_max.
 SPECTRAL_SLACK_REL = 1e-10
 # W is applied from its neighbour slots when m >= SLOT_CROSSOVER * (k + 1).
-SLOT_CROSSOVER = 64
+SLOT_CROSSOVER = 36
 
 GENERATOR_NAMES = ("path", "ring", "complete", "star", "erdos-renyi")
 
@@ -187,15 +195,27 @@ class NeighbourSlots:
     Column i of ``cols`` (k, m) and ``vals`` (k, m, 1) lists row i's
     off-diagonal nonzeros in ascending column order, padded with i itself
     and weight 0; ``diag`` (m, 1) is W's diagonal.  All three are read-only.
+
+    A product gathers, in one ``np.take``, each row of X and its k slot rows
+    into a (k + 1, m, d) array, multiplies it by the matching weights
+    (``expanded_weights``), and sums the k + 1 planes in slot order, which
+    rounds exactly as diag * X + vals[0] * X[cols[0]] + ... term by term.
     """
 
     diag: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    # (k + 1, m): node i itself, then its k slot columns
+    _index: np.ndarray = field(init=False, repr=False)
+    # operand width d -> read-only (k + 1, m, d) weights
+    _weights: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         for array in (self.diag, self.cols, self.vals):
             array.setflags(write=False)
+        index = np.concatenate((np.arange(self.diag.shape[0])[None], self.cols))
+        index.setflags(write=False)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_entries(cls, W, rows, cols):
@@ -216,6 +236,20 @@ class NeighbourSlots:
         m = self.diag.shape[0]
         return (m, m)
 
+    def expanded_weights(self, width):
+        """diag and vals stacked and repeated across ``width`` columns: the
+        read-only (k + 1, m, width) factor of a product, built once per width.
+
+        A same-shape multiply is 1.5 to 1.7 times as fast as broadcasting the
+        (k + 1, m, 1) weights against the gathered rows (ring, m = 256-1024).
+        """
+        weights = self._weights.get(width)
+        if weights is None:
+            weights = np.repeat(np.concatenate((self.diag[None], self.vals)), width, axis=2)
+            weights.setflags(write=False)
+            self._weights[width] = weights
+        return weights
+
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
         m = self.diag.shape[0]
@@ -223,10 +257,9 @@ class NeighbourSlots:
             raise ValueError(f"operand of shape {X.shape} does not match W of shape {(m, m)}; "
                              "expected (m,) or (m, d)")
         rows = X.reshape(m, -1)
-        out = self.diag * rows
-        for cols, vals in zip(self.cols, self.vals):
-            out += vals * np.take(rows, cols, axis=0)
-        return out.reshape(X.shape)
+        terms = np.take(rows, self._index, axis=0)
+        terms *= self.expanded_weights(rows.shape[1])
+        return terms.sum(axis=0).reshape(X.shape)
 
 
 def _off_diagonal(W):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import _link_of, _rows_softmax, conj_F
-from .problem import PrimalState, apply_blocks, consensus_residual, entropy
+from .problem import PrimalState, consensus_residual, entropy
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ def primal_from_dual(state, inst, W, lse=None):
     When ``lse`` (an (m,) array) is given, the same row-kernel pass also
     writes each node's g*(-[Wz + A^T s]_i), the scaled log-sum-exp, into it.
     """
-    X = _rows_softmax(_link_of(state, inst, W), inst.theta, lse)
-    return PrimalState(X, apply_blocks(inst, X))
+    return PrimalState(_rows_softmax(_link_of(state, inst, W), inst.theta, lse))
 
 
 def consensus_candidate(ps):

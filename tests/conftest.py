@@ -39,3 +39,21 @@ def stm_p1_trace(toy_p1, ring4):
         toy_p1, ring4, ed.STMConfig(max_iter=2000, trace_every=1)
     )
     return state, trace
+
+
+@pytest.fixture
+def data_log(monkeypatch):
+    """Every product with the data blocks, logged as "apply" (A x) or
+    "adjoint" (A^T s), counted at ``ProblemInstance.block_products``, the one
+    place both are taken, so the einsum and the BLAS form are both seen."""
+    log = []
+    real = ed.ProblemInstance.block_products
+
+    def counted(inst):
+        products = real.__get__(inst, ed.ProblemInstance)
+        return products._replace(
+            apply=lambda X, out=None: log.append("apply") or products.apply(X, out=out),
+            adjoint=lambda S, out=None: log.append("adjoint") or products.adjoint(S, out=out))
+
+    monkeypatch.setattr(ed.ProblemInstance, "block_products", property(counted))
+    return log

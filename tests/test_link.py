@@ -2,7 +2,8 @@
 gossip products it saves, counted at the one place products with W are taken
 from (``gossip_operator``), on dense and on neighbour-slot graphs.  Passes of
 the per-node log-sum-exp/softmax kernel are counted the same way, at
-``dual._rows_shifted_exp``, and products with A and A^T at ``np.einsum``."""
+``dual._rows_shifted_exp``, and products with A and A^T at
+``ProblemInstance.block_products`` (the ``data_log`` fixture)."""
 
 import math
 
@@ -223,15 +224,6 @@ class TestKernelPasses:
 class TestPerIterationCounts:
     """Everything one solver iteration applies, counted together."""
 
-    @pytest.fixture
-    def data_log(self, monkeypatch):
-        """Subscripts of every einsum: "ind,in->id" is A^T s, "ind,id->in" is A x."""
-        log = []
-        real = np.einsum
-        monkeypatch.setattr(np, "einsum",
-                            lambda spec, *a, **k: log.append(spec) or real(spec, *a, **k))
-        return log
-
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_stm_products_and_passes(self, p, toy_p1, toy_p2, ring4,
                                      gossip_log, kernel_log, data_log):
@@ -241,10 +233,21 @@ class TestPerIterationCounts:
             for log in (gossip_log, kernel_log, data_log):
                 log.clear()
             ed.run_stm(inst, ring4, ed.STMConfig(max_iter=iters, trace_every=iters))
-            counts[iters] = (len(gossip_log), data_log.count("ind,in->id"),
-                             data_log.count("ind,id->in"), len(kernel_log))
+            counts[iters] = (len(gossip_log), data_log.count("adjoint"),
+                             data_log.count("apply"), len(kernel_log))
         per_iter = [(b - a) / 10 for a, b in zip(counts[1], counts[11])]
         assert per_iter == [2, 1, 1, 2]
+
+    def test_stm_data_products_above_the_blas_crossover(self, ring64, data_log):
+        # ring64's blocks are applied by BLAS; still 1 A^T and 1 A per iteration
+        inst = ed.generate_instance(7, 64, 20, 50, 1.0, 3.0)
+        assert inst.block_products.kind == "blas"
+        counts = {}
+        for iters in (1, 11):
+            data_log.clear()
+            ed.run_stm(inst, ring64, ed.STMConfig(max_iter=iters, trace_every=iters))
+            counts[iters] = (data_log.count("adjoint"), data_log.count("apply"))
+        assert [(b - a) / 10 for a, b in zip(counts[1], counts[11])] == [1, 1]
 
     def test_acrcd_w_products_follow_the_coin(self, toy_p1, ring4, gossip_log):
         # 2 W products per z step, none per s step

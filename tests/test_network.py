@@ -299,6 +299,41 @@ class TestNeighbourSlots:
                 with pytest.raises(ValueError):
                     op @ X
 
+    @pytest.mark.parametrize("spec,m", [("path", 300), ("star", 40), ("ring", 256),
+                                        ("erdos-renyi 0.03 0", 256)])
+    def test_weighted_padded_rows(self, spec, m):
+        # random positive edge weights; every graph but the ring pads some rows
+        top = ed.make_topology(spec, m)
+        ends = np.array(top.edges)
+        weights = np.random.default_rng(m).uniform(0.1, 2.0, len(ends))
+        W = np.zeros((m, m))
+        W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
+        W[np.diag_indices(m)] = -W.sum(axis=1)
+        g = ed.gossip_from_matrix(W, top)
+        op = slots_of(g.W)
+        assert (op.vals == 0.0).any() == (spec != "ring")
+        rng = np.random.default_rng(m + 2)
+        # 1-D and two widths through the same operator, in turn
+        for X in (rng.standard_normal(m), rng.standard_normal((m, 8)),
+                  rng.standard_normal((m, 3)), rng.standard_normal((m, 8))):
+            dense = g.W @ X
+            assert np.abs(op @ X - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_expanded_weights_once_per_width_and_read_only(self, graphs):
+        op = slots_of(graphs("path", 512).W)
+        X = np.random.default_rng(4).standard_normal((512, 5))
+        op @ X
+        first = op.expanded_weights(5)
+        op @ X
+        op @ X[:, 0]
+        assert op.expanded_weights(5) is first
+        assert sorted(op._weights) == [1, 5]
+        assert first.shape == (3, 512, 5) and not first.flags.writeable
+        np.testing.assert_array_equal(first[0], np.repeat(op.diag, 5, axis=1))
+        np.testing.assert_array_equal(first[1:], np.repeat(op.vals, 5, axis=2))
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 7.0
+
     def test_padding_points_at_the_row_itself(self, graphs):
         # the path's end nodes have one neighbour, so their second slot pads
         op = graphs("path", 512).operator

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
-from entrodual.problem import NOISE_REL, SIMPLEX_TOL
+from entrodual.problem import (BLAS_BLOCK_MIN, NOISE_REL, SIMPLEX_TOL, blas_products,
+                               einsum_products)
+
+from oracles import dense_operators
 
 from reference_values import (
     CHECKSUM_P1,
@@ -101,17 +104,57 @@ class TestProblemInstance:
         assert np.array_equal(toy_p2.stacked_A()[3:6], toy_p2.A[1])
 
 
+# (m, n, d) on both sides of BLAS_BLOCK_MIN = 128 entries per block
+BLOCK_SHAPES = [(4, 3, 5), (64, 2, 8), (64, 8, 12), (64, 8, 16), (8, 20, 50)]
+PRODUCT_RTOL = 1e-12
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_the_rule_reads_the_block_size(self, shape):
+        inst = ed.generate_instance(3, *shape, 1.0, 3.0)
+        expect = "blas" if shape[1] * shape[2] >= BLAS_BLOCK_MIN else "einsum"
+        assert inst.block_products.kind == expect
+        assert inst.block_products is inst.block_products
+
+    @pytest.mark.parametrize("form", [einsum_products, blas_products])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_both_forms_match_the_dense_oracle(self, form, shape):
+        m, n, d = shape
+        inst = ed.generate_instance(5, m, n, d, 1.0, 3.0)
+        _, Ak, _ = dense_operators(inst, np.zeros((m, m)))
+        rng = np.random.default_rng(m * n * d)
+        X = rng.dirichlet(np.ones(d), size=m)
+        S = rng.uniform(-1.0, 1.0, (m, n))
+        products = form(inst.A)
+        for got, expect in ((products.apply(X), (Ak @ X.reshape(-1)).reshape(m, n)),
+                            (products.adjoint(S), (Ak.T @ S.reshape(-1)).reshape(m, d))):
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= PRODUCT_RTOL * np.abs(expect).max()
+        out_x, out_s = np.full((m, n), np.nan), np.full((m, d), np.nan)
+        assert products.apply(X, out=out_x) is out_x
+        assert products.adjoint(S, out=out_s) is out_s
+        np.testing.assert_array_equal(out_x, products.apply(X))
+        np.testing.assert_array_equal(out_s, products.adjoint(S))
+
+    def test_apply_blocks_takes_the_instance_form(self):
+        inst = ed.generate_instance(5, 8, 20, 50, 1.0, 3.0)
+        X = np.random.default_rng(1).dirichlet(np.ones(50), size=8)
+        np.testing.assert_array_equal(ed.apply_blocks(inst, X),
+                                      blas_products(inst.A).apply(X).reshape(-1))
+
+
 class TestPrimalState:
     def test_validates_block_rows(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            ed.PrimalState(np.full((2, 3), 0.5), np.zeros(2))
+            ed.PrimalState(np.full((2, 3), 0.5))
         bad = np.array([[1.2, -0.2]])
         with pytest.raises(ValueError, match="below zero"):
-            ed.PrimalState(bad, np.zeros(1))
+            ed.PrimalState(bad)
 
     def test_accepts_valid_blocks(self):
         x = np.array([[0.25, 0.75], [1.0, 0.0]])
-        st = ed.PrimalState(x, np.zeros(2))
+        st = ed.PrimalState(x)
         assert st.x_blocks.shape == (2, 2)
 
 

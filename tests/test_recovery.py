@@ -1,5 +1,6 @@
 """Primal recovery maps and duality-gap certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,9 +52,13 @@ class TestPrimalFromDual:
         expect /= expect.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(ps.x_blocks, expect, atol=1e-12)
 
-    def test_y_is_blockwise_product(self, toy_p2, ring4):
-        ps = ed.primal_from_dual(random_state(toy_p2, 2), toy_p2, ring4)
-        np.testing.assert_array_equal(ps.y, ed.apply_blocks(toy_p2, ps.x_blocks))
+    def test_makes_no_data_product(self, toy_p2, ring4, data_log):
+        # the certificate reads only the blocks, so recovery forms no A x
+        state = random_state(toy_p2, 2)
+        state.link = np.zeros((toy_p2.m, toy_p2.d))
+        ps = ed.primal_from_dual(state, toy_p2, ring4)
+        assert data_log == []
+        assert [f.name for f in dataclasses.fields(ps)] == ["x_blocks"]
 
     def test_zero_state_gives_uniform_blocks(self, toy_p2, ring4):
         zero = ed.DualState(np.zeros(toy_p2.m * toy_p2.d), np.zeros(toy_p2.m * toy_p2.n))
@@ -64,12 +69,12 @@ class TestPrimalFromDual:
 class TestConsensusCandidate:
     def test_identical_blocks_pass_through(self):
         x = np.array([0.2, 0.5, 0.3])
-        ps = ed.PrimalState(np.tile(x, (3, 1)), np.zeros(3))
+        ps = ed.PrimalState(np.tile(x, (3, 1)))
         np.testing.assert_allclose(ed.consensus_candidate(ps), x, atol=1e-15)
 
     def test_mean_then_renormalize(self):
         blocks = np.array([[0.8, 0.2], [0.4, 0.6]])
-        ps = ed.PrimalState(blocks, np.zeros(2))
+        ps = ed.PrimalState(blocks)
         np.testing.assert_allclose(ed.consensus_candidate(ps), [0.6, 0.4], atol=1e-15)
 
     def test_output_on_simplex(self, toy_p1, ring4):
