@@ -14,23 +14,21 @@ count of any row), one neighbour column and weight per row, so that
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
 neighbours pad with their own index and weight 0.  A slot product is one
-gather of the k + 1 rows each node needs, one multiply by weights expanded
-once per operand width, and one sum over the slots.  The slots are read
-from W's nonzero pattern, so weighted matrices work too.  They are used
-when (k + 1) * SLOT_CROSSOVER <= m.
+gather of the k + 1 rows each node needs and one einsum with their weights.
+The slots are read from W's nonzero pattern, so weighted matrices work too.
+They are used when (k + 1) * SLOT_CROSSOVER <= m.
 
-SLOT_CROSSOVER = 36 comes from ``scripts/crossover.py`` (one thread, a
+SLOT_CROSSOVER = 64 comes from ``scripts/crossover.py`` (one thread, a
 2-core x86 machine with 4 MiB of L2 per core).  On rings (k = 2) the slots
-win from m = 160-192 at d = 8 (1.1x at 192, 2x at 256, 7x at 512) and from
-m = 108-144 at d = 50; at m = 96 they lose 1.3-1.8x, so ring64 stays dense.
-The dense product's cost per entry rises once W leaves the cache, so at
-m = 1024 the slots win on Erdos-Renyi graphs up to k = 27 at every d
-(1.1-2.6x), and at k = 34-35 they win 1.8-1.9x at d = 8 and tie at d = 50;
-at m = 512, k = 22 they win at d = 8 (1.5x) and lose at d = 20-50
-(1.2-1.7x).  A rule linear in m cannot follow both.  36 sends rings to the
-slots from m = 108, where below m = 160 they lose up to 2x at d = 8 (5-7 us
-per product), and G(1024, 0.01) (k = 21-27) too, where each product saves
-0.5-1 ms.  The two products round differently, at the ulp level.
+tie with dense at m = 192, d = 8 and win from there on (1.4x at 256, 9x at
+512, 19x at 1024); at d = 50 they win from m = 128-160 (2.3x at 160).  At
+m = 64 they lose 2-3x, so ring64 stays dense.  The dense product's cost per
+entry rises once W leaves the cache, so at m = 1024 the slots win on
+Erdos-Renyi graphs with k = 21-35 (1.4-3x) that the rule keeps dense, and
+at m = 512, k = 22 they win at d = 8 (1.6x) and tie at d = 50.  A rule
+linear in m and blind to d cannot follow all of these; in the table, 64
+sends no graph to the slots where they lose.  The two products round differently,
+at the ulp level.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +40,7 @@ ZERO_EIG_REL = 1e-9
 # Slack for the PSD / kernel checks, relative to lambda_max.
 SPECTRAL_SLACK_REL = 1e-10
 # W is applied from its neighbour slots when m >= SLOT_CROSSOVER * (k + 1).
-SLOT_CROSSOVER = 36
+SLOT_CROSSOVER = 64
 
 GENERATOR_NAMES = ("path", "ring", "complete", "star", "erdos-renyi")
 
@@ -197,9 +195,12 @@ class NeighbourSlots:
     and weight 0; ``diag`` (m, 1) is W's diagonal.  All three are read-only.
 
     A product gathers, in one ``np.take``, each row of X and its k slot rows
-    into a (k + 1, m, d) array, multiplies it by the matching weights
-    (``expanded_weights``), and sums the k + 1 planes in slot order, which
+    into a (k + 1, m, d) array and contracts it with the (k + 1, m) weights
+    in one ``np.einsum``, which adds the k + 1 terms in slot order and so
     rounds exactly as diag * X + vals[0] * X[cols[0]] + ... term by term.
+    The gather is the product's one temporary: (k + 1) m d floats, which the
+    rule (k + 1) * SLOT_CROSSOVER <= m keeps below d / SLOT_CROSSOVER times
+    the m^2 floats of the dense W that GossipMatrix holds anyway.
     """
 
     diag: np.ndarray
@@ -207,15 +208,17 @@ class NeighbourSlots:
     vals: np.ndarray
     # (k + 1, m): node i itself, then its k slot columns
     _index: np.ndarray = field(init=False, repr=False)
-    # operand width d -> read-only (k + 1, m, d) weights
-    _weights: dict = field(init=False, repr=False, default_factory=dict)
+    # (k + 1, m): diag, then vals, matching _index
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for array in (self.diag, self.cols, self.vals):
             array.setflags(write=False)
         index = np.concatenate((np.arange(self.diag.shape[0])[None], self.cols))
-        index.setflags(write=False)
-        object.__setattr__(self, "_index", index)
+        weights = np.concatenate((self.diag.T, self.vals[:, :, 0]))
+        for name, array in (("_index", index), ("_weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_entries(cls, W, rows, cols):
@@ -236,30 +239,14 @@ class NeighbourSlots:
         m = self.diag.shape[0]
         return (m, m)
 
-    def expanded_weights(self, width):
-        """diag and vals stacked and repeated across ``width`` columns: the
-        read-only (k + 1, m, width) factor of a product, built once per width.
-
-        A same-shape multiply is 1.5 to 1.7 times as fast as broadcasting the
-        (k + 1, m, 1) weights against the gathered rows (ring, m = 256-1024).
-        """
-        weights = self._weights.get(width)
-        if weights is None:
-            weights = np.repeat(np.concatenate((self.diag[None], self.vals)), width, axis=2)
-            weights.setflags(write=False)
-            self._weights[width] = weights
-        return weights
-
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
         m = self.diag.shape[0]
         if X.ndim not in (1, 2) or X.shape[0] != m:
             raise ValueError(f"operand of shape {X.shape} does not match W of shape {(m, m)}; "
                              "expected (m,) or (m, d)")
-        rows = X.reshape(m, -1)
-        terms = np.take(rows, self._index, axis=0)
-        terms *= self.expanded_weights(rows.shape[1])
-        return terms.sum(axis=0).reshape(X.shape)
+        terms = np.take(X.reshape(m, -1), self._index, axis=0)
+        return np.einsum("tmd,tm->md", terms, self._weights).reshape(X.shape)
 
 
 def _off_diagonal(W):

@@ -116,11 +116,9 @@ class BlockProducts(NamedTuple):
 
     ``apply(X, out=None)`` maps X (m, d) to the rows A_i x_i, an (m, n)
     array; ``adjoint(S, out=None)`` maps S (m, n) to the rows A_i^T s_i, an
-    (m, d) array.  Either writes into ``out`` when it is given.  ``kind`` is
-    "einsum" or "blas".
+    (m, d) array.  Either writes into ``out`` when it is given.
     """
 
-    kind: str
     apply: Callable
     adjoint: Callable
 
@@ -133,7 +131,7 @@ def einsum_products(A):
     einsum is the faster form: on 512 x 2 x 8 blocks matmul takes 2-2.5x as
     long (scripts/crossover.py, one thread).
     """
-    return BlockProducts("einsum", partial(np.einsum, "ind,id->in", A),
+    return BlockProducts(partial(np.einsum, "ind,id->in", A),
                          partial(np.einsum, "ind,in->id", A))
 
 
@@ -157,7 +155,7 @@ def blas_products(A):
         np.matmul(S[:, None, :], A, out=out[:, None, :])
         return out
 
-    return BlockProducts("blas", apply, adjoint)
+    return BlockProducts(apply, adjoint)
 
 
 @dataclass(frozen=True)

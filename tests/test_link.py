@@ -241,7 +241,7 @@ class TestPerIterationCounts:
     def test_stm_data_products_above_the_blas_crossover(self, ring64, data_log):
         # ring64's blocks are applied by BLAS; still 1 A^T and 1 A per iteration
         inst = ed.generate_instance(7, 64, 20, 50, 1.0, 3.0)
-        assert inst.block_products.kind == "blas"
+        assert inst.n * inst.d >= ed.problem.BLAS_BLOCK_MIN
         counts = {}
         for iters in (1, 11):
             data_log.clear()

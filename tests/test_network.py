@@ -319,20 +319,25 @@ class TestNeighbourSlots:
             dense = g.W @ X
             assert np.abs(op @ X - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_expanded_weights_once_per_width_and_read_only(self, graphs):
+    @pytest.mark.parametrize("spec,m", [("ring", 512), ("path", 300), ("star", 40),
+                                        ("erdos-renyi 0.03 0", 256)])
+    def test_rounds_as_the_term_by_term_sum(self, spec, m, graphs):
+        op = slots_of(graphs(spec, m).W)
+        rng = np.random.default_rng(m + 3)
+        for X in (rng.standard_normal((m, 1)), rng.standard_normal((m, 8))):
+            expect = op.diag * X
+            for t in range(op.cols.shape[0]):
+                expect = expect + op.vals[t] * X[op.cols[t]]
+            np.testing.assert_array_equal(op @ X, expect)
+
+    def test_weights_are_read_only(self, graphs):
         op = slots_of(graphs("path", 512).W)
-        X = np.random.default_rng(4).standard_normal((512, 5))
-        op @ X
-        first = op.expanded_weights(5)
-        op @ X
-        op @ X[:, 0]
-        assert op.expanded_weights(5) is first
-        assert sorted(op._weights) == [1, 5]
-        assert first.shape == (3, 512, 5) and not first.flags.writeable
-        np.testing.assert_array_equal(first[0], np.repeat(op.diag, 5, axis=1))
-        np.testing.assert_array_equal(first[1:], np.repeat(op.vals, 5, axis=2))
-        with pytest.raises(ValueError):
-            first[0, 0, 0] = 7.0
+        assert op._weights.shape == op._index.shape == (3, 512)
+        np.testing.assert_array_equal(op._weights[0], op.diag[:, 0])
+        np.testing.assert_array_equal(op._weights[1:], op.vals[:, :, 0])
+        for array in (op.diag, op.cols, op.vals, op._index, op._weights):
+            with pytest.raises(ValueError):
+                array[0, 0] = 7
 
     def test_padding_points_at_the_row_itself(self, graphs):
         # the path's end nodes have one neighbour, so their second slot pads

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
+from entrodual import problem
 from entrodual.problem import (BLAS_BLOCK_MIN, NOISE_REL, SIMPLEX_TOL, blas_products,
                                einsum_products)
 
@@ -111,11 +112,15 @@ PRODUCT_RTOL = 1e-12
 
 class TestBlockProducts:
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
-    def test_the_rule_reads_the_block_size(self, shape):
+    def test_the_rule_reads_the_block_size(self, shape, monkeypatch):
+        built = []
+        for form in (blas_products, einsum_products):
+            monkeypatch.setattr(problem, form.__name__,
+                                lambda A, form=form: built.append(form) or form(A))
         inst = ed.generate_instance(3, *shape, 1.0, 3.0)
-        expect = "blas" if shape[1] * shape[2] >= BLAS_BLOCK_MIN else "einsum"
-        assert inst.block_products.kind == expect
         assert inst.block_products is inst.block_products
+        expect = blas_products if shape[1] * shape[2] >= BLAS_BLOCK_MIN else einsum_products
+        assert built == [expect]
 
     @pytest.mark.parametrize("form", [einsum_products, blas_products])
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
