@@ -179,34 +179,47 @@ def _link_of(state, inst, W):
     return _neg_link(inst, W, state.z, state.s) if state.link is None else state.link
 
 
-def dual_objective(state, inst, W, nu, q_exponent=None):
-    """H(z, s) plus the regularizer nu ||s||_q^q.
+def objective_from_lse(s, lse, inst, nu, q_exponent=None):
+    """H(z, s) + R(s) from s and the point's row log-sum-exp ``lse``.
 
-    For q = inf the regularizer is replaced by the hard ball constraint
-    ||s||_inf <= 1 (violations beyond the slack raise) and contributes 0.
-    A carried link is used as it is, so the call makes no W product.
+    H = <s, b> + sum_i lse_i, lse_i = g*(-[Wz + A^T s]_i) as the row kernel
+    yields it, so a caller that already made the point's kernel pass (for
+    its softmax) gets the objective without a second one.  R is
+    nu ||s||_q^q for finite q; for q = inf it is the hard ball constraint
+    ||s||_inf <= 1 (violations beyond the slack raise), which contributes 0.
     """
     qe = inst.q_exponent if q_exponent is None else q_exponent
-    T = _link_of(state, inst, W)
-    h = float(state.s @ inst.stacked_b()) + float(_rows_lse(T, inst.theta).sum())
+    h = float(s @ inst.stacked_b()) + float(lse.sum())
     if math.isinf(qe):
-        if np.abs(state.s).max(initial=0.0) > 1.0 + DUAL_BALL_SLACK:
+        if np.abs(s).max(initial=0.0) > 1.0 + DUAL_BALL_SLACK:
             raise ValueError("q = inf mode requires ||s||_inf <= 1")
         return h
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
-    return h + nu * float(np.sum(np.abs(state.s) ** qe))
+    return h + nu * float(np.sum(np.abs(s) ** qe))
 
 
-def dual_gradient(state, inst, W, block=None):
+def dual_objective(state, inst, W, nu, q_exponent=None):
+    """H(z, s) + R(s) at ``state`` (see ``objective_from_lse``), from one
+    kernel pass.  A carried link is used as it is, so the call makes no W
+    product.
+    """
+    lse = _rows_lse(_link_of(state, inst, W), inst.theta)
+    return objective_from_lse(state.s, lse, inst, nu, q_exponent)
+
+
+def dual_gradient(state, inst, W, block=None, lse=None):
     """(grad_z H, grad_s H) = (-W xhat, b - A xhat) with xhat the block softmax.
 
     The z component is the only one that touches neighbours; evaluating it
     costs one communication round, the s component none.  ``block`` "z" or
     "s" evaluates only that component and returns None for the other.  A
-    carried link saves the products that forming it costs.
+    carried link saves the products that forming it costs.  When ``lse`` (an
+    (m,) array) is given, the softmax's kernel pass also writes the per-row
+    log-sum-exp into it, so ``objective_from_lse`` then gives the objective
+    at the same point.
     """
-    X = _rows_softmax(_link_of(state, inst, W), inst.theta)
+    X = _rows_softmax(_link_of(state, inst, W), inst.theta, lse)
     g_z = g_s = None
     if block != "s":
         g_z = -(gossip_operator(W) @ X).reshape(-1)

@@ -6,6 +6,13 @@ a file), the solver, and its knobs.  ``run_experiment`` wires everything,
 writes ``trace.csv`` and ``summary.txt`` into the output directory, and
 returns the summary mapping.  Traces are byte-reproducible by default; wall
 times are only measured when timing is switched on.
+
+The summary says why the run stopped and when it first certified the target
+accuracy: ``stop_reason`` is ``max_iter``, or ``stall`` when STM's stall stop
+ended the run before max_iter; ``iters_to_eps`` and ``rounds_to_eps`` are
+the iteration and the n_comm of the first trace row whose finite gap is at
+most target_eps, so they are read at the trace stride, and both are
+``none`` (NOT_REACHED) when no row gets there.
 """
 
 import dataclasses
@@ -38,6 +45,8 @@ from .trace import save_trace
 
 SOLVERS = ("stm", "acrcd", "subgradient")
 HARNESS_P_VALUES = (1.0, 2.0)
+# iters_to_eps and rounds_to_eps of a run whose gap never reaches target_eps
+NOT_REACHED = "none"
 
 
 @dataclass
@@ -255,12 +264,23 @@ def run_experiment(cfg):
     summary["final_consensus_residual"] = trace.consensus_residual[-1]
     summary["n_comm"] = trace.n_comm[-1]
     summary["n_comp"] = trace.n_comp[-1]
+    summary["stop_reason"] = "stall" if trace.iter[-1] < cfg.max_iter else "max_iter"
+    summary["iters_to_eps"], summary["rounds_to_eps"] = first_certified(trace, cfg.target_eps)
 
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
         save_trace(trace, os.path.join(cfg.out, "trace.csv"))
         write_summary(os.path.join(cfg.out, "summary.txt"), summary)
     return summary, trace
+
+
+def first_certified(trace, eps):
+    """(iteration, n_comm) of the first trace row with a finite gap <= eps,
+    else (NOT_REACHED, NOT_REACHED)."""
+    for k, gap, comm in zip(trace.iter, trace.gap, trace.n_comm):
+        if math.isfinite(gap) and gap <= eps:
+            return k, comm
+    return NOT_REACHED, NOT_REACHED
 
 
 def write_summary(path, summary):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _link_of, _rows_softmax, conj_F
+from .dual import _link_of, _rows_softmax, conj_F, objective_from_lse
 from .problem import PrimalState, consensus_residual, entropy
 
 
@@ -41,7 +41,7 @@ def consensus_candidate(ps):
     return x / x.sum()
 
 
-def duality_gap(state, inst, W):
+def duality_gap(state, inst, W, lse=None):
     """Gap between the consensual recovered point and the dual certificate.
 
     The primal side evaluates the distributed objective at the renormalized
@@ -53,9 +53,11 @@ def duality_gap(state, inst, W):
     infeasible s reports an infinite gap rather than raising.  The link is
     formed at most once per call, and not at all when ``state`` carries it;
     the call makes one pass of the row kernel, which yields both the softmax
-    and the log-sum-exp.
+    and the log-sum-exp.  When ``lse`` (an (m,) array) is given, that
+    log-sum-exp is written into it, so ``dual.objective_from_lse`` gives the
+    solver's own objective at ``state`` without another pass.
     """
-    lse = np.empty(inst.m)
+    lse = np.empty(inst.m) if lse is None else lse
     ps = primal_from_dual(state, inst, W, lse)
     xbar = consensus_candidate(ps)
     residual = inst.stacked_A() @ xbar - inst.stacked_b()
@@ -64,5 +66,6 @@ def duality_gap(state, inst, W):
     fstar = conj_F(state.s, inst)
     if math.isinf(fstar):
         return GapReport(primal, math.inf, math.inf, cres)
-    h = float(state.s @ inst.stacked_b()) + float(lse.sum())
+    # conj_F has checked s against the dual ball, and nu = 0: this is H itself
+    h = objective_from_lse(state.s, lse, inst, 0.0)
     return GapReport(primal, h, primal + h, cres)

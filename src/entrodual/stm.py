@@ -19,11 +19,13 @@ one fused combination a u + c q of whole buffers; only u^{k+1}, which the
 nonlinear prox produces, has its link formed from scratch.  A step
 allocates three buffers (y, u, q) and the temporaries of the gradient and
 of u's link.  It applies W twice (in u's link and in grad_z H = -W xhat),
-A^T once (in u's link) and A once (in grad_s H = b - A xhat); the stall
-check and the trace rows read q's link.  It also makes two passes of the
-row kernel ``dual._rows_shifted_exp``: the softmax xhat at y and the
-log-sum-exp of the stall-check objective at q.  A trace row adds one more
-(``duality_gap``, whose single pass yields both softmax and log-sum-exp).
+A^T once (in u's link) and A once (in grad_s H = b - A xhat).  It makes
+one pass of the row kernel ``dual._rows_shifted_exp``, the softmax xhat at
+y, and that pass also yields the log-sum-exp from which run_stm's stall and
+divergence checks read the objective F(y).  A trace row adds one more pass
+(``duality_gap`` at q, whose single pass yields both softmax and
+log-sum-exp); the row's objective F(q) comes from that pass, equal bit for
+bit to ``dual_objective`` at q.
 """
 
 import math
@@ -39,6 +41,7 @@ from .dual import (
     dual_gradient,
     dual_objective,
     lipschitz_constants,
+    objective_from_lse,
 )
 from .errors import NumericFailure
 from .prox import prox_R
@@ -194,46 +197,57 @@ def run_stm(inst, W, cfg=None):
         exchange per gradient).
 
     Stops at max_iter, or earlier once the running best objective has not
-    improved by STALL_RTOL (relative) for STALL_WINDOW iterations.  Raises
-    NumericFailure on divergence or non-finite iterates.
+    improved by STALL_RTOL (relative) for STALL_WINDOW iterations.  The stall
+    and divergence checks read F(y), the objective at the point whose
+    gradient the step took, from that gradient's own kernel pass; the trace
+    rows report F(q).  Raises NumericFailure on divergence or non-finite
+    iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
     counters = {"comm": 0, "comp": 0}
+    lse = np.empty(inst.m)
+    value_at_y = math.nan
+
+    def objective_at(s):
+        # H + R at the point whose row log-sum-exp the last kernel pass left in lse
+        return objective_from_lse(s, lse, inst, cfg.nu, cfg.q_exponent)
 
     def grad(ds):
-        # one gossip exchange and one local pass per evaluation
+        # one gossip exchange and one local pass per evaluation; the softmax's
+        # kernel pass also yields F(y)
+        nonlocal value_at_y
         counters["comm"] += 1
         counters["comp"] += 1
-        return dual_gradient(ds, inst, W)
+        g = dual_gradient(ds, inst, W, lse=lse)
+        value_at_y = objective_at(ds.s)
+        return g
 
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
 
-    def objective(ds):
-        return dual_objective(ds, inst, W, cfg.nu, cfg.q_exponent)
-
     t0 = time.perf_counter()
 
-    def record(trace, k, value):
-        rep = duality_gap(state.q, inst, W)
+    def record(trace, k):
+        q = state.q
+        rep = duality_gap(q, inst, W, lse)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        trace.append(k, value, rep.primal_value / inst.m, rep.gap,
+        trace.append(k, objective_at(q.s), rep.primal_value / inst.m, rep.gap,
                      rep.consensus_residual, counters["comm"], counters["comp"], wall)
 
     q0 = DualState.zeros(inst)
     q0.link = _neg_link(inst, W, q0.z, q0.s)
     state = stm_init(q0)
     trace = SolverTrace()
-    f0 = objective(state.q)
+    f0 = dual_objective(state.q, inst, W, cfg.nu, cfg.q_exponent)
     best = f0
     last_improvement = 0
-    record(trace, 0, f0)
+    record(trace, 0)
     for _ in range(cfg.max_iter):
         state = stm_step(state, cfg, grad, link)
         # z, s and the carried link in one pass over q's buffer
         if not np.isfinite(state.q_buf).all():
             raise NumericFailure(f"non-finite iterate at iteration {state.k}")
-        value = objective(state.q)
+        value = value_at_y
         if not math.isfinite(value):
             raise NumericFailure(f"non-finite objective at iteration {state.k}")
         if value - f0 > DIVERGENCE_FACTOR * max(1.0, abs(f0)):
@@ -244,9 +258,9 @@ def run_stm(inst, W, cfg=None):
             best = value
             last_improvement = state.k
         if state.k % cfg.trace_every == 0 or state.k == cfg.max_iter:
-            record(trace, state.k, value)
+            record(trace, state.k)
         if state.k - last_improvement >= STALL_WINDOW:
             if trace.iter[-1] != state.k:
-                record(trace, state.k, value)
+                record(trace, state.k)
             break
     return state.q, trace

@@ -43,3 +43,17 @@ PRIMAL_OPT_P2_TOL = 1e-8
 # subgradient run lands within 5e-6 of it.
 PRIMAL_OPT_P1 = -4.330222223212821
 PRIMAL_OPT_P1_TOL = 2e-5
+
+# SHA-256 of trace.csv from `entrodual solve` at --trace-every 1, keyed by
+# (config file, extra flags).  A change that must not move any trajectory
+# (iterates, recorded values, certificates) leaves these bytes alone.  The
+# digests depend on NumPy's exp and log rounding; on a platform that rounds
+# them differently, take them again at a commit whose traces are trusted.
+TRACE_SHA256 = {
+    ("configs/toy.cfg", ()):
+        "a31c02688c6c7fd744e0c4a70d25d26cc84cf310e9178868d01b9777111cc1f2",
+    ("configs/toy_p1.cfg", ()):
+        "7d46ab581f448d2e2b630541ab83e053b64fa82b28cd3345e18e760a7d2fe0cc",
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
+        "3cacd566a06b6b1f1b4a8768d40807182f2cfa9430acf8705223846b3c5e3ccd",
+}

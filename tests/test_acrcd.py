@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import entrodual as ed
+import entrodual.acrcd as acrcd_mod
 from entrodual.acrcd import acrcd_init, acrcd_step, step_coefficients
 
 from reference_values import DUAL_OPT_P1_BOX
@@ -240,6 +241,21 @@ class TestRunACRCD:
         _, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=5, max_iter=500, trace_every=10))
         vals = trace.dual_obj
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_one_certificate_per_change_of_best(self, toy_p1, ring4, monkeypatch):
+        # a row whose best pair is the one last certified reuses its report
+        certified = []
+        real = acrcd_mod.duality_gap
+        monkeypatch.setattr(acrcd_mod, "duality_gap",
+                            lambda pair, *a: certified.append(pair) or real(pair, *a))
+        best, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=3, max_iter=430))
+        # best_value strictly decreases whenever the best pair changes
+        changes = sum(b != a for a, b in zip(trace.dual_obj, trace.dual_obj[1:]))
+        assert 0 < changes < 430 // 2
+        assert len(certified) == 1 + changes
+        assert len({id(pair) for pair in certified}) == len(certified)
+        assert certified[-1] is best
+        assert trace.gap[-1] == real(best, toy_p1, ring4).gap
 
     def test_counter_split_sums_to_iteration(self, toy_p1, ring4):
         _, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=5, max_iter=300, trace_every=50))

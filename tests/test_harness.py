@@ -1,16 +1,28 @@
 """Experiment harness, trace round-trips, rate fitting, and the CLI."""
 
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entrodual as ed
 from entrodual.cli import _config_from_args, build_parser, main
-from entrodual.harness import CONFIG_TYPES, comparison_table, merge_config, write_summary
+import entrodual.stm as stm_mod
+from entrodual.harness import (
+    CONFIG_TYPES,
+    NOT_REACHED,
+    comparison_table,
+    merge_config,
+    write_summary,
+)
 
 from oracles import read_summary, save_topology
+from reference_values import TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_SEED, TRACE_SHA256
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def synthetic_trace(values, start=1):
@@ -339,12 +351,66 @@ class TestRunExperiment:
         np.testing.assert_allclose(trace.consensus_residual, dense.consensus_residual,
                                    rtol=1e-12)
 
+    def toy_p1_cfg(self, **kw):
+        return ed.ExperimentConfig(seed=TOY_SEED, m=TOY_M, n=TOY_N, d=TOY_D, p=1.0,
+                                   theta=TOY_P1_THETA, **kw)
+
+    def test_summary_explains_the_stop(self, tmp_path):
+        # the p = 1 toy first certifies 1e-4 at iteration 2511 (one round each)
+        out = tmp_path / "run"
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=2600, trace_every=1,
+                                                       out=str(out)))
+        assert (summary["stop_reason"], summary["iters_to_eps"],
+                summary["rounds_to_eps"]) == ("max_iter", 2511, 2511)
+        loaded = read_summary(out / "summary.txt")
+        assert (loaded["stop_reason"], loaded["iters_to_eps"],
+                loaded["rounds_to_eps"]) == ("max_iter", 2511, 2511)
+
+    def test_eps_is_read_at_the_trace_stride(self):
+        # the gap is not monotone: rows every 10th iteration first hit eps at 2610
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=2700, trace_every=10))
+        assert summary["iters_to_eps"] == summary["rounds_to_eps"] == 2610
+
+    def test_summary_spells_eps_not_reached(self, tmp_path):
+        out = tmp_path / "run"
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=100, out=str(out)))
+        assert summary["iters_to_eps"] == summary["rounds_to_eps"] == NOT_REACHED
+        text = (out / "summary.txt").read_text()
+        assert f"iters_to_eps={NOT_REACHED}\n" in text
+        assert f"rounds_to_eps={NOT_REACHED}\n" in text
+
+    def test_summary_names_a_stall_stop(self, monkeypatch):
+        # a frozen objective never improves, so the stall stop ends the run
+        monkeypatch.setattr(stm_mod, "objective_from_lse", lambda *a, **k: -1.0)
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=1000))
+        assert summary["stop_reason"] == "stall"
+        assert summary["iters"] == 1 + stm_mod.STALL_WINDOW
+
+    @pytest.mark.parametrize("solver", ["acrcd", "subgradient"])
+    def test_other_solvers_stop_at_max_iter(self, solver):
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(solver=solver, solver_seed=3,
+                                                       max_iter=60))
+        assert summary["stop_reason"] == "max_iter"
+        assert summary["iters_to_eps"] == NOT_REACHED
+
     def test_block_svd_taken_once_per_run(self, monkeypatch):
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         ed.run_experiment(self.small_cfg())
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config,flags", [
+    pytest.param(config, flags, id="-".join((Path(config).stem, *(f.lstrip("-") for f in flags))))
+    for config, flags in sorted(TRACE_SHA256)])
+def test_trace_bytes_are_pinned(config, flags, tmp_path):
+    """Stride-1 traces of the shipped configs, byte for byte."""
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(REPO / config), *flags,
+                 "--trace-every", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256[config, flags]
 
 
 class TestWriteSummary:

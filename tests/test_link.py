@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import entrodual as ed
+import entrodual.acrcd as acrcd_mod
 import entrodual.dual as dual_mod
 import entrodual.stm as stm_mod
 from entrodual.acrcd import BlockOracle, acrcd_init, acrcd_step
@@ -132,7 +133,8 @@ class TestCarriedLinkAgrees:
 class TestGossipProducts:
     def test_stm_iteration(self, toy_p1, ring4, gossip_log, monkeypatch):
         # one link from scratch (one W product) and W xhat per iteration;
-        # the stall check and the trace rows read q's carried link
+        # the stall check reads the gradient's kernel pass at y, and the
+        # trace rows read q's carried link
         fresh = []
         monkeypatch.setattr(stm_mod, "_neg_link", lambda *a: fresh.append(1) or _neg_link(*a))
         counts = {}
@@ -191,19 +193,36 @@ class TestGossipProducts:
 
 
 class TestKernelPasses:
-    """Two passes per solver iteration (softmax at the gradient's point,
-    log-sum-exp for the objective) and one per certificate, which yields
-    both its softmax and its log-sum-exp."""
+    """One pass per STM iteration (the softmax at y, whose log-sum-exp also
+    gives the stall check's F(y)), two per ACRCD iteration (softmax at the
+    midpoint, log-sum-exp for the candidate objective), and one per
+    certificate, which yields both its softmax and its log-sum-exp."""
 
     @pytest.mark.parametrize("solver", ["stm", "acrcd"])
-    def test_per_untraced_iteration(self, solver, toy_p1, ring4, kernel_log):
+    def test_per_untraced_iteration(self, solver, toy_p1, ring4, kernel_log, monkeypatch):
+        # ACRCD certifies its closing row only if the best pair changed, so
+        # the passes of the certificates at the ends are taken out
+        module = acrcd_mod if solver == "acrcd" else stm_mod
+        certificates = []
+        real = module.duality_gap
+        monkeypatch.setattr(module, "duality_gap",
+                            lambda *a: certificates.append(1) or real(*a))
         counts = {}
         for iters in (1, 11):
             kernel_log.clear()
+            certificates.clear()
             run_solver(solver, toy_p1, ring4, iters)
+            counts[iters] = len(kernel_log) - len(certificates)
+        assert counts[11] - counts[1] == {"stm": 1, "acrcd": 2}[solver] * 10
+        assert set(kernel_log) == {(4, 5)}
+
+    def test_per_traced_stm_iteration(self, toy_p1, ring4, kernel_log):
+        counts = {}
+        for iters in (1, 11):
+            kernel_log.clear()
+            ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=iters, trace_every=1))
             counts[iters] = len(kernel_log)
         assert counts[11] - counts[1] == 2 * 10
-        assert set(kernel_log) == {(4, 5)}
 
     def test_per_trace_row(self, toy_p1, ring4, kernel_log):
         # 11 iterations traced at every row against one traced only at the ends
@@ -236,7 +255,7 @@ class TestPerIterationCounts:
             counts[iters] = (len(gossip_log), data_log.count("adjoint"),
                              data_log.count("apply"), len(kernel_log))
         per_iter = [(b - a) / 10 for a, b in zip(counts[1], counts[11])]
-        assert per_iter == [2, 1, 1, 2]
+        assert per_iter == [2, 1, 1, 1]
 
     def test_stm_data_products_above_the_blas_crossover(self, ring64, data_log):
         # ring64's blocks are applied by BLAS; still 1 A^T and 1 A per iteration

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import entrodual as ed
+import entrodual.stm as stm_mod
 from entrodual.errors import NumericFailure
 from entrodual.stm import STALL_WINDOW, resolve_config, stm_init, stm_step
 
@@ -245,15 +246,13 @@ class TestRunSTM:
         assert math.isinf(trace.gap[-1])
 
     def test_stall_cutoff_fires(self, toy_p1, ring4, monkeypatch):
-        # freeze the objective so no step ever improves; the cutoff must
-        # fire after the stall window and still record a closing row
-        import entrodual.stm as stm_mod
-
-        monkeypatch.setattr(stm_mod, "dual_objective", lambda *a, **k: 1.0)
+        # freeze the value the stall check reads, F(y), below f0 (which
+        # dual_objective still gives): the first step improves on f0 and no
+        # later one does, so the cutoff fires STALL_WINDOW iterations later
+        # and still records a closing row between trace marks
+        monkeypatch.setattr(stm_mod, "objective_from_lse", lambda *a, **k: -1.0)
         _, trace = ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=50000, trace_every=1000))
-        assert trace.iter[-1] < 50000
-        # the final row is recorded even when the cutoff fires between marks
-        assert trace.iter == [0, trace.iter[-1]]
+        assert trace.iter == [0, 1 + STALL_WINDOW]
         assert trace.iter[-1] == trace.n_comm[-1]
 
     def test_divergent_step_raises(self, toy_p2, ring4):
@@ -273,3 +272,48 @@ class TestRunSTM:
         state, trace = ed.run_stm(toy_p1, ring4)
         assert len(trace) >= 2
         assert np.abs(state.s).max() <= 1.0 + 1e-12
+
+
+class TestObjectiveFromTheKernelPass:
+    """The values run_stm reads come from kernel passes it makes anyway, and
+    equal ``dual_objective`` at the same point bit for bit."""
+
+    @pytest.fixture(params=[1.0, 2.0], ids=["p1", "p2"])
+    def problem(self, request, toy_p1, toy_p2, ring4):
+        inst = toy_p1 if request.param == 1.0 else toy_p2
+        return inst, ring4, resolve_config(ed.STMConfig(max_iter=60, trace_every=1),
+                                           inst, ring4)
+
+    def test_stall_value_is_the_objective_at_y(self, problem, monkeypatch):
+        inst, W, cfg = problem
+        points, values = [], []
+        real_grad, real_value = stm_mod.dual_gradient, stm_mod.objective_from_lse
+
+        def grad(ds, *a, **k):
+            points.append(ds)
+            return real_grad(ds, *a, **k)
+
+        def value(s, *a, **k):
+            out = real_value(s, *a, **k)
+            if points and s is points[-1].s:
+                values.append(out)
+            return out
+
+        monkeypatch.setattr(stm_mod, "dual_gradient", grad)
+        monkeypatch.setattr(stm_mod, "objective_from_lse", value)
+        ed.run_stm(inst, W, cfg)
+        assert len(values) == len(points) == cfg.max_iter
+        for y, v in zip(points, values):
+            assert y.link is not None
+            assert v == ed.dual_objective(y, inst, W, cfg.nu, cfg.q_exponent)
+
+    def test_trace_rows_report_the_objective_at_q(self, problem, monkeypatch):
+        inst, W, cfg = problem
+        certified = []
+        real = stm_mod.duality_gap
+        monkeypatch.setattr(stm_mod, "duality_gap",
+                            lambda q, *a, **k: certified.append(q) or real(q, *a, **k))
+        _, trace = ed.run_stm(inst, W, cfg)
+        assert len(certified) == len(trace) == cfg.max_iter + 1
+        for q, row_value in zip(certified, trace.dual_obj):
+            assert row_value == ed.dual_objective(q, inst, W, cfg.nu, cfg.q_exponent)
