@@ -76,7 +76,7 @@ def gossip_table(quick, repeats):
             X = rng.standard_normal((m, d))
             dense = best_us(lambda: W @ X, repeats)
             slot = best_us(lambda: slots @ X, repeats)
-            print(f"{spec:>22} {m:5d} {slots.cols.shape[0]:3d} {d:3d} {dense:8.1f} "
+            print(f"{spec:>22} {m:5d} {slots.index.shape[0] - 1:3d} {d:3d} {dense:8.1f} "
                   f"{slot:8.1f} {dense / slot:11.2f} {rule:>6}")
 
 

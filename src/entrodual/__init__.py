@@ -39,7 +39,6 @@ from .problem import (
     DataConstants,
     PrimalState,
     ProblemInstance,
-    apply_blocks,
     check_simplex,
     consensus_residual,
     data_constants,

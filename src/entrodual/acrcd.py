@@ -125,16 +125,14 @@ class Stacked:
 
 @dataclass
 class ACRCDState:
-    """Running pair (bar), momentum pair (under) and the last midpoints; each
-    pair's blocks as [z | P] and [s | Q] buffers, which ``z_bar``, ``P_bar``,
-    ``s_under`` and the rest view."""
+    """Running pair (bar) and momentum pair (under), each pair's blocks as
+    [z | P] and [s | Q] buffers, which ``z_bar``, ``P_bar``, ``s_under`` and
+    the rest view."""
 
     zP_bar: Stacked
     zP_under: Stacked
     sQ_bar: Stacked
     sQ_under: Stacked
-    z_mid: np.ndarray
-    s_mid: np.ndarray
     k: int = 0
     n_comm: int = 0
     n_comp: int = 0
@@ -154,8 +152,7 @@ def acrcd_init(z0, s0, oracle):
     s0 = np.asarray(s0, dtype=float)
     zP = Stacked.of(z0, oracle.gossip(z0))
     sQ = Stacked.of(s0, oracle.adjoint(s0))
-    return ACRCDState(zP, zP.like(zP.buf.copy()), sQ, sQ.like(sQ.buf.copy()),
-                      z0.copy(), s0.copy())
+    return ACRCDState(zP, zP.like(zP.buf.copy()), sQ, sQ.like(sQ.buf.copy()))
 
 
 def step_coefficients(k):
@@ -194,7 +191,7 @@ def acrcd_step(state, cfg, rng, oracle):
         step = 2.0 * alpha / cfg.L_z
         return ACRCDState(state.zP_bar.like(zP_mid - gWg / cfg.L_z),
                           state.zP_under.like(state.zP_under.buf - step * gWg),
-                          state.sQ_bar, state.sQ_under, z_mid, s_mid,
+                          state.sQ_bar, state.sQ_under,
                           state.k + 1, state.n_comm + 1, state.n_comp)
     # [s | Q] is written in place: the projected s, then its image A^T s
     bar = state.sQ_bar.like(np.empty_like(sQ_mid))
@@ -203,8 +200,8 @@ def acrcd_step(state, cfg, rng, oracle):
     project_box(state.sQ_under.x - (2.0 * alpha / cfg.L_s) * g, under.x)
     oracle.adjoint(bar.x, bar.image)
     oracle.adjoint(under.x, under.image)
-    return ACRCDState(state.zP_bar, state.zP_under, bar, under, z_mid, s_mid,
-                      state.k + 1, state.n_comm, state.n_comp + 1)
+    return ACRCDState(state.zP_bar, state.zP_under, bar, under, state.k + 1,
+                      state.n_comm, state.n_comp + 1)
 
 
 def _running_pair(state):

@@ -308,7 +308,7 @@ def block_radii(inst, W, x_star, q_exponent):
 
 def default_regularizer_weight(inst, target_eps, q_exponent=None):
     """nu = eps / (2 R_s^2): the penalty perturbs the dual optimum by <= eps/2."""
-    if target_eps <= 0.0:
+    if not target_eps > 0.0:  # NaN fails too
         raise ValueError("target accuracy must be positive")
     qe = inst.q_exponent if q_exponent is None else q_exponent
     return target_eps / (2.0 * _dual_ball_radius_sq(inst, qe))

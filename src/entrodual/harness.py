@@ -90,7 +90,7 @@ class ExperimentConfig:
                 raise ConfigError("p must be at least 1")
             if self.p not in HARNESS_P_VALUES:
                 raise ConfigError("the harness restricts p to {1, 2}")
-            if self.theta <= 0.0:
+            if not self.theta > 0.0:  # NaN fails too
                 raise ConfigError("theta must be positive")
         if self.solver == "acrcd":
             if self.solver_seed is None:

@@ -7,10 +7,11 @@ span(1).  The default construction is the unnormalized graph Laplacian.
 How W is applied.  Every product with W goes through ``gossip_operator``,
 which returns the operator a GossipMatrix fixed at construction: the dense
 (m, m) array, multiplied by BLAS, or its neighbour slots.  The slot form
-keeps the diagonal and, for each t < k (k the largest off-diagonal nonzero
-count of any row), one neighbour column and weight per row, so that
+lists, for each row i, the node itself and then one neighbour column per
+t < k (k the largest off-diagonal nonzero count of any row), with W's
+entries as weights, so that
 
-    W X = diag * X + sum_t vals_t * X[cols_t],
+    W X = sum_t weights[t] * X[index[t]],   t = 0..k,
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
 neighbours pad with their own index and weight 0.  A slot product is one
@@ -188,37 +189,24 @@ def load_topology(path):
 
 @dataclass(frozen=True, eq=False)
 class NeighbourSlots:
-    """W in neighbour-slot form: W X = diag * X + sum_t vals[t] * X[cols[t]].
+    """W in neighbour-slot form: W X = sum_t weights[t] * X[index[t]].
 
-    Column i of ``cols`` (k, m) and ``vals`` (k, m, 1) lists row i's
-    off-diagonal nonzeros in ascending column order, padded with i itself
-    and weight 0; ``diag`` (m, 1) is W's diagonal.  All three are read-only.
+    Column i of the (k + 1, m) tables ``index`` and ``weights`` lists row i:
+    the node itself with W's diagonal entry, then its off-diagonal nonzeros
+    in ascending column order, padded with i itself and weight 0.
+    ``from_entries`` makes both read-only.
 
     A product gathers, in one ``np.take``, each row of X and its k slot rows
-    into a (k + 1, m, d) array and contracts it with the (k + 1, m) weights
-    in one ``np.einsum``, which adds the k + 1 terms in slot order and so
-    rounds exactly as diag * X + vals[0] * X[cols[0]] + ... term by term.
-    The gather is the product's one temporary: (k + 1) m d floats, which the
-    rule (k + 1) * SLOT_CROSSOVER <= m keeps below d / SLOT_CROSSOVER times
-    the m^2 floats of the dense W that GossipMatrix holds anyway.
+    into a (k + 1, m, d) array and contracts it with the weights in one
+    ``np.einsum``, which adds the k + 1 terms in slot order and so rounds
+    exactly as the term-by-term sum.  The gather is the product's one
+    temporary: (k + 1) m d floats, which the rule (k + 1) * SLOT_CROSSOVER
+    <= m keeps below d / SLOT_CROSSOVER times the m^2 floats of the dense W
+    that GossipMatrix holds anyway.
     """
 
-    diag: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    # (k + 1, m): node i itself, then its k slot columns
-    _index: np.ndarray = field(init=False, repr=False)
-    # (k + 1, m): diag, then vals, matching _index
-    _weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for array in (self.diag, self.cols, self.vals):
-            array.setflags(write=False)
-        index = np.concatenate((np.arange(self.diag.shape[0])[None], self.cols))
-        weights = np.concatenate((self.diag.T, self.vals[:, :, 0]))
-        for name, array in (("_index", index), ("_weights", weights)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+    index: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def from_entries(cls, W, rows, cols):
@@ -227,26 +215,25 @@ class NeighbourSlots:
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
         counts = np.bincount(rows, minlength=m)
-        rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        slot_cols = np.tile(np.arange(m), (int(counts.max(initial=0)), 1))
-        slot_vals = np.zeros(slot_cols.shape + (1,))
-        slot_cols[rank, rows] = cols
-        slot_vals[rank, rows, 0] = W[rows, cols]
-        return cls(np.diag(W)[:, None].copy(), slot_cols, slot_vals)
-
-    @property
-    def shape(self):
-        m = self.diag.shape[0]
-        return (m, m)
+        # slot 0 is the node itself; its neighbours fill slots 1..k in order
+        slot = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        index = np.tile(np.arange(m), (1 + int(counts.max(initial=0)), 1))
+        weights = np.zeros(index.shape)
+        weights[0] = np.diag(W)
+        index[slot, rows] = cols
+        weights[slot, rows] = W[rows, cols]
+        index.setflags(write=False)
+        weights.setflags(write=False)
+        return cls(index, weights)
 
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
-        m = self.diag.shape[0]
+        m = self.index.shape[1]
         if X.ndim not in (1, 2) or X.shape[0] != m:
             raise ValueError(f"operand of shape {X.shape} does not match W of shape {(m, m)}; "
                              "expected (m,) or (m, d)")
-        terms = np.take(X.reshape(m, -1), self._index, axis=0)
-        return np.einsum("tmd,tm->md", terms, self._weights).reshape(X.shape)
+        terms = np.take(X.reshape(m, -1), self.index, axis=0)
+        return np.einsum("tmd,tm->md", terms, self.weights).reshape(X.shape)
 
 
 def _off_diagonal(W):
@@ -272,7 +259,8 @@ def _apply_form(W):
 
 @dataclass(frozen=True)
 class GossipMatrix:
-    """Validated gossip matrix with its extreme spectrum.
+    """Gossip matrix W with its extreme spectrum, which construction measures
+    from W in the one ``eigvalsh`` that validates it (``_validate_spectrum``).
 
     chi = lambda_max / lambda_min_plus is the spectral condition number
     governing how fast consensus information spreads.
@@ -286,15 +274,21 @@ class GossipMatrix:
     """
 
     W: np.ndarray
-    lambda_max: float
-    lambda_min_plus: float
-    chi: float
     topology: Topology | None = None
+    lambda_max: float = field(init=False)
+    lambda_min_plus: float = field(init=False)
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
     def __post_init__(self):
+        lam_max, lam_min_plus = _validate_spectrum(self.W)
         self.W.setflags(write=False)
+        object.__setattr__(self, "lambda_max", lam_max)
+        object.__setattr__(self, "lambda_min_plus", lam_min_plus)
         object.__setattr__(self, "operator", _apply_form(self.W))
+
+    @property
+    def chi(self):
+        return self.lambda_max / self.lambda_min_plus
 
 
 def gossip_operator(W):
@@ -315,7 +309,8 @@ def _extreme_eigenvalues(evals):
     return lam_max, float(evals[evals > ZERO_EIG_REL * lam_max][0])
 
 
-def _validate_spectrum(W, m):
+def _validate_spectrum(W):
+    m = W.shape[0]
     if m < 2:
         # one node has no neighbour: W = [0] has no positive eigenvalue
         raise ValueError(f"a gossip matrix needs at least 2 nodes, got m = {m}")
@@ -345,15 +340,15 @@ def build_laplacian(topology):
     W = np.zeros((m, m))
     W[rows, cols] = -1.0
     W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
-    lam_max, lam_min_plus = _validate_spectrum(W, m)
-    return GossipMatrix(W, lam_max, lam_min_plus, lam_max / lam_min_plus, topology)
+    return GossipMatrix(W, topology)
 
 
 def gossip_from_matrix(W, topology=None):
     """Accept a user-supplied gossip matrix after checking the standing assumptions.
 
-    Checks: symmetry, positive semidefiniteness, kernel equal to the consensus
-    line, and (when a topology is given) sparsity matching the edge set.
+    Checks symmetry and, when a topology is given, sparsity matching the
+    edge set; GossipMatrix then checks positive semidefiniteness and that the
+    kernel is the consensus line.
     """
     W = np.array(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -370,5 +365,4 @@ def gossip_from_matrix(W, topology=None):
             for j in range(i + 1, m):
                 if W[i, j] != 0.0 and (i, j) not in allowed:
                     raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
-    lam_max, lam_min_plus = _validate_spectrum(W, m)
-    return GossipMatrix(W, lam_max, lam_min_plus, lam_max / lam_min_plus, topology)
+    return GossipMatrix(W, topology)

@@ -64,9 +64,10 @@ class ProblemInstance:
     def __post_init__(self):
         if min(self.m, self.n, self.d) < 1:
             raise ValueError("dimensions must be positive")
-        if self.p < 1.0:
+        # written so that NaN fails the checks
+        if not self.p >= 1.0:
             raise ValueError("p must be at least 1")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive")
         A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
         b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
@@ -221,11 +222,6 @@ def primal_objective(inst, x):
 def consensus_residual(W, x_blocks):
     """||(W (x) I) x||_2, zero exactly on consensual stacks."""
     return float(np.linalg.norm(gossip_operator(W) @ np.asarray(x_blocks, float)))
-
-
-def apply_blocks(inst, x_blocks):
-    """Blockwise product (A_1 x_1, ..., A_m x_m) flattened to (m*n,)."""
-    return inst.block_products.apply(np.asarray(x_blocks, float)).reshape(-1)
 
 
 def generate_instance(seed, m, n, d, p, theta, scale=1.0):

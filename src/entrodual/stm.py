@@ -69,13 +69,17 @@ class STMConfig:
     target_eps: float = 1e-4
     nu: float | None = None
     q_exponent: float | None = None
-    prox_tol: float = 1e-12
     trace_every: int = 1
     timing: bool = False
 
     def __post_init__(self):
-        if self.mu < 0.0:
+        # written so that NaN fails each check
+        if not self.mu >= 0.0:
             raise ValueError("mu must be nonnegative")
+        if self.L is not None and not self.L > 0.0:
+            raise ValueError("L must be positive")
+        if self.nu is not None and not self.nu >= 0.0:
+            raise ValueError("nu must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -159,7 +163,7 @@ def stm_step(state, cfg, grad, link=None):
     z, s = u[:nz], u[nz:nz + ns]
     np.subtract(base[:nz], np.multiply(g_z, gamma, out=z), out=z)
     np.subtract(base[nz:nz + ns], np.multiply(g_s, gamma, out=s), out=s)
-    prox_R(s, gamma, cfg.nu, cfg.q_exponent, cfg.prox_tol, out=s)
+    prox_R(s, gamma, cfg.nu, cfg.q_exponent, out=s)
     if link_shape is not None:
         link(z, s, u[nz + ns:].reshape(link_shape))
     q = a * u + c * state.q_buf
@@ -192,9 +196,9 @@ def run_stm(inst, W, cfg=None):
     (DualState, SolverTrace)
         Final iterate q^k and the per-iteration trace.  Row k of the trace
         records the composite objective at q^k, the recovered primal metrics,
-        and the counters; metric evaluations are observer-side and do not
-        bill communication, so n_comm equals the iteration index (one gossip
-        exchange per gradient).
+        and the counters; metric evaluations are observer-side and bill
+        nothing, so n_comm = n_comp = k (one gradient, so one gossip exchange
+        and one local pass, per iteration).
 
     Stops at max_iter, or earlier once the running best objective has not
     improved by STALL_RTOL (relative) for STALL_WINDOW iterations.  The stall
@@ -204,7 +208,6 @@ def run_stm(inst, W, cfg=None):
     iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
-    counters = {"comm": 0, "comp": 0}
     lse = np.empty(inst.m)
     value_at_y = math.nan
 
@@ -213,11 +216,8 @@ def run_stm(inst, W, cfg=None):
         return objective_from_lse(s, lse, inst, cfg.nu, cfg.q_exponent)
 
     def grad(ds):
-        # one gossip exchange and one local pass per evaluation; the softmax's
-        # kernel pass also yields F(y)
+        # the softmax's kernel pass also yields F(y)
         nonlocal value_at_y
-        counters["comm"] += 1
-        counters["comp"] += 1
         g = dual_gradient(ds, inst, W, lse=lse)
         value_at_y = objective_at(ds.s)
         return g
@@ -232,7 +232,7 @@ def run_stm(inst, W, cfg=None):
         rep = duality_gap(q, inst, W, lse)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
         trace.append(k, objective_at(q.s), rep.primal_value / inst.m, rep.gap,
-                     rep.consensus_residual, counters["comm"], counters["comp"], wall)
+                     rep.consensus_residual, k, k, wall)
 
     q0 = DualState.zeros(inst)
     q0.link = _neg_link(inst, W, q0.z, q0.s)

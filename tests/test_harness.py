@@ -535,6 +535,36 @@ class TestCLI:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,code,message", [
+        pytest.param(["solve", "--seed", "1", "--L", "0"], 2, "L must be positive", id="L=0"),
+        pytest.param(["solve", "--seed", "1", "--L", "-1"], 2, "L must be positive", id="L=-1"),
+        pytest.param(["solve", "--seed", "1", "--scale", "1e160"], 3, "", id="scale=1e160"),
+        pytest.param(["rate", "--trace", "{missing}", "--fstar", "0"], 2, "{missing}",
+                     id="missing-trace"),
+        pytest.param(["rate", "--trace", "{trace}", "--ref", "{missing}"], 2, "{missing}",
+                     id="missing-ref"),
+        pytest.param(["solve", "--seed", "1", "--theta", "nan"], 2, "theta must be positive",
+                     id="theta=nan"),
+        pytest.param(["solve", "--seed", "1", "--L", "nan"], 2, "L must be positive",
+                     id="L=nan"),
+        pytest.param(["solve", "--seed", "1", "--mu", "nan"], 2, "mu must be nonnegative",
+                     id="mu=nan"),
+        pytest.param(["solve", "--seed", "1", "--nu", "nan"], 2, "nu must be nonnegative",
+                     id="nu=nan"),
+        pytest.param(["solve", "--seed", "1", "--target-eps", "nan"], 2,
+                     "target accuracy must be positive", id="target-eps=nan"),
+    ])
+    def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
+        """Each edge input ends in its documented exit code and message."""
+        trace = tmp_path / "t.csv"
+        ed.save_trace(synthetic_trace([1.0, 0.5]), trace)
+        paths = {"missing": str(tmp_path / "missing.csv"), "trace": str(trace)}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert ("config error" if code == 2 else "numeric failure") in err
+        assert message.format(**paths) in err
+        assert "Traceback" not in err
+
     def test_compare_command(self, capsys):
         code = main(["compare", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",
                      "--p", "1", "--solver-seed", "5", "--max-iter", "200",

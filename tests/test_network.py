@@ -161,6 +161,26 @@ class TestSpectrum:
         assert int(np.sum(eigs <= ZERO_EIG_REL * g.lambda_max)) == 1
         assert g.chi >= 1.0
 
+    @pytest.mark.parametrize("spec,m", [("ring", 4), ("star", 6), ("path", 300)])
+    def test_gossip_matrix_measures_its_own_spectrum(self, spec, m):
+        W = ed.build_laplacian(ed.make_topology(spec, m)).W.copy()
+        g = ed.GossipMatrix(W)
+        evals = np.linalg.eigvalsh(W)
+        assert g.lambda_max == evals[-1]
+        assert g.lambda_min_plus == evals[1]
+        assert g.chi == evals[-1] / evals[1]
+        assert g.topology is None
+
+    def test_gossip_matrix_takes_no_spectrum(self, ring4):
+        W = ring4.W.copy()
+        with pytest.raises(TypeError):
+            ed.GossipMatrix(W, 4.0, 2.0, 2.0, ring4.topology)
+        for key in ("lambda_max", "lambda_min_plus", "chi"):
+            with pytest.raises(TypeError):
+                ed.GossipMatrix(W, **{key: 1.0})
+        init = [f.name for f in dataclasses.fields(ed.GossipMatrix) if f.init]
+        assert init == ["W", "topology"]
+
 
 class TestGossipFromMatrix:
     def test_accepts_scaled_laplacian(self, ring4):
@@ -311,7 +331,7 @@ class TestNeighbourSlots:
         W[np.diag_indices(m)] = -W.sum(axis=1)
         g = ed.gossip_from_matrix(W, top)
         op = slots_of(g.W)
-        assert (op.vals == 0.0).any() == (spec != "ring")
+        assert (op.weights[1:] == 0.0).any() == (spec != "ring")
         rng = np.random.default_rng(m + 2)
         # 1-D and two widths through the same operator, in turn
         for X in (rng.standard_normal(m), rng.standard_normal((m, 8)),
@@ -325,27 +345,27 @@ class TestNeighbourSlots:
         op = slots_of(graphs(spec, m).W)
         rng = np.random.default_rng(m + 3)
         for X in (rng.standard_normal((m, 1)), rng.standard_normal((m, 8))):
-            expect = op.diag * X
-            for t in range(op.cols.shape[0]):
-                expect = expect + op.vals[t] * X[op.cols[t]]
+            expect = op.weights[0][:, None] * X[op.index[0]]
+            for t in range(1, op.index.shape[0]):
+                expect = expect + op.weights[t][:, None] * X[op.index[t]]
             np.testing.assert_array_equal(op @ X, expect)
 
     def test_weights_are_read_only(self, graphs):
-        op = slots_of(graphs("path", 512).W)
-        assert op._weights.shape == op._index.shape == (3, 512)
-        np.testing.assert_array_equal(op._weights[0], op.diag[:, 0])
-        np.testing.assert_array_equal(op._weights[1:], op.vals[:, :, 0])
-        for array in (op.diag, op.cols, op.vals, op._index, op._weights):
+        g = graphs("path", 512)
+        op = slots_of(g.W)
+        assert op.weights.shape == op.index.shape == (3, 512)
+        np.testing.assert_array_equal(op.index[0], np.arange(512))
+        np.testing.assert_array_equal(op.weights[0], np.diag(g.W))
+        for array in (op.index, op.weights):
             with pytest.raises(ValueError):
                 array[0, 0] = 7
 
     def test_padding_points_at_the_row_itself(self, graphs):
         # the path's end nodes have one neighbour, so their second slot pads
         op = graphs("path", 512).operator
-        assert op.cols.shape == (2, 512)
-        assert op.cols[1, 0] == 0 and op.vals[1, 0, 0] == 0.0
-        assert op.cols[1, 511] == 511 and op.vals[1, 511, 0] == 0.0
-        assert op.shape == (512, 512)
+        assert op.index.shape == (3, 512)
+        assert op.index[2, 0] == 0 and op.weights[2, 0] == 0.0
+        assert op.index[2, 511] == 511 and op.weights[2, 511] == 0.0
 
 
 class TestApplyRule:
@@ -391,10 +411,10 @@ class TestGossipMatrixObject:
     def test_slots_are_read_only(self, graphs):
         g = graphs("ring", 512)
         op = g.operator
-        for array in (op.diag, op.cols, op.vals):
+        for array in (op.index, op.weights):
             with pytest.raises(ValueError):
                 array[0] = 7
         with pytest.raises(dataclasses.FrozenInstanceError):
-            op.cols = op.cols.copy()
+            op.index = op.index.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.operator = g.W

@@ -79,6 +79,12 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="dimensions"):
             ed.ProblemInstance(0, 1, 2, 2.0, 0.5, np.zeros((0, 1, 2)), np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("p,theta,message", [(math.nan, 0.5, "p must"),
+                                                 (2.0, math.nan, "theta")])
+    def test_nan_parameters_rejected(self, p, theta, message):
+        with pytest.raises(ValueError, match=message):
+            ed.ProblemInstance(2, 1, 2, p, theta, np.zeros((2, 1, 2)), np.zeros((2, 1)))
+
     def test_rejects_nonfinite_data(self):
         A = np.zeros((2, 1, 2))
         A[0, 0, 0] = np.inf
@@ -145,8 +151,8 @@ class TestBlockProducts:
     def test_apply_blocks_takes_the_instance_form(self):
         inst = ed.generate_instance(5, 8, 20, 50, 1.0, 3.0)
         X = np.random.default_rng(1).dirichlet(np.ones(50), size=8)
-        np.testing.assert_array_equal(ed.apply_blocks(inst, X),
-                                      blas_products(inst.A).apply(X).reshape(-1))
+        np.testing.assert_array_equal(inst.block_products.apply(X),
+                                      blas_products(inst.A).apply(X))
 
 
 class TestPrimalState:
@@ -173,8 +179,8 @@ class TestObjectives:
     def test_apply_blocks_matches_loop(self, toy_p2):
         rng = np.random.default_rng(2)
         X = rng.dirichlet(np.ones(toy_p2.d), size=toy_p2.m)
-        out = ed.apply_blocks(toy_p2, X)
-        manual = np.concatenate([toy_p2.A[i] @ X[i] for i in range(toy_p2.m)])
+        out = toy_p2.block_products.apply(X)
+        manual = np.stack([toy_p2.A[i] @ X[i] for i in range(toy_p2.m)])
         assert np.allclose(out, manual, atol=1e-14)
 
     def test_consensus_residual_zero_iff_consensual(self, ring4):

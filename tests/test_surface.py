@@ -21,6 +21,7 @@ GONE = [
     (dual, "_as_blocks"),
     (dual, "_sigma_max_blocks"),
     (harness, "read_summary"),
+    (problem, "apply_blocks"),
 ]
 
 
@@ -40,6 +41,8 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.DualState, "copy"),
     (ed.DualState, "is_finite"),
     (ed.GossipMatrix, "m"),
+    (network.NeighbourSlots, "shape"),
+    (ed.STMConfig, "prox_tol"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
