@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import gossip_operator
-from .problem import data_constants, sigma_max
+from .problem import data_constants, sigma_max, vector_norm
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
 DUAL_BALL_SLACK = 1e-9
@@ -109,7 +109,7 @@ def check_eta(eta, L_z=None, L_s=None):
 def conj_F(t, inst):
     """Conjugate of the p-norm loss: <t, b> on the dual-norm unit ball, else math.inf."""
     t = np.asarray(t, dtype=float)
-    if np.linalg.norm(t, inst.q_exponent) <= 1.0 + DUAL_BALL_SLACK:
+    if vector_norm(t, inst.q_exponent) <= 1.0 + DUAL_BALL_SLACK:
         return float(t @ inst.stacked_b())
     return math.inf
 
@@ -191,12 +191,17 @@ def objective_from_lse(s, lse, inst, nu, q_exponent=None):
     qe = inst.q_exponent if q_exponent is None else q_exponent
     h = float(s @ inst.stacked_b()) + float(lse.sum())
     if math.isinf(qe):
-        if np.abs(s).max(initial=0.0) > 1.0 + DUAL_BALL_SLACK:
+        if vector_norm(s, qe) > 1.0 + DUAL_BALL_SLACK:
             raise ValueError("q = inf mode requires ||s||_inf <= 1")
         return h
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
-    return h + nu * float(np.sum(np.abs(s) ** qe))
+    return h + regularizer(s, nu, qe)
+
+
+def regularizer(s, nu, q_exponent):
+    """The regularizer R(s) = nu ||s||_q^q of a finite q."""
+    return nu * float(np.sum(np.abs(s) ** q_exponent))
 
 
 def dual_objective(state, inst, W, nu, q_exponent=None):

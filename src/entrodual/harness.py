@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ConfigError("acrcd needs solver_seed for its sampling coin")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
+        if not self.target_eps > 0.0:  # NaN fails too
+            raise ConfigError("target accuracy must be positive")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be positive")
         if self.topology.startswith("file:"):

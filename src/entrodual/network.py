@@ -271,6 +271,11 @@ class GossipMatrix:
     nonzero count of any row, else the dense ``W``.  The slots are read
     from W's nonzero pattern, so weighted matrices work too.  W stays the
     dense, read-only matrix for spectra and tests.
+
+    W is kept as passed, not copied (a copy would cost 2 MB at m = 512),
+    and made read-only in place, so that the spectrum and the slots cannot
+    go stale: after ``GossipMatrix(W)`` the caller's own ``W`` is no longer
+    writeable.  Pass ``W.copy()`` to keep a writable array.
     """
 
     W: np.ndarray

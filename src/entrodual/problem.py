@@ -33,7 +33,22 @@ def entropy(x):
     """<x, log x> with the continuous extension 0 log 0 = 0."""
     x = np.asarray(x, dtype=float)
     pos = x[x > 0.0]
-    return float(np.sum(pos * np.log(pos)))
+    return float(np.add.reduce(pos * np.log(pos)))
+
+
+def vector_norm(x, p):
+    """||x||_p of a 1-D float array, 1 <= p <= inf, by the reduction that
+    ``np.linalg.norm(x, p)`` makes for that p (so to the same bit), without
+    the dispatch that costs that call more than short vectors' reduction."""
+    if p == 2.0:
+        return math.sqrt(x.dot(x))
+    a = np.abs(x)
+    if math.isinf(p):
+        return float(np.maximum.reduce(a, initial=0.0))
+    if p == 1.0:
+        return float(np.add.reduce(a))
+    a **= p
+    return float(np.add.reduce(a)) ** (1.0 / p)
 
 
 def check_simplex(x, tol=SIMPLEX_TOL):
@@ -169,11 +184,14 @@ class PrimalState:
         x = np.asarray(self.x_blocks, dtype=float)
         if x.ndim != 2:
             raise ValueError("x_blocks must be a (m, d) array")
-        if x.min() < -1e-12:
-            raise ValueError(f"block entry {x.min():.3e} below zero")
+        # ufunc reductions: the ndarray methods add a Python call each
+        lowest = np.minimum.reduce(x, axis=None)
+        if lowest < -1e-12:
+            raise ValueError(f"block entry {lowest:.3e} below zero")
         # a matvec with ones; x.sum(axis=1) reduces one short row at a time
-        sums = x @ np.ones(x.shape[1])
-        if np.abs(sums - 1.0).max() > 1e-12:
+        sums = x.dot(np.ones(x.shape[1]))
+        sums -= 1.0
+        if np.maximum.reduce(np.abs(sums, out=sums)) > 1e-12:
             raise ValueError("each block must sum to 1")
         object.__setattr__(self, "x_blocks", x)
 
@@ -216,12 +234,13 @@ def primal_objective(inst, x):
     """(1/m) ||A x - b||_p + theta <x, log x> at a simplex point x."""
     x = check_simplex(x)
     residual = inst.stacked_A() @ x - inst.stacked_b()
-    return float(np.linalg.norm(residual, inst.p)) / inst.m + inst.theta * entropy(x)
+    return vector_norm(residual, inst.p) / inst.m + inst.theta * entropy(x)
 
 
 def consensus_residual(W, x_blocks):
-    """||(W (x) I) x||_2, zero exactly on consensual stacks."""
-    return float(np.linalg.norm(gossip_operator(W) @ np.asarray(x_blocks, float)))
+    """||(W (x) I) x||_2, zero exactly on consensual stacks: one W product."""
+    r = (gossip_operator(W) @ np.asarray(x_blocks, float)).ravel(order="K")
+    return math.sqrt(r.dot(r))
 
 
 def generate_instance(seed, m, n, d, p, theta, scale=1.0):

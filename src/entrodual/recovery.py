@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _link_of, _rows_softmax, conj_F, objective_from_lse
-from .problem import PrimalState, consensus_residual, entropy
+from .dual import _link_of, _rows_softmax, conj_F
+from .problem import PrimalState, consensus_residual, entropy, vector_norm
 
 
 @dataclass(frozen=True)
@@ -37,35 +37,40 @@ def primal_from_dual(state, inst, W, lse=None):
 
 def consensus_candidate(ps):
     """Average the blocks and renormalize; exact for strictly positive blocks."""
-    x = np.maximum(ps.x_blocks.mean(axis=0), 0.0)
-    return x / x.sum()
+    X = ps.x_blocks
+    # the reductions X.mean(axis=0) and x.sum() make, without their dispatch
+    x = np.maximum(np.add.reduce(X, axis=0) / len(X), 0.0)
+    return x / np.add.reduce(x)
 
 
 def duality_gap(state, inst, W, lse=None):
     """Gap between the consensual recovered point and the dual certificate.
 
     The primal side evaluates the distributed objective at the renormalized
-    block mean replicated to every node; the dual side is Phi = -conj_F(s) -
-    sum_i g*(-[Wz + A^T s]_i), with g* the entropy conjugate (a scaled
-    log-sum-exp per node).  The certificate is penalty-free: only the problem's
-    own conjugate pairing enters, whatever penalty the solver used.  Weak
-    duality makes gap >= 0 up to rounding whenever s is feasible; an
-    infeasible s reports an infinite gap rather than raising.  The link is
-    formed at most once per call, and not at all when ``state`` carries it;
-    the call makes one pass of the row kernel, which yields both the softmax
-    and the log-sum-exp.  When ``lse`` (an (m,) array) is given, that
-    log-sum-exp is written into it, so ``dual.objective_from_lse`` gives the
-    solver's own objective at ``state`` without another pass.
+    block mean replicated to every node; the dual side is Phi = -H with
+    H = conj_F(s) + sum_i g*(-[Wz + A^T s]_i), g* the entropy conjugate (a
+    scaled log-sum-exp per node).  The certificate is penalty-free: only the
+    problem's own conjugate pairing enters, whatever penalty the solver used.
+    Weak duality makes gap >= 0 up to rounding whenever s is feasible; an
+    infeasible s reports an infinite gap rather than raising.
+
+    A certificate, and so a trace row, costs one pass of the row kernel,
+    which yields both the softmax and the log-sum-exp, and one W product,
+    for the consensus residual; the link is formed only when ``state`` does
+    not carry it.  The rest reads that pass once: one <s, b> and one
+    dual-ball test (``conj_F``; at q = inf it is the box test), the p-norms
+    by the reductions ``np.linalg.norm`` makes, and no objective evaluation.
+    When ``lse`` (an (m,) array) is given, the log-sum-exp is written into it.
     """
     lse = np.empty(inst.m) if lse is None else lse
     ps = primal_from_dual(state, inst, W, lse)
     xbar = consensus_candidate(ps)
-    residual = inst.stacked_A() @ xbar - inst.stacked_b()
-    primal = float(np.linalg.norm(residual, inst.p)) + inst.m * inst.theta * entropy(xbar)
+    residual = inst.stacked_A() @ xbar
+    residual -= inst.stacked_b()
+    primal = vector_norm(residual, inst.p) + inst.m * inst.theta * entropy(xbar)
     cres = consensus_residual(W, ps.x_blocks)
     fstar = conj_F(state.s, inst)
     if math.isinf(fstar):
         return GapReport(primal, math.inf, math.inf, cres)
-    # conj_F has checked s against the dual ball, and nu = 0: this is H itself
-    h = objective_from_lse(state.s, lse, inst, 0.0)
+    h = fstar + float(np.add.reduce(lse))
     return GapReport(primal, h, primal + h, cres)

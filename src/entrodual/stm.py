@@ -23,9 +23,12 @@ A^T once (in u's link) and A once (in grad_s H = b - A xhat).  It makes
 one pass of the row kernel ``dual._rows_shifted_exp``, the softmax xhat at
 y, and that pass also yields the log-sum-exp from which run_stm's stall and
 divergence checks read the objective F(y).  A trace row adds one more pass
-(``duality_gap`` at q, whose single pass yields both softmax and
-log-sum-exp); the row's objective F(q) comes from that pass, equal bit for
-bit to ``dual_objective`` at q.
+and one more W product: ``duality_gap`` at q, whose single pass yields both
+softmax and log-sum-exp, and whose consensus residual applies W.  The row's
+objective F(q) is the certificate's H, plus nu ||s||_q^q in the penalised
+mode, equal bit for bit to ``dual_objective`` at q; only a q whose s lies
+outside the dual ball, where H is infinite, takes F(q) from the pass's
+log-sum-exp by ``objective_from_lse`` instead.
 """
 
 import math
@@ -42,6 +45,7 @@ from .dual import (
     dual_objective,
     lipschitz_constants,
     objective_from_lse,
+    regularizer,
 )
 from .errors import NumericFailure
 from .prox import prox_R
@@ -80,6 +84,8 @@ class STMConfig:
             raise ValueError("L must be positive")
         if self.nu is not None and not self.nu >= 0.0:
             raise ValueError("nu must be nonnegative")
+        if not self.target_eps > 0.0:
+            raise ValueError("target accuracy must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -208,6 +214,7 @@ def run_stm(inst, W, cfg=None):
     iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
+    box = math.isinf(cfg.q_exponent)
     lse = np.empty(inst.m)
     value_at_y = math.nan
 
@@ -230,8 +237,17 @@ def run_stm(inst, W, cfg=None):
     def record(trace, k):
         q = state.q
         rep = duality_gap(q, inst, W, lse)
+        # F(q) from the certificate's H, which is finite only for a feasible
+        # s; otherwise from the pass it left in lse (raises in box mode)
+        h = rep.dual_value
+        if not math.isfinite(h):
+            value = objective_at(q.s)
+        elif box:
+            value = h
+        else:
+            value = h + regularizer(q.s, cfg.nu, cfg.q_exponent)
         wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        trace.append(k, objective_at(q.s), rep.primal_value / inst.m, rep.gap,
+        trace.append(k, value, rep.primal_value / inst.m, rep.gap,
                      rep.consensus_residual, k, k, wall)
 
     q0 = DualState.zeros(inst)

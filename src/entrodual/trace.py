@@ -64,15 +64,21 @@ class SolverTrace:
         return list(zip(*(getattr(self, c) for c in TRACE_COLUMNS)))
 
 
+_ROW_FORMAT = ",".join("%s" if c in _INT_COLUMNS else "%r" for c in TRACE_COLUMNS) + "\r\n"
+
+
 def save_trace(trace, path):
-    """Write the fixed-header CSV; floats use repr so values round-trip exactly."""
+    """Write the fixed-header CSV; floats use repr so values round-trip exactly.
+
+    Each row is formatted once, by one ``%`` format whose five float reprs
+    are most of a row's cost, into the bytes ``csv.writer`` writes for it:
+    no int and no float repr needs quoting, so the fields are joined by
+    commas and the row ends in CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for row in trace.rows():
-            writer.writerow(
-                [v if c in _INT_COLUMNS else repr(v) for c, v in zip(TRACE_COLUMNS, row)]
-            )
+            fh.write(_ROW_FORMAT % row)
 
 
 def load_trace(path):

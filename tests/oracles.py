@@ -4,19 +4,27 @@ Everything here is written against dense matrices and textbook update rules,
 on purpose: these oracles share no code with the package beyond the raw
 problem data, so agreement is meaningful evidence of correctness.  The
 exceptions are ``dual_kernel_floor``, which reads the package's spectral and
-data constants, and ``prox_lq_scalar``, which takes the package's bisection
-cap.  The helpers at the end (``ProxParams``, ``spectral_constants``,
-``save_topology``, ``read_summary``) serve tests; no solver needs them.
+data constants, ``prox_lq_scalar``, which takes the package's bisection
+cap, and the two bit-for-bit oracles ``duality_gap_reference`` and
+``csv_trace_bytes``, which keep an earlier form of package code so that its
+replacement can be held to the same bits.  The helpers at the end
+(``ProxParams``, ``spectral_constants``, ``save_topology``,
+``read_summary``) serve tests; no solver needs them.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from entrodual.network import _extreme_eigenvalues
+from entrodual.dual import DUAL_BALL_SLACK
+from entrodual.network import _extreme_eigenvalues, gossip_operator
 from entrodual.problem import data_constants
 from entrodual.prox import BISECT_MAX_ITER, _check_prox_params
+from entrodual.recovery import GapReport, primal_from_dual
+from entrodual.trace import TRACE_COLUMNS
 
 
 def dense_operators(inst, W):
@@ -252,6 +260,50 @@ def block_hessian_norms(inst, W, z, s, iters=300, seed=0):
             v = w / np.linalg.norm(w)
         estimates.append(lam)
     return tuple(estimates)
+
+
+def duality_gap_reference(state, inst, W):
+    """``recovery.duality_gap`` as it was computed before each quantity was
+    taken once: the block mean by ``ndarray.mean``, the norms by
+    ``np.linalg.norm``, conj_F's ball test and <s, b>, then the objective's
+    own <s, b>, box test and zero penalty.
+
+    The kernel pass is the package's (``primal_from_dual``), because the
+    softmax's bits depend on the kernel's layout; everything after it is
+    the earlier arithmetic, so the package's certificate must equal this
+    GapReport exactly.
+    """
+    lse = np.empty(inst.m)
+    ps = primal_from_dual(state, inst, W, lse)
+    xbar = np.maximum(ps.x_blocks.mean(axis=0), 0.0)
+    xbar = xbar / xbar.sum()
+    residual = inst.stacked_A() @ xbar - inst.stacked_b()
+    pos = xbar[xbar > 0.0]
+    entropy = float(np.sum(pos * np.log(pos)))
+    primal = float(np.linalg.norm(residual, inst.p)) + inst.m * inst.theta * entropy
+    cres = float(np.linalg.norm(gossip_operator(W) @ ps.x_blocks))
+    s, q = state.s, inst.q_exponent
+    if not np.linalg.norm(s, q) <= 1.0 + DUAL_BALL_SLACK:
+        return GapReport(primal, math.inf, math.inf, cres)
+    h = float(s @ inst.stacked_b()) + float(lse.sum())
+    if math.isinf(q):
+        if np.abs(s).max(initial=0.0) > 1.0 + DUAL_BALL_SLACK:
+            raise ValueError("q = inf mode requires ||s||_inf <= 1")
+    else:
+        h = h + 0.0 * float(np.sum(np.abs(s) ** q))
+    return GapReport(primal, h, primal + h, cres)
+
+
+def csv_trace_bytes(trace):
+    """The bytes ``trace.save_trace`` wrote when it wrote through
+    ``csv.writer``: the header, then ints as they are and floats by repr."""
+    ints = {"iter", "n_comm", "n_comp"}
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for row in trace.rows():
+        writer.writerow([v if c in ints else repr(v) for c, v in zip(TRACE_COLUMNS, row)])
+    return buf.getvalue().encode()
 
 
 # Test-only helpers.

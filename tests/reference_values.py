@@ -49,6 +49,11 @@ PRIMAL_OPT_P1_TOL = 2e-5
 # (iterates, recorded values, certificates) leaves these bytes alone.  The
 # digests depend on NumPy's exp and log rounding; on a platform that rounds
 # them differently, take them again at a commit whose traces are trusted.
+# The 64 x 20 x 50 ring applies W densely and its blocks by batched BLAS;
+# the 512 x 2 x 8 ring applies W from its neighbour slots and its blocks by
+# einsum; the toy takes the dense W and einsum.
+RING64 = ("--m", "64", "--n", "20", "--d", "50", "--max-iter", "60")
+RING512 = ("--m", "512", "--n", "2", "--d", "8", "--max-iter", "60")
 TRACE_SHA256 = {
     ("configs/toy.cfg", ()):
         "a31c02688c6c7fd744e0c4a70d25d26cc84cf310e9178868d01b9777111cc1f2",
@@ -56,4 +61,12 @@ TRACE_SHA256 = {
         "7d46ab581f448d2e2b630541ab83e053b64fa82b28cd3345e18e760a7d2fe0cc",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
         "3cacd566a06b6b1f1b4a8768d40807182f2cfa9430acf8705223846b3c5e3ccd",
+    ("configs/toy_p1.cfg", RING64):
+        "c6c510b76ed8ef2d3ec3762559141a0a5e414eb7edbea222c7055a57e1492443",
+    ("configs/toy_p1.cfg", RING512):
+        "63421a11ce8e83b7f588482963cdfaa39e09b37b8ebb7816d107ef1d2fe2cb35",
+    ("configs/toy.cfg", RING64):
+        "aec217ac0cc115ebf0b58ad752171a40e80a5c2ba19ae7fd11426848ee9d1327",
+    ("configs/toy.cfg", RING512):
+        "041723a58da1e488cf63ff0c1d4328d2bcfe6635b05b92fe71cfea7ce8f56e10",
 }

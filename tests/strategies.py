@@ -47,3 +47,8 @@ def simplex_points(draw, d):
     )
     v = np.asarray(raw, dtype=float)
     return v / v.sum()
+
+
+def invalid_accuracies():
+    """target_eps values every mode rejects: NaN, zero (either sign), negative."""
+    return st.one_of(st.just(float("nan")), st.floats(max_value=0.0, allow_nan=False))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrodual as ed
 from entrodual.cli import _config_from_args, build_parser, main
@@ -19,8 +21,9 @@ from entrodual.harness import (
     write_summary,
 )
 
-from oracles import read_summary, save_topology
+from oracles import csv_trace_bytes, read_summary, save_topology
 from reference_values import TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_SEED, TRACE_SHA256
+from strategies import invalid_accuracies
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -86,6 +89,18 @@ class TestSolverTrace:
         ed.save_trace(trace, path)
         loaded = ed.load_trace(path)
         assert loaded.rows() == trace.rows()
+
+    def test_save_trace_writes_the_csv_writer_bytes(self, tmp_path, stm_p1_trace):
+        # the one-format writer against csv.writer on the values a float repr
+        # and an int can take, and on a solver's own trace
+        edge = ed.SolverTrace()
+        edge.append(0, math.inf, -math.inf, math.nan, -0.0, 0, 0, 5e-324)
+        edge.append(1, -0.0, 5e-324, -1.7976931348623157e308, math.nan, 2**63, 2**63, 0.0)
+        edge.append(10**20, 0.1, 1 / 3, math.inf, -5e-324, 2**80, 10**30, 1e-300)
+        for trace in (edge, stm_p1_trace[1], ed.SolverTrace()):
+            path = tmp_path / "t.csv"
+            ed.save_trace(trace, path)
+            assert path.read_bytes() == csv_trace_bytes(trace)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -156,6 +171,13 @@ class TestExperimentConfig:
             self.base(max_iter=0).validate()
         with pytest.raises(ed.ConfigError, match="trace_every"):
             self.base(trace_every=0).validate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from([1.0, 2.0]), eps=invalid_accuracies())
+    def test_target_eps_positive_in_every_mode(self, p, eps):
+        # the box mode (p = 1) never derives nu from it, so validate checks it
+        with pytest.raises(ed.ConfigError, match="target accuracy must be positive"):
+            self.base(p=p, target_eps=eps).validate()
 
     def test_topology_file_checked(self):
         with pytest.raises(ed.ConfigError, match="topology file"):
@@ -553,6 +575,12 @@ class TestCLI:
                      id="nu=nan"),
         pytest.param(["solve", "--seed", "1", "--target-eps", "nan"], 2,
                      "target accuracy must be positive", id="target-eps=nan"),
+        pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
+                      "--target-eps", "nan"], 2, "target accuracy must be positive",
+                     id="box-target-eps=nan"),
+        pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
+                      "--target-eps", "-1"], 2, "target accuracy must be positive",
+                     id="box-target-eps=-1"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
         """Each edge input ends in its documented exit code and message."""

@@ -13,6 +13,8 @@ import pytest
 import entrodual as ed
 import entrodual.acrcd as acrcd_mod
 import entrodual.dual as dual_mod
+import entrodual.problem as problem_mod
+import entrodual.recovery as recovery_mod
 import entrodual.stm as stm_mod
 from entrodual.acrcd import BlockOracle, acrcd_init, acrcd_step
 from entrodual.dual import _neg_link
@@ -238,6 +240,49 @@ class TestKernelPasses:
             kernel_log.clear()
             ed.duality_gap(ed.DualState(rng.standard_normal(20), s), toy_p1, ring4)
             assert kernel_log == [(4, 5)]
+
+
+class TestTraceRowCost:
+    """What a trace row adds to an STM iteration: one kernel pass (counted in
+    ``TestKernelPasses``), one W product, and no objective evaluation beyond
+    the one the stall check reads at y."""
+
+    def test_w_products_per_row(self, toy_p1, ring4, monkeypatch):
+        # the certificate's consensus residual is the row's only W product;
+        # it is taken in problem, so both modules' gossip_operator are counted
+        log = []
+        real = dual_mod.gossip_operator
+
+        def counted(W):
+            return CountingGossip(real(W), log)
+
+        monkeypatch.setattr(dual_mod, "gossip_operator", counted)
+        monkeypatch.setattr(problem_mod, "gossip_operator", counted)
+        ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=11, trace_every=11))
+        ends = len(log)
+        log.clear()
+        ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=11, trace_every=1))
+        assert len(log) - ends == 1 * 10
+
+    @pytest.mark.parametrize("p", [1.0, 2.0], ids=["box", "penalised"])
+    def test_objective_evaluations_per_traced_iteration(self, p, toy_p1, toy_p2, ring4,
+                                                        monkeypatch):
+        # F(y) for the stall check; the row's F(q) comes from the certificate's
+        # H, which takes <s, b> and the ball test from conj_F, so neither the
+        # row nor the certificate evaluates the objective
+        inst = toy_p1 if p == 1.0 else toy_p2
+        calls = []
+        real = dual_mod.objective_from_lse
+        for module in (dual_mod, stm_mod, recovery_mod):
+            if hasattr(module, "objective_from_lse"):
+                monkeypatch.setattr(module, "objective_from_lse",
+                                    lambda *a, **k: calls.append(1) or real(*a, **k))
+        counts = {}
+        for iters in (1, 11):
+            calls.clear()
+            ed.run_stm(inst, ring4, ed.STMConfig(max_iter=iters, trace_every=1))
+            counts[iters] = len(calls)
+        assert counts[11] - counts[1] == 1 * 10
 
 
 class TestPerIterationCounts:

@@ -408,6 +408,20 @@ class TestGossipMatrixObject:
         with pytest.raises(ValueError):
             ring4.W[0, 0] = 7.0
 
+    def test_construction_freezes_the_callers_array(self):
+        # documented: W is kept as passed, not copied, and made read-only in
+        # place, so the caller's own array can no longer be written
+        W = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        g = ed.GossipMatrix(W)
+        assert g.W is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 7.0
+        # passing a copy keeps the caller's array writable
+        mine = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        ed.GossipMatrix(mine.copy())
+        assert mine.flags.writeable
+
     def test_slots_are_read_only(self, graphs):
         g = graphs("ring", 512)
         op = g.operator

@@ -11,7 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 import entrodual as ed
 
-from oracles import fista_reference, primal_subgradient_reference
+from entrodual.dual import _neg_link
+from entrodual.network import NeighbourSlots
+from entrodual.problem import BLAS_BLOCK_MIN
+
+from oracles import duality_gap_reference, fista_reference, primal_subgradient_reference
 from reference_values import PRIMAL_OPT_P2
 
 
@@ -23,12 +27,11 @@ def random_state(inst, seed, z_scale=1.0, s_scale=1.0):
 
 
 def ball_project(inst, s):
-    """Pull each node's s_i into the dual-norm ball of its p."""
-    blocks = s.reshape(inst.m, inst.n).copy()
+    """Pull s into the dual-norm unit ball that ``conj_F`` tests: the box at
+    p = 1, and at p = 2 one Euclidean ball over the stacked s of all nodes."""
     if inst.p == 1.0:
-        return np.clip(blocks, -1.0, 1.0).reshape(-1)
-    norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-    return (blocks / np.maximum(norms, 1.0)).reshape(-1)
+        return np.clip(s, -1.0, 1.0)
+    return s / max(float(np.linalg.norm(s)), 1.0)
 
 
 class TestPrimalFromDual:
@@ -127,7 +130,61 @@ class TestDualityGap:
     def test_weak_duality_p2(self, toy_p2, ring4, z, s):
         state = ed.DualState(z, ball_project(toy_p2, s))
         rep = ed.duality_gap(state, toy_p2, ring4)
+        assert math.isfinite(rep.gap)
         assert rep.gap >= -1e-8
+
+
+# (m, n, d) of each product path the certificate runs on, with the forms
+# that apply W and the data blocks there
+PRODUCT_PATHS = {
+    "dense-einsum": ((4, 3, 5), "dense", "einsum"),
+    "dense-blas": ((64, 20, 50), "dense", "blas"),
+    "slots-einsum": ((512, 2, 8), "slots", "einsum"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PRODUCT_PATHS))
+def product_path(request):
+    (m, n, d), w_form, data_form = PRODUCT_PATHS[request.param]
+    W = ed.build_laplacian(ed.topology_ring(m))
+    assert isinstance(W.operator, NeighbourSlots) == (w_form == "slots")
+    blas = n * d >= BLAS_BLOCK_MIN
+    assert blas == (data_form == "blas")
+    return (m, n, d), W
+
+
+class TestCertificateOracle:
+    """The certificate equals the earlier arithmetic (``oracles.
+    duality_gap_reference``) exactly, on every product path, at p = 1 and
+    p = 2, with s inside and outside the dual ball, with and without a
+    carried link.  theta = 1e-3 makes the entropy term small beside the
+    norm, so the norm's last bits reach the primal value, and gives softmax
+    blocks with entries that underflow to 0."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("theta", [None, 1e-3], ids=["theta-default", "theta-1e-3"])
+    def test_gap_report_equals_the_oracle(self, product_path, p, feasible, theta):
+        (m, n, d), W = product_path
+        if theta is None:
+            theta = 3.0 if p == 1.0 else 0.5
+        inst = ed.generate_instance(7, m, n, d, p, theta)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(m * d)
+            s = rng.standard_normal(m * n)
+            if p == 1.0:
+                s = np.clip(s, -1.0, 1.0)
+                if not feasible:
+                    s[rng.integers(m * n)] = 1.5
+            else:
+                s *= (0.9 if feasible else 1.5) / np.linalg.norm(s)
+            state = ed.DualState(z, s)
+            expect = duality_gap_reference(state, inst, W)
+            assert math.isfinite(expect.gap) == feasible
+            assert ed.duality_gap(state, inst, W) == expect
+            carried = ed.DualState(z, s, _neg_link(inst, W, z, s))
+            assert ed.duality_gap(carried, inst, W) == duality_gap_reference(carried, inst, W)
 
 
 @pytest.fixture(scope="module")

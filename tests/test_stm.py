@@ -192,6 +192,9 @@ class TestResolveConfig:
             ed.STMConfig(mu=-1.0)
         with pytest.raises(ValueError):
             ed.STMConfig(max_iter=0)
+        for eps in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="target accuracy must be positive"):
+                ed.STMConfig(target_eps=eps)
 
 
 class TestRunSTM:
