@@ -12,12 +12,10 @@ from .baseline import subgradient_baseline
 from .dual import (
     DualConstants,
     DualState,
-    block_radii,
     conj_F,
     default_regularizer_weight,
     dual_gradient,
     dual_objective,
-    dual_radius,
     lipschitz_constants,
 )
 from .errors import ConfigError, NumericFailure

@@ -34,7 +34,6 @@ other block's buffers along, and never writes into a buffer it did not make.
 """
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +50,7 @@ from .dual import (
 from .errors import NumericFailure
 from .prox import project_box
 from .recovery import duality_gap
-from .trace import SolverTrace
+from .trace import observe
 
 
 @dataclass
@@ -240,35 +239,32 @@ def run_acrcd(inst, W, cfg):
     def objective(ds):
         return dual_objective(ds, inst, W, 0.0, math.inf)
 
-    t0 = time.perf_counter()
     state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
     # a step writes only buffers it creates, so the best pair is kept uncopied
     best = _running_pair(state)
     best_value = objective(best)
-    trace = SolverTrace()
     certified = None  # (pair, GapReport) of the last certificate
 
-    def record(k):
-        nonlocal certified
-        if certified is None or certified[0] is not best:
-            certified = (best, duality_gap(best, inst, W))
-        rep = certified[1]
-        wall = (time.perf_counter() - t0) * 1e3 if resolved.timing else 0.0
-        trace.append(k, best_value, rep.primal_value / inst.m, rep.gap,
-                     rep.consensus_residual, state.n_comm, state.n_comp, wall)
-
-    record(0)
-    for _ in range(resolved.max_iter):
+    def step(k):
+        nonlocal state, best, best_value
         prev, state = state, acrcd_step(state, resolved, rng, oracle)
         # only the sampled block's buffers are new; the other passed when written
         written = state.zP_bar if state.zP_bar is not prev.zP_bar else state.sQ_bar
         if not np.isfinite(written.x).all():
-            raise NumericFailure(f"non-finite iterate at iteration {state.k}")
+            raise NumericFailure(f"non-finite iterate at iteration {k}")
         candidate = _running_pair(state)
         value = objective(candidate)
         if value < best_value:
             best_value = value
             best = candidate
-        if state.k % resolved.trace_every == 0 or state.k == resolved.max_iter:
-            record(state.k)
+
+    def row(k):
+        nonlocal certified
+        if certified is None or certified[0] is not best:
+            certified = (best, duality_gap(best, inst, W))
+        rep = certified[1]
+        return (best_value, rep.primal_value / inst.m, rep.gap,
+                rep.consensus_residual, state.n_comm, state.n_comp)
+
+    trace = observe(step, row, resolved.max_iter, resolved.trace_every, resolved.timing)
     return best, trace

@@ -13,7 +13,7 @@ import numpy as np
 
 from .network import gossip_operator
 from .problem import consensus_residual, primal_objective
-from .trace import SolverTrace
+from .trace import observe
 
 # Floor inside the entropy gradient; the true subgradient blows up at 0.
 ENTROPY_FLOOR = 1e-300
@@ -61,7 +61,7 @@ def _norm_subgradient(residual, p):
 
 
 def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
-                         seed=0, trace_every=1):
+                         seed=0, trace_every=1, timing=False):
     """Run the comparator and return its trace.
 
     The starting blocks are random simplex points from the given seed, so the
@@ -74,23 +74,20 @@ def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
     Wm = gossip_operator(W)
     rng = np.random.default_rng(seed)
     X = rng.dirichlet(np.ones(inst.d), size=inst.m)
-    trace = SolverTrace()
-
-    def record(k, n_round):
-        xbar = np.maximum(X.mean(axis=0), 0.0)
-        xbar /= xbar.sum()
-        trace.append(k, np.inf, primal_objective(inst, xbar), np.inf,
-                     consensus_residual(W, X), n_round, n_round, 0.0)
-
-    record(0, 0)
     products = inst.block_products
-    for k in range(steps):
+
+    def step(k):
+        nonlocal X
         residual = products.apply(X).reshape(-1) - inst.stacked_b()
         dual_vec = _norm_subgradient(residual, inst.p).reshape(inst.m, inst.n)
         G = products.adjoint(dual_vec)
         G += inst.theta * (np.log(np.maximum(X, ENTROPY_FLOOR)) + 1.0)
         G += penalty * (Wm @ X)  # the one term that talks to neighbours
-        X = project_simplex_rows(X - step_of(k) * G)
-        if (k + 1) % trace_every == 0 or k + 1 == steps:
-            record(k + 1, k + 1)
-    return trace
+        X = project_simplex_rows(X - step_of(k - 1) * G)
+
+    def row(k):
+        xbar = np.maximum(X.mean(axis=0), 0.0)
+        xbar /= xbar.sum()
+        return np.inf, primal_objective(inst, xbar), np.inf, consensus_residual(W, X), k, k
+
+    return observe(step, row, steps, trace_every, timing)

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import gossip_operator
-from .problem import data_constants, sigma_max, vector_norm
+from .problem import data_constants  # unused here; perfbench's spans wrap it
+from .problem import sigma_max, vector_norm
 
 # Feasibility slack for the dual-ball constraint ||s||_q <= 1.
 DUAL_BALL_SLACK = 1e-9
@@ -267,27 +268,6 @@ def lipschitz_constants(inst, W):
     return DualConstants(L_H, L_z, L_s, eta=sW / (sW + sA))
 
 
-def _log_shift_sq(x_star):
-    x = np.asarray(x_star, dtype=float)
-    if x.min() <= 0.0:
-        raise ValueError("radius bounds need a strictly interior simplex point")
-    v = np.log(x) + 1.0
-    return float(v @ v)
-
-
-def dual_radius(inst, W, x_star):
-    """Bound R^2 on ||q*||^2 driven by the solution's log-coordinates.
-
-    R^2 = theta^2 m ||log x* + 1||^2 / min(sigma_min_plus^2, lambda_min_plus^2).
-    Valid when the dual solution has no component in the kernel of the
-    stacked constraint map, i.e. when the smallest positive eigenvalue of
-    W^2 + A^T A is the per-factor floor in the denominator.
-    """
-    dc = data_constants(inst)
-    denom = min(dc.sigma_min_plus_A**2, W.lambda_min_plus**2)
-    return inst.theta**2 * inst.m * _log_shift_sq(x_star) / denom
-
-
 def _dual_ball_radius_sq(inst, q_exponent):
     """R_s^2 = max(1, (mn)^(1 - 2/q)), mn at q = inf: the squared 2-norm
     radius of the dual ball ||s||_q <= 1 in R^(mn)."""
@@ -295,20 +275,6 @@ def _dual_ball_radius_sq(inst, q_exponent):
     if math.isinf(q_exponent):
         return float(mn)
     return max(1.0, float(mn) ** (1.0 - 2.0 / q_exponent))
-
-
-def block_radii(inst, W, x_star, q_exponent):
-    """Per-block radius bounds (R_z^2, R_s^2) used by the coordinate method.
-
-    R_s^2 is the dual ball's squared 2-norm radius (``_dual_ball_radius_sq``);
-    R_z^2 folds the solution shift and the data through lambda_min_plus.
-    """
-    if q_exponent < 1.0:
-        raise ValueError("q must be at least 1")
-    R_s_sq = _dual_ball_radius_sq(inst, q_exponent)
-    sA = sigma_max(inst)
-    num = 2.0 * inst.theta**2 * inst.m * _log_shift_sq(x_star) + 2.0 * sA**2 * R_s_sq
-    return num / W.lambda_min_plus**2, R_s_sq
 
 
 def default_regularizer_weight(inst, target_eps, q_exponent=None):

@@ -8,8 +8,8 @@ returns the summary mapping.  Traces are byte-reproducible by default; wall
 times are only measured when timing is switched on.
 
 The summary says why the run stopped and when it first certified the target
-accuracy: ``stop_reason`` is ``max_iter``, or ``stall`` when STM's stall stop
-ended the run before max_iter; ``iters_to_eps`` and ``rounds_to_eps`` are
+accuracy: ``stop_reason`` is the trace's (``max_iter``, or ``stall`` when
+STM's stall stop ended the run); ``iters_to_eps`` and ``rounds_to_eps`` are
 the iteration and the n_comm of the first trace row whose finite gap is at
 most target_eps, so they are read at the trace stride, and both are
 ``none`` (NOT_REACHED) when no row gets there.
@@ -25,12 +25,7 @@ import numpy as np
 
 from .acrcd import ACRCDConfig, run_acrcd
 from .baseline import subgradient_baseline
-from .dual import (
-    block_radii,
-    default_regularizer_weight,
-    dual_radius,
-    lipschitz_constants,
-)
+from .dual import default_regularizer_weight, lipschitz_constants
 from .errors import ConfigError
 from .network import build_laplacian, load_topology, make_topology
 from .problem import (
@@ -39,7 +34,8 @@ from .problem import (
     instance_checksum,
     load_instance,
 )
-from .recovery import consensus_candidate, duality_gap, primal_from_dual
+from .recovery import duality_gap
+from .recovery import primal_from_dual  # unused here; perfbench's spans wrap it
 from .stm import STMConfig, resolve_config, run_stm
 from .trace import save_trace
 
@@ -68,7 +64,6 @@ class ExperimentConfig:
     L: float | None = None
     mu: float = 0.0
     nu: float | None = None
-    q: float | None = None
     solver_seed: int | None = None
     step_rule: str = "sqrt:0.1"
     penalty: float = 1.0
@@ -222,7 +217,7 @@ def run_experiment(cfg):
     if cfg.solver == "stm":
         scfg = resolve_config(
             STMConfig(L=cfg.L, mu=cfg.mu, max_iter=cfg.max_iter,
-                      target_eps=cfg.target_eps, nu=cfg.nu, q_exponent=cfg.q,
+                      target_eps=cfg.target_eps, nu=cfg.nu,
                       trace_every=cfg.trace_every, timing=cfg.timing),
             inst, W,
         )
@@ -239,34 +234,26 @@ def run_experiment(cfg):
     else:
         trace = subgradient_baseline(inst, W, cfg.max_iter, cfg.step_rule,
                                      cfg.penalty, seed=cfg.seed or 0,
-                                     trace_every=cfg.trace_every)
+                                     trace_every=cfg.trace_every, timing=cfg.timing)
 
     consts = lipschitz_constants(inst, W)
     summary["L_H"] = consts.L_H
     summary["L_z"] = consts.L_z
     summary["L_s"] = consts.L_s
     summary["eta"] = consts.eta
-    qe = inst.q_exponent if cfg.q is None else cfg.q
     if final_state is not None:
-        # solution-dependent radius bounds, from the recovered point (estimated)
-        xbar = consensus_candidate(primal_from_dual(final_state, inst, W))
-        summary["R_dual_sq_est"] = dual_radius(inst, W, xbar)
-        R_z_sq, R_s_sq = block_radii(inst, W, xbar, qe)
-        summary["R_z_sq_est"] = R_z_sq
-        summary["R_s_sq"] = R_s_sq
         rep = duality_gap(final_state, inst, W)
         summary["final_gap"] = rep.gap
         summary["final_dual_certificate"] = rep.dual_value
-    summary["nu_default"] = (
-        0.0 if math.isinf(qe) else default_regularizer_weight(inst, cfg.target_eps, qe)
-    )
+    summary["nu_default"] = 0.0 if math.isinf(inst.q_exponent) else (
+        default_regularizer_weight(inst, cfg.target_eps))
     summary["iters"] = trace.iter[-1]
     summary["final_dual_obj"] = trace.dual_obj[-1]
     summary["final_primal_obj"] = trace.primal_obj[-1]
     summary["final_consensus_residual"] = trace.consensus_residual[-1]
     summary["n_comm"] = trace.n_comm[-1]
     summary["n_comp"] = trace.n_comp[-1]
-    summary["stop_reason"] = "stall" if trace.iter[-1] < cfg.max_iter else "max_iter"
+    summary["stop_reason"] = trace.stop_reason
     summary["iters_to_eps"], summary["rounds_to_eps"] = first_certified(trace, cfg.target_eps)
 
     if cfg.out is not None:

@@ -365,9 +365,9 @@ def gossip_from_matrix(W, topology=None):
     if topology is not None:
         if topology.m != m:
             raise ValueError("topology size does not match matrix size")
-        allowed = set(topology.edges)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if W[i, j] != 0.0 and (i, j) not in allowed:
-                    raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
+        off_edge = np.triu(W != 0.0, 1)  # edges are normalized with i < j
+        off_edge[tuple(np.array(topology.edges, dtype=np.intp).reshape(-1, 2).T)] = False
+        if off_edge.any():  # argwhere lists in row-major order
+            i, j = np.argwhere(off_edge)[0]
+            raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
     return GossipMatrix(W, topology)

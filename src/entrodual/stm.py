@@ -32,7 +32,6 @@ log-sum-exp by ``objective_from_lse`` instead.
 """
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,7 +49,7 @@ from .dual import (
 from .errors import NumericFailure
 from .prox import prox_R
 from .recovery import duality_gap
-from .trace import SolverTrace
+from .trace import observe
 
 STALL_WINDOW = 50
 STALL_RTOL = 1e-14
@@ -207,11 +206,11 @@ def run_stm(inst, W, cfg=None):
         and one local pass, per iteration).
 
     Stops at max_iter, or earlier once the running best objective has not
-    improved by STALL_RTOL (relative) for STALL_WINDOW iterations.  The stall
-    and divergence checks read F(y), the objective at the point whose
-    gradient the step took, from that gradient's own kernel pass; the trace
-    rows report F(q).  Raises NumericFailure on divergence or non-finite
-    iterates.
+    improved by STALL_RTOL (relative) for STALL_WINDOW iterations; the
+    trace's ``stop_reason`` says which.  The stall and divergence checks read
+    F(y), the objective at the point whose gradient the step took, from that
+    gradient's own kernel pass; the trace rows report F(q).  Raises
+    NumericFailure on divergence or non-finite iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
     box = math.isinf(cfg.q_exponent)
@@ -232,9 +231,30 @@ def run_stm(inst, W, cfg=None):
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
 
-    t0 = time.perf_counter()
+    q0 = DualState.zeros(inst)
+    q0.link = _neg_link(inst, W, q0.z, q0.s)
+    state = stm_init(q0)
+    f0 = dual_objective(state.q, inst, W, cfg.nu, cfg.q_exponent)
+    best, last_improvement = f0, 0
 
-    def record(trace, k):
+    def step(k):
+        nonlocal state, best, last_improvement
+        state = stm_step(state, cfg, grad, link)
+        # z, s and the carried link in one pass over q's buffer
+        if not np.isfinite(state.q_buf).all():
+            raise NumericFailure(f"non-finite iterate at iteration {k}")
+        value = value_at_y
+        if not math.isfinite(value):
+            raise NumericFailure(f"non-finite objective at iteration {k}")
+        if value - f0 > DIVERGENCE_FACTOR * max(1.0, abs(f0)):
+            raise NumericFailure(
+                f"objective diverged: {value:.6e} from initial {f0:.6e}"
+            )
+        if best - value > STALL_RTOL * max(1.0, abs(best)):
+            best, last_improvement = value, k
+        return "stall" if k - last_improvement >= STALL_WINDOW else None
+
+    def row(k):
         q = state.q
         rep = duality_gap(q, inst, W, lse)
         # F(q) from the certificate's H, which is finite only for a feasible
@@ -246,37 +266,7 @@ def run_stm(inst, W, cfg=None):
             value = h
         else:
             value = h + regularizer(q.s, cfg.nu, cfg.q_exponent)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        trace.append(k, value, rep.primal_value / inst.m, rep.gap,
-                     rep.consensus_residual, k, k, wall)
+        return value, rep.primal_value / inst.m, rep.gap, rep.consensus_residual, k, k
 
-    q0 = DualState.zeros(inst)
-    q0.link = _neg_link(inst, W, q0.z, q0.s)
-    state = stm_init(q0)
-    trace = SolverTrace()
-    f0 = dual_objective(state.q, inst, W, cfg.nu, cfg.q_exponent)
-    best = f0
-    last_improvement = 0
-    record(trace, 0)
-    for _ in range(cfg.max_iter):
-        state = stm_step(state, cfg, grad, link)
-        # z, s and the carried link in one pass over q's buffer
-        if not np.isfinite(state.q_buf).all():
-            raise NumericFailure(f"non-finite iterate at iteration {state.k}")
-        value = value_at_y
-        if not math.isfinite(value):
-            raise NumericFailure(f"non-finite objective at iteration {state.k}")
-        if value - f0 > DIVERGENCE_FACTOR * max(1.0, abs(f0)):
-            raise NumericFailure(
-                f"objective diverged: {value:.6e} from initial {f0:.6e}"
-            )
-        if best - value > STALL_RTOL * max(1.0, abs(best)):
-            best = value
-            last_improvement = state.k
-        if state.k % cfg.trace_every == 0 or state.k == cfg.max_iter:
-            record(trace, state.k)
-        if state.k - last_improvement >= STALL_WINDOW:
-            if trace.iter[-1] != state.k:
-                record(trace, state.k)
-            break
+    trace = observe(step, row, cfg.max_iter, cfg.trace_every, cfg.timing)
     return state.q, trace

@@ -1,6 +1,8 @@
-"""Iteration traces, CSV round-tripping, and convergence-rate fitting."""
+"""Iteration traces, the observed solver loop, CSV round-tripping, and
+convergence-rate fitting."""
 
 import csv
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,9 @@ class SolverTrace:
 
     Iteration numbers must strictly increase and the counters never decrease;
     ``append`` enforces both so loaded traces are revalidated for free.
+    ``stop_reason`` says why the run that made the trace stopped ("max_iter"
+    or "stall"); it is None for a trace that ``observe`` did not make, such
+    as a loaded one.
     """
 
     iter: list = field(default_factory=list)
@@ -34,6 +39,7 @@ class SolverTrace:
     n_comm: list = field(default_factory=list)
     n_comp: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def append(self, it, dual_obj, primal_obj, gap, consensus_residual,
                n_comm, n_comp, wall_ms=0.0):
@@ -62,6 +68,35 @@ class SolverTrace:
 
     def rows(self):
         return list(zip(*(getattr(self, c) for c in TRACE_COLUMNS)))
+
+
+def observe(step, row, max_iter, trace_every=1, timing=False):
+    """Run a solver's iterations k = 1..max_iter and return their trace.
+
+    ``step(k)`` takes iteration k and returns None, or a stop reason that
+    ends the run after it.  ``row(k)`` gives the current point's row as
+    (dual_obj, primal_obj, gap, consensus_residual, n_comm, n_comp).  Rows
+    are taken at k = 0, at every ``trace_every``-th k, at max_iter, and at
+    the k whose step stopped the run.  ``wall_ms`` counts from the loop's
+    start when ``timing`` is on and is 0.0 otherwise.  The trace's
+    ``stop_reason`` is the step's reason, else "max_iter".
+    """
+    trace = SolverTrace(stop_reason="max_iter")
+    t0 = time.perf_counter()
+
+    def record(k):
+        values = row(k)
+        trace.append(k, *values, (time.perf_counter() - t0) * 1e3 if timing else 0.0)
+
+    record(0)
+    for k in range(1, max_iter + 1):
+        stop = step(k)
+        if stop is not None or k % trace_every == 0 or k == max_iter:
+            record(k)
+        if stop is not None:
+            trace.stop_reason = stop
+            break
+    return trace
 
 
 _ROW_FORMAT = ",".join("%s" if c in _INT_COLUMNS else "%r" for c in TRACE_COLUMNS) + "\r\n"

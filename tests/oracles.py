@@ -3,13 +3,13 @@
 Everything here is written against dense matrices and textbook update rules,
 on purpose: these oracles share no code with the package beyond the raw
 problem data, so agreement is meaningful evidence of correctness.  The
-exceptions are ``dual_kernel_floor``, which reads the package's spectral and
-data constants, ``prox_lq_scalar``, which takes the package's bisection
-cap, and the two bit-for-bit oracles ``duality_gap_reference`` and
-``csv_trace_bytes``, which keep an earlier form of package code so that its
-replacement can be held to the same bits.  The helpers at the end
-(``ProxParams``, ``spectral_constants``, ``save_topology``,
-``read_summary``) serve tests; no solver needs them.
+exceptions are ``dual_kernel_floor`` and ``dual_radius``, which read the
+package's spectral and data constants, ``prox_lq_scalar``, which takes the
+package's bisection cap, and the two bit-for-bit oracles
+``duality_gap_reference`` and ``csv_trace_bytes``, which keep an earlier form
+of package code so that its replacement can be held to the same bits.  The
+helpers at the end (``ProxParams``, ``spectral_constants``,
+``save_topology``, ``read_summary``) serve tests; no solver needs them.
 """
 
 import csv
@@ -224,6 +224,24 @@ def dual_kernel_floor(inst, W):
     dc = data_constants(inst)
     claimed = min(spectral_constants(Wm)[1] ** 2, dc.sigma_min_plus_A**2)
     return exact, claimed
+
+
+def dual_radius(inst, W, x_star):
+    """Bound R^2 on ||q*||^2 driven by the solution's log-coordinates.
+
+    R^2 = theta^2 m ||log x* + 1||^2 / min(sigma_min_plus^2, lambda_min_plus^2).
+    Valid when the dual solution has no component in the kernel of the
+    stacked constraint map, i.e. when the smallest positive eigenvalue of
+    W^2 + A^T A is the per-factor floor in the denominator
+    (``dual_kernel_floor`` compares the two).
+    """
+    x = np.asarray(x_star, dtype=float)
+    if x.min() <= 0.0:
+        raise ValueError("radius bounds need a strictly interior simplex point")
+    v = np.log(x) + 1.0
+    dc = data_constants(inst)
+    denom = min(dc.sigma_min_plus_A**2, W.lambda_min_plus**2)
+    return inst.theta**2 * inst.m * float(v @ v) / denom
 
 
 def block_hessian_norms(inst, W, z, s, iters=300, seed=0):

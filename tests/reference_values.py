@@ -59,6 +59,8 @@ TRACE_SHA256 = {
         "a31c02688c6c7fd744e0c4a70d25d26cc84cf310e9178868d01b9777111cc1f2",
     ("configs/toy_p1.cfg", ()):
         "7d46ab581f448d2e2b630541ab83e053b64fa82b28cd3345e18e760a7d2fe0cc",
+    ("configs/toy_p1.cfg", ("--solver", "subgradient")):
+        "0e699b10dc9e09db2307d340f7253ebe751a38796e6e1090d567e6ed74ab156a",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
         "3cacd566a06b6b1f1b4a8768d40807182f2cfa9430acf8705223846b3c5e3ccd",
     ("configs/toy_p1.cfg", RING64):

@@ -14,7 +14,14 @@ import pytest
 import entrodual as ed
 from entrodual.cli import main
 
-from oracles import ProxParams, conj_g, dual_kernel_floor, prox_lq_scalar, softmax_map
+from oracles import (
+    ProxParams,
+    conj_g,
+    dual_kernel_floor,
+    dual_radius,
+    prox_lq_scalar,
+    softmax_map,
+)
 from reference_values import (
     DUAL_OPT_P1_BOX,
     TOY_D,
@@ -301,7 +308,7 @@ def test_criterion_08_certificates_on_solved_batch(ring4, solved_batch):
         if s_inf > 1.0 + 1e-6:
             violations.append(f"{tag}: ||s||_inf = {s_inf:.8f} leaves the unit box")
         q_sq = float(state.z @ state.z + state.s @ state.s)
-        R_sq = ed.dual_radius(inst, ring4, xbar)
+        R_sq = dual_radius(inst, ring4, xbar)
         exact, claimed = dual_kernel_floor(inst, ring4)
         if exact < claimed * (1.0 - 1e-9):
             advisories.append(

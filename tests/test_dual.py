@@ -358,45 +358,6 @@ class TestConstants:
 
 
 class TestRadii:
-    def test_dual_radius_formula(self, toy_p2, ring4):
-        x = np.full(toy_p2.d, 1.0 / toy_p2.d)
-        dc = ed.data_constants(toy_p2)
-        v = np.log(x) + 1.0
-        expected = (
-            toy_p2.theta**2
-            * toy_p2.m
-            * float(v @ v)
-            / min(dc.sigma_min_plus_A**2, ring4.lambda_min_plus**2)
-        )
-        assert ed.dual_radius(toy_p2, ring4, x) == pytest.approx(expected, rel=1e-12)
-
-    def test_dual_radius_needs_interior_point(self, toy_p2, ring4):
-        x = np.zeros(toy_p2.d)
-        x[0] = 1.0
-        with pytest.raises(ValueError, match="interior"):
-            ed.dual_radius(toy_p2, ring4, x)
-
-    def test_block_radii_ball_term(self, toy_p2, ring4):
-        x = np.full(toy_p2.d, 0.2)
-        mn = toy_p2.m * toy_p2.n
-        _, rs_q2 = ed.block_radii(toy_p2, ring4, x, 2.0)
-        assert rs_q2 == 1.0
-        _, rs_inf = ed.block_radii(toy_p2, ring4, x, math.inf)
-        assert rs_inf == float(mn)
-        _, rs_q4 = ed.block_radii(toy_p2, ring4, x, 4.0)
-        assert rs_q4 == pytest.approx(math.sqrt(mn), rel=1e-12)
-
-    def test_block_radii_z_term(self, toy_p2, ring4):
-        x = np.full(toy_p2.d, 0.2)
-        rz, rs = ed.block_radii(toy_p2, ring4, x, 2.0)
-        sig = max(
-            float(np.linalg.svd(toy_p2.A[i], compute_uv=False)[0])
-            for i in range(toy_p2.m)
-        )
-        v = np.log(x) + 1.0
-        num = 2 * toy_p2.theta**2 * toy_p2.m * float(v @ v) + 2 * sig**2 * rs
-        assert rz == pytest.approx(num / ring4.lambda_min_plus**2, rel=1e-12)
-
     def test_default_weight(self, toy_p2, toy_p1):
         assert ed.default_regularizer_weight(toy_p2, 1e-4) == pytest.approx(5e-5)
         # q = inf ball has 2-norm radius mn
@@ -405,6 +366,13 @@ class TestRadii:
         )
         with pytest.raises(ValueError):
             ed.default_regularizer_weight(toy_p2, 0.0)
+
+    def test_default_weight_ball_radius_at_q4(self, toy_p2):
+        # the q = 4 ball has squared 2-norm radius (mn)^(1 - 2/4) = sqrt(mn)
+        mn = toy_p2.m * toy_p2.n
+        assert ed.default_regularizer_weight(toy_p2, 1e-4, 4.0) == pytest.approx(
+            1e-4 / (2 * math.sqrt(mn)), rel=1e-12
+        )
 
     def test_kernel_floor_matches_dense_eig(self, toy_p2, ring4):
         exact, claimed = dual_kernel_floor(toy_p2, ring4)

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,10 @@ class TestRunExperiment:
         summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=1000))
         assert summary["stop_reason"] == "stall"
         assert summary["iters"] == 1 + stm_mod.STALL_WINDOW
+        # a stall on the last iteration is still named a stall
+        summary, _ = ed.run_experiment(self.toy_p1_cfg(max_iter=1 + stm_mod.STALL_WINDOW))
+        assert summary["stop_reason"] == "stall"
+        assert summary["iters"] == 1 + stm_mod.STALL_WINDOW
 
     @pytest.mark.parametrize("solver", ["acrcd", "subgradient"])
     def test_other_solvers_stop_at_max_iter(self, solver):
@@ -414,6 +420,25 @@ class TestRunExperiment:
                                                        max_iter=60))
         assert summary["stop_reason"] == "max_iter"
         assert summary["iters_to_eps"] == NOT_REACHED
+
+    @pytest.mark.parametrize("solver", ed.harness.SOLVERS)
+    def test_strided_rows_are_the_stride_1_rows(self, solver):
+        # rows at 0, every 7th k and max_iter, each the same as at stride 1
+        runs = [ed.run_experiment(self.toy_p1_cfg(solver=solver, solver_seed=3, max_iter=60,
+                                                  trace_every=every))[1]
+                for every in (1, 7)]
+        every_row, strided = (trace.rows() for trace in runs)
+        assert runs[1].iter == [*range(0, 57, 7), 60]
+        assert strided == [every_row[k] for k in runs[1].iter]
+
+    def test_subgradient_honours_timing(self):
+        _, timed = ed.run_experiment(self.toy_p1_cfg(solver="subgradient", max_iter=30,
+                                                     trace_every=10, timing=True))
+        assert timed.wall_ms[0] > 0.0
+        assert all(b >= a for a, b in zip(timed.wall_ms, timed.wall_ms[1:]))
+        _, untimed = ed.run_experiment(self.toy_p1_cfg(solver="subgradient", max_iter=30,
+                                                       trace_every=10))
+        assert untimed.wall_ms == [0.0] * len(untimed)
 
     def test_block_svd_taken_once_per_run(self, monkeypatch):
         calls = []
@@ -433,6 +458,19 @@ def test_trace_bytes_are_pinned(config, flags, tmp_path):
                  "--trace-every", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[config, flags]
+
+
+def test_toy_experiment_script_runs(tmp_path):
+    """scripts/run_toy_experiment.py reads the summary keys it prints."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_toy_experiment.py"),
+         "--max-iter", "50", "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    table = done.stdout.split("three-way comparison", 1)[1]
+    for solver in ed.harness.SOLVERS:
+        assert f"\n{solver} " in table
 
 
 class TestWriteSummary:

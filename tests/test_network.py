@@ -201,6 +201,14 @@ class TestGossipFromMatrix:
         with pytest.raises(ValueError, match="non-edge"):
             ed.gossip_from_matrix(W, top)
 
+    def test_non_edge_message_names_the_first_in_row_major_order(self):
+        top = ed.topology_path(4)
+        W = ed.build_laplacian(top).W.copy()
+        W[1, 3] = W[3, 1] = 1e-8
+        W[0, 2] = W[2, 0] = 1e-8
+        with pytest.raises(ValueError, match=r"non-edge \(0, 2\)$"):
+            ed.gossip_from_matrix(W, top)
+
     def test_rejects_indefinite(self):
         W = -ed.build_laplacian(ed.topology_path(3)).W
         with pytest.raises(ValueError):

@@ -22,6 +22,9 @@ GONE = [
     (dual, "_sigma_max_blocks"),
     (harness, "read_summary"),
     (problem, "apply_blocks"),
+    (dual, "dual_radius"),
+    (dual, "block_radii"),
+    (dual, "_log_shift_sq"),
 ]
 
 
@@ -43,6 +46,7 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.GossipMatrix, "m"),
     (network.NeighbourSlots, "shape"),
     (ed.STMConfig, "prox_tol"),
+    (ed.ExperimentConfig, "q"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
