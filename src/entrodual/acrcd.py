@@ -33,7 +33,6 @@ the temporaries of its gradient, and of [g | W g] on a z step), passes the
 other block's buffers along, and never writes into a buffer it did not make.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,7 +236,7 @@ def run_acrcd(inst, W, cfg):
     oracle = BlockOracle(inst, W)
 
     def objective(ds):
-        return dual_objective(ds, inst, W, 0.0, math.inf)
+        return dual_objective(ds, inst, W, 0.0)
 
     state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
     # a step writes only buffers it creates, so the best pair is kept uncopied

@@ -2,21 +2,26 @@
 
 A deliberately plain primal method used only as a yardstick: minimize
 
-    ||A x - b||_p + theta <x, log x> + (penalty / 2) <x, W x>
+    ||A x - b||_p + theta <x, log x> + (PENALTY / 2) <x, W x>
 
-over per-node simplex blocks by subgradient steps and blockwise Euclidean
-projection.  Consensus is only encouraged through the quadratic penalty, so
-the method has no dual certificate; trace rows carry infinite dual_obj/gap.
+over per-node simplex blocks by subgradient steps of length
+STEP_SCALE / sqrt(k) and blockwise Euclidean projection.  Consensus is only
+encouraged through the quadratic penalty, so the method has no dual
+certificate; trace rows carry infinite dual_obj/gap.
 """
 
 import numpy as np
 
 from .network import gossip_operator
-from .problem import consensus_residual, primal_objective
+from .problem import consensus_residual, primal_objective, vector_norm
+from .recovery import consensus_candidate
 from .trace import observe
 
 # Floor inside the entropy gradient; the true subgradient blows up at 0.
 ENTROPY_FLOOR = 1e-300
+# Step k is STEP_SCALE / sqrt(k); PENALTY weighs the consensus term.
+STEP_SCALE = 0.1
+PENALTY = 1.0
 
 
 def project_simplex_rows(V):
@@ -30,47 +35,26 @@ def project_simplex_rows(V):
     return np.maximum(V + lam[:, None], 0.0)
 
 
-def _parse_step_rule(rule):
-    try:
-        name, raw = str(rule).split(":")
-        c = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"step rule {rule!r} not understood; use 'constant:c' or 'sqrt:c'"
-        ) from None
-    if c < 0.0:
-        raise ValueError("step constant must be nonnegative")
-    if name == "constant":
-        return lambda k: c
-    if name == "sqrt":
-        return lambda k: c / np.sqrt(k + 1.0)
-    raise ValueError(f"unknown step rule {name!r}")
-
-
 def _norm_subgradient(residual, p):
     if p == 1.0:
         return np.sign(residual)
     if p == 2.0:
-        nrm = np.linalg.norm(residual)
+        nrm = vector_norm(residual, 2.0)
         return residual / nrm if nrm > 0.0 else np.zeros_like(residual)
     # generic p > 1: gradient of ||r||_p away from 0
-    nrm = np.linalg.norm(residual, p)
+    nrm = vector_norm(residual, p)
     if nrm == 0.0:
         return np.zeros_like(residual)
     return np.sign(residual) * (np.abs(residual) / nrm) ** (p - 1.0)
 
 
-def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
-                         seed=0, trace_every=1, timing=False):
+def subgradient_baseline(inst, W, steps, seed=0, trace_every=1, timing=False):
     """Run the comparator and return its trace.
 
     The starting blocks are random simplex points from the given seed, so the
-    whole run is deterministic per (instance, seed, rule).  Each iteration
-    costs one gossip exchange (the penalty term) and one local pass.
+    whole run is deterministic per (instance, seed).  Each iteration costs
+    one gossip exchange (the penalty term) and one local pass.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    step_of = _parse_step_rule(step_rule)
     Wm = gossip_operator(W)
     rng = np.random.default_rng(seed)
     X = rng.dirichlet(np.ones(inst.d), size=inst.m)
@@ -82,12 +66,11 @@ def subgradient_baseline(inst, W, steps, step_rule="sqrt:0.1", penalty=1.0,
         dual_vec = _norm_subgradient(residual, inst.p).reshape(inst.m, inst.n)
         G = products.adjoint(dual_vec)
         G += inst.theta * (np.log(np.maximum(X, ENTROPY_FLOOR)) + 1.0)
-        G += penalty * (Wm @ X)  # the one term that talks to neighbours
-        X = project_simplex_rows(X - step_of(k - 1) * G)
+        G += PENALTY * (Wm @ X)  # the one term that talks to neighbours
+        X = project_simplex_rows(X - STEP_SCALE / np.sqrt(k) * G)
 
     def row(k):
-        xbar = np.maximum(X.mean(axis=0), 0.0)
-        xbar /= xbar.sum()
+        xbar = consensus_candidate(X)
         return np.inf, primal_objective(inst, xbar), np.inf, consensus_residual(W, X), k, k
 
     return observe(step, row, steps, trace_every, timing)

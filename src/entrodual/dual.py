@@ -180,16 +180,16 @@ def _link_of(state, inst, W):
     return _neg_link(inst, W, state.z, state.s) if state.link is None else state.link
 
 
-def objective_from_lse(s, lse, inst, nu, q_exponent=None):
+def objective_from_lse(s, lse, inst, nu):
     """H(z, s) + R(s) from s and the point's row log-sum-exp ``lse``.
 
     H = <s, b> + sum_i lse_i, lse_i = g*(-[Wz + A^T s]_i) as the row kernel
     yields it, so a caller that already made the point's kernel pass (for
-    its softmax) gets the objective without a second one.  R is
-    nu ||s||_q^q for finite q; for q = inf it is the hard ball constraint
+    its softmax) gets the objective without a second one.  R is nu ||s||_q^q
+    at the instance's q; at q = inf it is the hard ball constraint
     ||s||_inf <= 1 (violations beyond the slack raise), which contributes 0.
     """
-    qe = inst.q_exponent if q_exponent is None else q_exponent
+    qe = inst.q_exponent
     h = float(s @ inst.stacked_b()) + float(lse.sum())
     if math.isinf(qe):
         if vector_norm(s, qe) > 1.0 + DUAL_BALL_SLACK:
@@ -205,13 +205,13 @@ def regularizer(s, nu, q_exponent):
     return nu * float(np.sum(np.abs(s) ** q_exponent))
 
 
-def dual_objective(state, inst, W, nu, q_exponent=None):
+def dual_objective(state, inst, W, nu):
     """H(z, s) + R(s) at ``state`` (see ``objective_from_lse``), from one
     kernel pass.  A carried link is used as it is, so the call makes no W
     product.
     """
     lse = _rows_lse(_link_of(state, inst, W), inst.theta)
-    return objective_from_lse(state.s, lse, inst, nu, q_exponent)
+    return objective_from_lse(state.s, lse, inst, nu)
 
 
 def dual_gradient(state, inst, W, block=None, lse=None):
@@ -268,18 +268,17 @@ def lipschitz_constants(inst, W):
     return DualConstants(L_H, L_z, L_s, eta=sW / (sW + sA))
 
 
-def _dual_ball_radius_sq(inst, q_exponent):
-    """R_s^2 = max(1, (mn)^(1 - 2/q)), mn at q = inf: the squared 2-norm
-    radius of the dual ball ||s||_q <= 1 in R^(mn)."""
-    mn = inst.m * inst.n
-    if math.isinf(q_exponent):
-        return float(mn)
-    return max(1.0, float(mn) ** (1.0 - 2.0 / q_exponent))
+def _dual_ball_radius_sq(inst):
+    """R_s^2 = max(1, (mn)^(1 - 2/q)): the squared 2-norm radius of the dual
+    ball ||s||_q <= 1 in R^(mn), for the instance's finite q."""
+    return max(1.0, float(inst.m * inst.n) ** (1.0 - 2.0 / inst.q_exponent))
 
 
-def default_regularizer_weight(inst, target_eps, q_exponent=None):
-    """nu = eps / (2 R_s^2): the penalty perturbs the dual optimum by <= eps/2."""
+def default_regularizer_weight(inst, target_eps):
+    """nu = eps / (2 R_s^2): the penalty perturbs the dual optimum by <= eps/2.
+    0 in the box mode (q = inf), whose hard constraint takes no penalty."""
     if not target_eps > 0.0:  # NaN fails too
         raise ValueError("target accuracy must be positive")
-    qe = inst.q_exponent if q_exponent is None else q_exponent
-    return target_eps / (2.0 * _dual_ball_radius_sq(inst, qe))
+    if math.isinf(inst.q_exponent):
+        return 0.0
+    return target_eps / (2.0 * _dual_ball_radius_sq(inst))

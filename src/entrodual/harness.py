@@ -65,8 +65,6 @@ class ExperimentConfig:
     mu: float = 0.0
     nu: float | None = None
     solver_seed: int | None = None
-    step_rule: str = "sqrt:0.1"
-    penalty: float = 1.0
     trace_every: int = 1
     timing: bool = False
     out: str | None = None
@@ -224,7 +222,7 @@ def run_experiment(cfg):
         final_state, trace = run_stm(inst, W, scfg)
         summary["L"] = scfg.L
         summary["nu"] = scfg.nu
-        summary["q_exponent"] = scfg.q_exponent
+        summary["q_exponent"] = inst.q_exponent
     elif cfg.solver == "acrcd":
         if inst.p != 1.0:
             raise ConfigError("acrcd requires p = 1; use solver = stm instead")
@@ -232,8 +230,7 @@ def run_experiment(cfg):
                            trace_every=cfg.trace_every, timing=cfg.timing)
         final_state, trace = run_acrcd(inst, W, acfg)
     else:
-        trace = subgradient_baseline(inst, W, cfg.max_iter, cfg.step_rule,
-                                     cfg.penalty, seed=cfg.seed or 0,
+        trace = subgradient_baseline(inst, W, cfg.max_iter, seed=cfg.seed or 0,
                                      trace_every=cfg.trace_every, timing=cfg.timing)
 
     consts = lipschitz_constants(inst, W)
@@ -245,8 +242,7 @@ def run_experiment(cfg):
         rep = duality_gap(final_state, inst, W)
         summary["final_gap"] = rep.gap
         summary["final_dual_certificate"] = rep.dual_value
-    summary["nu_default"] = 0.0 if math.isinf(inst.q_exponent) else (
-        default_regularizer_weight(inst, cfg.target_eps))
+    summary["nu_default"] = default_regularizer_weight(inst, cfg.target_eps)
     summary["iters"] = trace.iter[-1]
     summary["final_dual_obj"] = trace.dual_obj[-1]
     summary["final_primal_obj"] = trace.primal_obj[-1]

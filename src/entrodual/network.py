@@ -279,7 +279,6 @@ class GossipMatrix:
     """
 
     W: np.ndarray
-    topology: Topology | None = None
     lambda_max: float = field(init=False)
     lambda_min_plus: float = field(init=False)
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
@@ -345,7 +344,7 @@ def build_laplacian(topology):
     W = np.zeros((m, m))
     W[rows, cols] = -1.0
     W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
-    return GossipMatrix(W, topology)
+    return GossipMatrix(W)
 
 
 def gossip_from_matrix(W, topology=None):
@@ -370,4 +369,4 @@ def gossip_from_matrix(W, topology=None):
         if off_edge.any():  # argwhere lists in row-major order
             i, j = np.argwhere(off_edge)[0]
             raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
-    return GossipMatrix(W, topology)
+    return GossipMatrix(W)

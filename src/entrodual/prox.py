@@ -17,29 +17,28 @@ import math
 import numpy as np
 
 BISECT_MAX_ITER = 200
+BISECT_TOL = 1e-12  # the bracket width at which the bisection stops
 
 
-def _check_prox_params(gamma, nu, q_exponent, tol):
-    """Raise unless gamma > 0, nu >= 0, q >= 1 and tol > 0."""
+def _check_prox_params(gamma, nu, q_exponent):
+    """Raise unless gamma > 0, nu >= 0 and q >= 1."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
     if q_exponent < 1.0:
         raise ValueError("q must be at least 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
 
 
-def _bisect_magnitudes(target, coef, q, tol):
-    # bisects every magnitude at once until all brackets are within tol
+def _bisect_magnitudes(target, coef, q):
+    # bisects every magnitude at once until all brackets are within BISECT_TOL
     lo = np.zeros_like(target)
     hi = target.copy()
     iters = 0
-    while float(np.max(hi - lo, initial=0.0)) > tol:
+    while float(np.max(hi - lo, initial=0.0)) > BISECT_TOL:
         if iters >= BISECT_MAX_ITER:
             raise RuntimeError(
-                f"prox bisection failed to reach tol={tol} within "
+                f"prox bisection failed to reach tol={BISECT_TOL} within "
                 f"{BISECT_MAX_ITER} iterations"
             )
         mid = 0.5 * (lo + hi)
@@ -50,16 +49,16 @@ def _bisect_magnitudes(target, coef, q, tol):
     return 0.5 * (lo + hi)
 
 
-def prox_R(s, gamma, nu, q_exponent, tol=1e-12, out=None):
+def prox_R(s, gamma, nu, q_exponent, out=None):
     """Prox of gamma R at s for R(s) = nu ||s||_q^q, elementwise.
 
     The dual regularizer acts on the s block only.  Closed forms cover
     nu = 0, q = 1 (soft threshold), q = 2, and q = inf (box projection);
     other exponents bisect the magnitude equation r + gamma q nu r^(q-1) = |t|
-    to ``tol``.  The result is written into ``out`` when given (``out`` may be
-    ``s`` itself), else into a new array.
+    to ``BISECT_TOL``.  The result is written into ``out`` when given (``out``
+    may be ``s`` itself), else into a new array.
     """
-    _check_prox_params(gamma, nu, q_exponent, tol)
+    _check_prox_params(gamma, nu, q_exponent)
     if math.isinf(q_exponent):
         return project_box(s, out)
     if nu == 0.0:
@@ -69,7 +68,7 @@ def prox_R(s, gamma, nu, q_exponent, tol=1e-12, out=None):
     elif q_exponent == 2.0:
         return np.divide(s, 1.0 + 2.0 * gamma * nu, out=out)
     else:
-        shrunk = _bisect_magnitudes(np.abs(s), gamma * q_exponent * nu, q_exponent, tol)
+        shrunk = _bisect_magnitudes(np.abs(s), gamma * q_exponent * nu, q_exponent)
     return np.multiply(np.sign(s), shrunk, out=out)
 
 

@@ -35,9 +35,9 @@ def primal_from_dual(state, inst, W, lse=None):
     return PrimalState(_rows_softmax(_link_of(state, inst, W), inst.theta, lse))
 
 
-def consensus_candidate(ps):
-    """Average the blocks and renormalize; exact for strictly positive blocks."""
-    X = ps.x_blocks
+def consensus_candidate(X):
+    """Average the (m, d) blocks X and renormalize; exact for strictly
+    positive blocks."""
     # the reductions X.mean(axis=0) and x.sum() make, without their dispatch
     x = np.maximum(np.add.reduce(X, axis=0) / len(X), 0.0)
     return x / np.add.reduce(x)
@@ -64,7 +64,7 @@ def duality_gap(state, inst, W, lse=None):
     """
     lse = np.empty(inst.m) if lse is None else lse
     ps = primal_from_dual(state, inst, W, lse)
-    xbar = consensus_candidate(ps)
+    xbar = consensus_candidate(ps.x_blocks)
     residual = inst.stacked_A() @ xbar
     residual -= inst.stacked_b()
     primal = vector_norm(residual, inst.p) + inst.m * inst.theta * entropy(xbar)

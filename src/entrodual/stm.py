@@ -28,7 +28,9 @@ softmax and log-sum-exp, and whose consensus residual applies W.  The row's
 objective F(q) is the certificate's H, plus nu ||s||_q^q in the penalised
 mode, equal bit for bit to ``dual_objective`` at q; only a q whose s lies
 outside the dual ball, where H is infinite, takes F(q) from the pass's
-log-sum-exp by ``objective_from_lse`` instead.
+log-sum-exp by ``objective_from_lse`` instead.  ``stm_step`` takes grad H,
+the prox of gamma R and the link as callables; ``run_stm`` builds them from
+the instance, whose p fixes R's exponent q.
 """
 
 import math
@@ -62,8 +64,7 @@ class STMConfig:
     """Solver knobs; unset entries are resolved from the problem at run time.
 
     L defaults to the global dual Lipschitz bound, nu to the accuracy-scaled
-    penalty weight (0 in the hard-constrained q = inf mode), q_exponent to
-    the conjugate of the instance's p.
+    penalty weight (0 in the box mode, q = inf); R's exponent q is the instance's.
     """
 
     L: float | None = None
@@ -71,7 +72,6 @@ class STMConfig:
     max_iter: int = 1000
     target_eps: float = 1e-4
     nu: float | None = None
-    q_exponent: float | None = None
     trace_every: int = 1
     timing: bool = False
 
@@ -124,17 +124,19 @@ def stm_init(q0):
     return STMState(0.0, 0.0, buf, buf.copy(), (q0.z.size, q0.s.size, link_shape))
 
 
-def stm_step(state, cfg, grad, link=None):
+def stm_step(state, cfg, grad, prox, link=None):
     """Advance one iteration using exactly one gradient evaluation.
 
     Parameters
     ----------
     state : STMState
     cfg : STMConfig
-        Must be fully resolved: numeric L, nu and q_exponent.
+        Must have a numeric L; the step reads L and mu.
     grad : callable
         Maps y, a DualState viewing y's buffer (with its link when the
         buffers carry one), to the gradient of H there as (g_z, g_s).
+    prox : callable
+        ``prox(s, gamma)`` overwrites the s block with prox_{gamma R}(s).
     link : callable, optional
         ``link(z, s, out)`` writes the link of (z, s) into the (m, d) array
         ``out``; required when the buffers carry a link, which it fills in
@@ -145,8 +147,8 @@ def stm_step(state, cfg, grad, link=None):
     STMState
         The advanced state in new buffers; ``state`` is not modified.
     """
-    if cfg.L is None or cfg.nu is None or cfg.q_exponent is None:
-        raise ValueError("stm_step needs a resolved config (L, nu, q_exponent)")
+    if cfg.L is None:
+        raise ValueError("stm_step needs a resolved config (L)")
     nz, ns, link_shape = state.layout
     if link_shape is not None and link is None:
         raise ValueError("iterates that carry their link need a link callable")
@@ -168,7 +170,7 @@ def stm_step(state, cfg, grad, link=None):
     z, s = u[:nz], u[nz:nz + ns]
     np.subtract(base[:nz], np.multiply(g_z, gamma, out=z), out=z)
     np.subtract(base[nz:nz + ns], np.multiply(g_s, gamma, out=s), out=s)
-    prox_R(s, gamma, cfg.nu, cfg.q_exponent, out=s)
+    prox(s, gamma)
     if link_shape is not None:
         link(z, s, u[nz + ns:].reshape(link_shape))
     q = a * u + c * state.q_buf
@@ -176,15 +178,14 @@ def stm_step(state, cfg, grad, link=None):
 
 
 def resolve_config(cfg, inst, W):
-    """Fill unset solver knobs from the problem: L, q_exponent, nu."""
+    """Fill unset solver knobs from the problem: L and nu."""
     L = cfg.L
     if L is None:
         L = lipschitz_constants(inst, W).L_H
-    qe = cfg.q_exponent if cfg.q_exponent is not None else inst.q_exponent
     nu = cfg.nu
     if nu is None:
-        nu = 0.0 if math.isinf(qe) else default_regularizer_weight(inst, cfg.target_eps, qe)
-    return replace(cfg, L=L, q_exponent=qe, nu=nu)
+        nu = default_regularizer_weight(inst, cfg.target_eps)
+    return replace(cfg, L=L, nu=nu)
 
 
 def run_stm(inst, W, cfg=None):
@@ -213,13 +214,14 @@ def run_stm(inst, W, cfg=None):
     NumericFailure on divergence or non-finite iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
-    box = math.isinf(cfg.q_exponent)
+    qe = inst.q_exponent  # R's exponent, the conjugate of the instance's p
+    box = math.isinf(qe)
     lse = np.empty(inst.m)
     value_at_y = math.nan
 
     def objective_at(s):
         # H + R at the point whose row log-sum-exp the last kernel pass left in lse
-        return objective_from_lse(s, lse, inst, cfg.nu, cfg.q_exponent)
+        return objective_from_lse(s, lse, inst, cfg.nu)
 
     def grad(ds):
         # the softmax's kernel pass also yields F(y)
@@ -228,18 +230,21 @@ def run_stm(inst, W, cfg=None):
         value_at_y = objective_at(ds.s)
         return g
 
+    def prox(s, gamma):
+        prox_R(s, gamma, cfg.nu, qe, out=s)
+
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
 
     q0 = DualState.zeros(inst)
     q0.link = _neg_link(inst, W, q0.z, q0.s)
     state = stm_init(q0)
-    f0 = dual_objective(state.q, inst, W, cfg.nu, cfg.q_exponent)
+    f0 = dual_objective(state.q, inst, W, cfg.nu)
     best, last_improvement = f0, 0
 
     def step(k):
         nonlocal state, best, last_improvement
-        state = stm_step(state, cfg, grad, link)
+        state = stm_step(state, cfg, grad, prox, link)
         # z, s and the carried link in one pass over q's buffer
         if not np.isfinite(state.q_buf).all():
             raise NumericFailure(f"non-finite iterate at iteration {k}")
@@ -265,7 +270,7 @@ def run_stm(inst, W, cfg=None):
         elif box:
             value = h
         else:
-            value = h + regularizer(q.s, cfg.nu, cfg.q_exponent)
+            value = h + regularizer(q.s, cfg.nu, qe)
         return value, rep.primal_value / inst.m, rep.gap, rep.consensus_residual, k, k
 
     trace = observe(step, row, cfg.max_iter, cfg.trace_every, cfg.timing)

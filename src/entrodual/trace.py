@@ -79,8 +79,12 @@ def observe(step, row, max_iter, trace_every=1, timing=False):
     are taken at k = 0, at every ``trace_every``-th k, at max_iter, and at
     the k whose step stopped the run.  ``wall_ms`` counts from the loop's
     start when ``timing`` is on and is 0.0 otherwise.  The trace's
-    ``stop_reason`` is the step's reason, else "max_iter".
+    ``stop_reason`` is the step's reason, else "max_iter".  A max_iter or
+    trace_every below 1 raises ValueError.
     """
+    for name, value in (("max_iter", max_iter), ("trace_every", trace_every)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     trace = SolverTrace(stop_reason="max_iter")
     t0 = time.perf_counter()
 

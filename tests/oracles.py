@@ -338,7 +338,9 @@ class ProxParams:
     tol: float = 1e-12
 
     def __post_init__(self):
-        _check_prox_params(self.gamma, self.nu, self.q_exponent, self.tol)
+        _check_prox_params(self.gamma, self.nu, self.q_exponent)
+        if self.tol <= 0.0:
+            raise ValueError("tol must be positive")
 
 
 def spectral_constants(W):

@@ -300,7 +300,7 @@ def test_criterion_08_certificates_on_solved_batch(ring4, solved_batch):
     violations = []
     advisories = []
     for inst, state, _ in solved_batch:
-        xbar = ed.consensus_candidate(ed.primal_from_dual(state, inst, ring4))
+        xbar = ed.consensus_candidate(ed.primal_from_dual(state, inst, ring4).x_blocks)
         tag = f"seed instance ({inst.m},{inst.n},{inst.d})"
         if xbar.min() <= 1e-3:
             violations.append(f"{tag}: solution not interior (min {xbar.min():.2e})")

@@ -216,7 +216,7 @@ class TestDualObjective:
         for _ in range(10):
             st_ = random_state(toy_p2, rng, spread=2.0)
             dense = dense_dual_value(st_.z, st_.s, toy_p2, Wk, Ak, b)
-            assert ed.dual_objective(st_, toy_p2, ring4, 0.0, 2.0) == pytest.approx(
+            assert ed.dual_objective(st_, toy_p2, ring4, 0.0) == pytest.approx(
                 dense, rel=1e-12, abs=1e-10
             )
 
@@ -252,10 +252,12 @@ class TestDualObjective:
         W = ed.build_laplacian(ed.topology_ring(inst.m))
         a = random_state(inst, rng)
         b = random_state(inst, rng)
+        if inst.p == 1.0:  # the box mode's objective is finite on the box only
+            a.s, b.s = np.clip(a.s, -1.0, 1.0), np.clip(b.s, -1.0, 1.0)
         mid = ed.DualState(0.5 * (a.z + b.z), 0.5 * (a.s + b.s))
-        fa = ed.dual_objective(a, inst, W, 0.0, 2.0)
-        fb = ed.dual_objective(b, inst, W, 0.0, 2.0)
-        fm = ed.dual_objective(mid, inst, W, 0.0, 2.0)
+        fa = ed.dual_objective(a, inst, W, 0.0)
+        fb = ed.dual_objective(b, inst, W, 0.0)
+        fm = ed.dual_objective(mid, inst, W, 0.0)
         assert fm <= 0.5 * (fa + fb) + 1e-9 * max(1.0, abs(fa), abs(fb))
 
 
@@ -285,8 +287,8 @@ class TestDualGradient:
             else:
                 sp[idx - st_.z.size] += h
                 sm[idx - st_.z.size] -= h
-            fp = ed.dual_objective(ed.DualState(zp, sp), toy_p2, ring4, 0.0, 2.0)
-            fm = ed.dual_objective(ed.DualState(zm, sm), toy_p2, ring4, 0.0, 2.0)
+            fp = ed.dual_objective(ed.DualState(zp, sp), toy_p2, ring4, 0.0)
+            fm = ed.dual_objective(ed.DualState(zm, sm), toy_p2, ring4, 0.0)
             assert (fp - fm) / (2 * h) == pytest.approx(g[idx], rel=2e-5, abs=1e-8)
 
     def test_gradient_zero_data_at_origin(self, ring4):
@@ -360,17 +362,21 @@ class TestConstants:
 class TestRadii:
     def test_default_weight(self, toy_p2, toy_p1):
         assert ed.default_regularizer_weight(toy_p2, 1e-4) == pytest.approx(5e-5)
-        # q = inf ball has 2-norm radius mn
-        assert ed.default_regularizer_weight(toy_p1, 1e-4) == pytest.approx(
-            1e-4 / (2 * 12)
-        )
+        # the box mode (q = inf) takes no penalty
+        assert ed.default_regularizer_weight(toy_p1, 1e-4) == 0.0
         with pytest.raises(ValueError):
             ed.default_regularizer_weight(toy_p2, 0.0)
+        for inst in (toy_p1, toy_p2):
+            with pytest.raises(ValueError, match="target accuracy"):
+                ed.default_regularizer_weight(inst, math.nan)
 
-    def test_default_weight_ball_radius_at_q4(self, toy_p2):
-        # the q = 4 ball has squared 2-norm radius (mn)^(1 - 2/4) = sqrt(mn)
-        mn = toy_p2.m * toy_p2.n
-        assert ed.default_regularizer_weight(toy_p2, 1e-4, 4.0) == pytest.approx(
+    def test_default_weight_ball_radius_at_q4(self):
+        # p = 4/3 has q = 4, whose ball has squared 2-norm radius
+        # (mn)^(1 - 2/4) = sqrt(mn)
+        inst = ed.generate_instance(7, 4, 3, 5, 4.0 / 3.0, 0.5)
+        assert inst.q_exponent == pytest.approx(4.0, rel=1e-12)
+        mn = inst.m * inst.n
+        assert ed.default_regularizer_weight(inst, 1e-4) == pytest.approx(
             1e-4 / (2 * math.sqrt(mn)), rel=1e-12
         )
 

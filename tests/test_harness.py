@@ -132,6 +132,27 @@ class TestSolverTrace:
         assert len(trace) == 2
 
 
+class TestObserve:
+    """``trace.observe`` checks the loop parameters of every solver."""
+
+    @pytest.mark.parametrize("solver", ["stm", "acrcd", "subgradient"])
+    def test_zero_trace_every_is_named(self, solver, toy_p1, ring4):
+        runs = {
+            "stm": lambda: ed.run_stm(toy_p1, ring4, ed.STMConfig(max_iter=5, trace_every=0)),
+            "acrcd": lambda: ed.run_acrcd(
+                toy_p1, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=5, trace_every=0)),
+            "subgradient": lambda: ed.subgradient_baseline(toy_p1, ring4, 5, trace_every=0),
+        }
+        with pytest.raises(ValueError, match="trace_every must be positive"):
+            runs[solver]()
+
+    def test_nonpositive_max_iter_is_named(self, toy_p1, ring4):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            ed.subgradient_baseline(toy_p1, ring4, 0)
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            ed.trace.observe(lambda k: None, lambda k: (0.0,) * 6, -1)
+
+
 class TestExperimentConfig:
     def base(self, **kw):
         kw.setdefault("seed", 3)
@@ -471,6 +492,28 @@ def test_toy_experiment_script_runs(tmp_path):
     table = done.stdout.split("three-way comparison", 1)[1]
     for solver in ed.harness.SOLVERS:
         assert f"\n{solver} " in table
+
+
+def test_crossover_script_quick_runs():
+    """scripts/crossover.py --quick prints both tables, with the form the
+    package picks on every row."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "crossover.py"), "--quick"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    gossip, data = done.stdout.strip().split("\n\n")
+    # below each table's title and column header, one row per case
+    for rows, forms in ((gossip.splitlines()[3:], {"dense", "slots"}),
+                        (data.splitlines()[2:], {"blas", "einsum"})):
+        assert rows
+        assert all(row.split()[-1] in forms for row in rows)
+
+
+def test_readme_lists_the_config_keys():
+    text = " ".join((REPO / "README.md").read_text().split())
+    listed = text.split("Keys mirror `ExperimentConfig`: ", 1)[1].split(".", 1)[0]
+    assert [key.strip() for key in listed.split(",")] == list(CONFIG_TYPES)
 
 
 class TestWriteSummary:

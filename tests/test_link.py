@@ -5,7 +5,6 @@ the per-node log-sum-exp/softmax kernel are counted the same way, at
 ``dual._rows_shifted_exp``, and products with A and A^T at
 ``ProblemInstance.block_products`` (the ``data_log`` fixture)."""
 
-import math
 
 import numpy as np
 import pytest
@@ -171,7 +170,7 @@ class TestGossipProducts:
         oracle, cfg, state = acrcd_setup
         new = acrcd_step(state, cfg, ScriptedRNG([0.999]), oracle)
         ed.dual_objective(ed.DualState(new.z_bar, new.s_bar, -(new.P_bar + new.Q_bar)),
-                          toy_p1, ring4, 0.0, math.inf)
+                          toy_p1, ring4, 0.0)
         assert new.n_comp == 1
         assert gossip_log == []
 

@@ -169,22 +169,21 @@ class TestSpectrum:
         assert g.lambda_max == evals[-1]
         assert g.lambda_min_plus == evals[1]
         assert g.chi == evals[-1] / evals[1]
-        assert g.topology is None
 
     def test_gossip_matrix_takes_no_spectrum(self, ring4):
         W = ring4.W.copy()
         with pytest.raises(TypeError):
-            ed.GossipMatrix(W, 4.0, 2.0, 2.0, ring4.topology)
+            ed.GossipMatrix(W, 4.0, 2.0, 2.0)
         for key in ("lambda_max", "lambda_min_plus", "chi"):
             with pytest.raises(TypeError):
                 ed.GossipMatrix(W, **{key: 1.0})
         init = [f.name for f in dataclasses.fields(ed.GossipMatrix) if f.init]
-        assert init == ["W", "topology"]
+        assert init == ["W"]
 
 
 class TestGossipFromMatrix:
     def test_accepts_scaled_laplacian(self, ring4):
-        g = ed.gossip_from_matrix(0.5 * ring4.W, ring4.topology)
+        g = ed.gossip_from_matrix(0.5 * ring4.W, ed.topology_ring(4))
         assert g.lambda_max == pytest.approx(2.0)
         assert g.chi == pytest.approx(2.0)
 
@@ -312,7 +311,7 @@ class TestNeighbourSlots:
     @pytest.mark.parametrize("m", [4, 64, 256, 512])
     def test_weighted_matrix(self, m, graphs):
         base = graphs("ring", m)
-        g = ed.gossip_from_matrix(0.5 * base.W, base.topology)
+        g = ed.gossip_from_matrix(0.5 * base.W, ed.topology_ring(m))
         rng = np.random.default_rng(m + 1)
         for op in (g.operator, slots_of(g.W)):
             for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):

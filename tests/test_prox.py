@@ -133,7 +133,7 @@ class TestProxR:
         rng = np.random.default_rng(3)
         s = rng.uniform(-3, 3, size=9)
         params = ProxParams(gamma=0.6, nu=0.2, q_exponent=q)
-        out = ed.prox_R(s, params.gamma, params.nu, params.q_exponent, params.tol)
+        out = ed.prox_R(s, params.gamma, params.nu, params.q_exponent)
         expected = [prox_lq_scalar(v, params) for v in s]
         assert np.allclose(out, expected, atol=5e-12)
 
@@ -162,8 +162,6 @@ class TestProxR:
             ed.prox_R(s, 1.0, -0.1, 2.0)
         with pytest.raises(ValueError, match="q must"):
             ed.prox_R(s, 1.0, 0.1, 0.5)
-        with pytest.raises(ValueError, match="tol"):
-            ed.prox_R(s, 1.0, 0.1, 2.0, tol=0.0)
 
 
 class TestParams:

@@ -72,17 +72,16 @@ class TestPrimalFromDual:
 class TestConsensusCandidate:
     def test_identical_blocks_pass_through(self):
         x = np.array([0.2, 0.5, 0.3])
-        ps = ed.PrimalState(np.tile(x, (3, 1)))
-        np.testing.assert_allclose(ed.consensus_candidate(ps), x, atol=1e-15)
+        blocks = np.tile(x, (3, 1))
+        np.testing.assert_allclose(ed.consensus_candidate(blocks), x, atol=1e-15)
 
     def test_mean_then_renormalize(self):
         blocks = np.array([[0.8, 0.2], [0.4, 0.6]])
-        ps = ed.PrimalState(blocks)
-        np.testing.assert_allclose(ed.consensus_candidate(ps), [0.6, 0.4], atol=1e-15)
+        np.testing.assert_allclose(ed.consensus_candidate(blocks), [0.6, 0.4], atol=1e-15)
 
     def test_output_on_simplex(self, toy_p1, ring4):
         ps = ed.primal_from_dual(random_state(toy_p1, 3, 3.0, 0.7), toy_p1, ring4)
-        x = ed.consensus_candidate(ps)
+        x = ed.consensus_candidate(ps.x_blocks)
         assert x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -17,7 +17,12 @@ from reference_values import (
 
 
 def resolved_quadratic_cfg(L, mu=0.0):
-    return ed.STMConfig(L=L, mu=mu, nu=0.0, q_exponent=math.inf)
+    return ed.STMConfig(L=L, mu=mu, nu=0.0)
+
+
+def box_prox(s, gamma):
+    """The prox of the box mode's R: projection onto ||s||_inf <= 1."""
+    ed.project_box(s, out=s)
 
 
 def run_quadratic(L, mu, steps, center_z, center_s, scale=1.0):
@@ -30,7 +35,7 @@ def run_quadratic(L, mu, steps, center_z, center_s, scale=1.0):
     cfg = resolved_quadratic_cfg(L, mu)
     values = []
     for _ in range(steps):
-        state = stm_step(state, cfg, grad)
+        state = stm_step(state, cfg, grad, box_prox)
         err_z = state.q.z - center_z
         err_s = state.q.s - center_s
         values.append(0.5 * scale * float(err_z @ err_z + err_s @ err_s))
@@ -49,7 +54,7 @@ class TestStepCoefficients:
             cfg = resolved_quadratic_cfg(L, mu)
             prev_A = 0.0
             for _ in range(200):
-                new = stm_step(state, cfg, grad)
+                new = stm_step(state, cfg, grad, box_prox)
                 one = 1.0 + mu * state.A_k
                 lhs = L * new.alpha_k**2
                 rhs = new.A_k * one
@@ -68,6 +73,7 @@ class TestStepCoefficients:
             stm_init(ed.DualState(np.zeros(1), np.zeros(1))),
             resolved_quadratic_cfg(L),
             grad,
+            box_prox,
         )
         assert state.alpha_k == pytest.approx(1.0 / L, rel=1e-14)
         assert state.A_k == pytest.approx(1.0 / L, rel=1e-14)
@@ -82,7 +88,7 @@ class TestStepCoefficients:
         state = stm_init(ed.DualState(np.zeros(1), np.zeros(1)))
         cfg = resolved_quadratic_cfg(L)
         for _ in range(400):
-            state = stm_step(state, cfg, grad)
+            state = stm_step(state, cfg, grad, box_prox)
         assert state.A_k >= 400**2 / (4.0 * L)
 
     def test_unresolved_config_rejected(self):
@@ -91,6 +97,7 @@ class TestStepCoefficients:
                 stm_init(ed.DualState(np.zeros(1), np.zeros(1))),
                 ed.STMConfig(),
                 lambda ds: ds,
+                box_prox,
             )
 
 
@@ -109,9 +116,9 @@ class TestFlatIterates:
             return ds.z - 1.0, ds.s + 2.0
 
         state = stm_step(stm_init(ed.DualState(np.zeros(3), np.zeros(2))),
-                         resolved_quadratic_cfg(2.0), grad)
+                         resolved_quadratic_cfg(2.0), grad, box_prox)
         before = (state.q_buf.copy(), state.u_buf.copy())
-        new = stm_step(state, resolved_quadratic_cfg(2.0), grad)
+        new = stm_step(state, resolved_quadratic_cfg(2.0), grad, box_prox)
         np.testing.assert_array_equal(state.q_buf, before[0])
         np.testing.assert_array_equal(state.u_buf, before[1])
         assert new.q_buf is not state.q_buf and new.u_buf is not state.u_buf
@@ -120,7 +127,7 @@ class TestFlatIterates:
         q0 = ed.DualState(np.zeros(2), np.zeros(1), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="link callable"):
             stm_step(stm_init(q0), resolved_quadratic_cfg(1.0),
-                     lambda ds: (np.zeros(2), np.zeros(1)))
+                     lambda ds: (np.zeros(2), np.zeros(1)), box_prox)
 
 
 class TestQuadraticConvergence:
@@ -163,7 +170,7 @@ class TestQuadraticConvergence:
         state = stm_init(ed.DualState(np.zeros(2), np.zeros(2)))
         cfg = resolved_quadratic_cfg(1.0)
         for _ in range(200):
-            state = stm_step(state, cfg, grad)
+            state = stm_step(state, cfg, grad, box_prox)
             assert np.abs(state.u.s).max() <= 1.0 + 1e-12
         assert np.allclose(state.q.s, [1.0, -1.0], atol=1e-6)
 
@@ -173,19 +180,15 @@ class TestResolveConfig:
         cfg = resolve_config(ed.STMConfig(), toy_p2, ring4)
         c = ed.lipschitz_constants(toy_p2, ring4)
         assert cfg.L == pytest.approx(c.L_H)
-        assert cfg.q_exponent == 2.0
         assert cfg.nu == pytest.approx(5e-5)
 
     def test_fills_defaults_p1(self, toy_p1, ring4):
         cfg = resolve_config(ed.STMConfig(), toy_p1, ring4)
-        assert math.isinf(cfg.q_exponent)
         assert cfg.nu == 0.0
 
     def test_explicit_values_kept(self, toy_p2, ring4):
-        cfg = resolve_config(
-            ed.STMConfig(L=10.0, nu=0.3, q_exponent=3.0), toy_p2, ring4
-        )
-        assert (cfg.L, cfg.nu, cfg.q_exponent) == (10.0, 0.3, 3.0)
+        cfg = resolve_config(ed.STMConfig(L=10.0, nu=0.3), toy_p2, ring4)
+        assert (cfg.L, cfg.nu) == (10.0, 0.3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -308,7 +311,7 @@ class TestObjectiveFromTheKernelPass:
         assert len(values) == len(points) == cfg.max_iter
         for y, v in zip(points, values):
             assert y.link is not None
-            assert v == ed.dual_objective(y, inst, W, cfg.nu, cfg.q_exponent)
+            assert v == ed.dual_objective(y, inst, W, cfg.nu)
 
     def test_trace_rows_report_the_objective_at_q(self, problem, monkeypatch):
         inst, W, cfg = problem
@@ -319,4 +322,4 @@ class TestObjectiveFromTheKernelPass:
         _, trace = ed.run_stm(inst, W, cfg)
         assert len(certified) == len(trace) == cfg.max_iter + 1
         for q, row_value in zip(certified, trace.dual_obj):
-            assert row_value == ed.dual_objective(q, inst, W, cfg.nu, cfg.q_exponent)
+            assert row_value == ed.dual_objective(q, inst, W, cfg.nu)

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 import entrodual as ed
-from entrodual import dual, harness, network, problem, prox, recovery
+from entrodual import baseline, dual, harness, network, problem, prox, recovery
 
 GONE = [
     (recovery, "ergodic_average"),
@@ -25,6 +25,7 @@ GONE = [
     (dual, "dual_radius"),
     (dual, "block_radii"),
     (dual, "_log_shift_sq"),
+    (baseline, "_parse_step_rule"),
 ]
 
 
@@ -47,6 +48,10 @@ def test_dual_constants_hold_no_radius_fields():
     (network.NeighbourSlots, "shape"),
     (ed.STMConfig, "prox_tol"),
     (ed.ExperimentConfig, "q"),
+    (ed.STMConfig, "q_exponent"),
+    (ed.ExperimentConfig, "step_rule"),
+    (ed.ExperimentConfig, "penalty"),
+    (ed.GossipMatrix, "topology"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
