@@ -36,16 +36,11 @@ def project_simplex_rows(V):
 
 
 def _norm_subgradient(residual, p):
+    """A subgradient of ||r||_p at r for p in {1, 2}."""
     if p == 1.0:
         return np.sign(residual)
-    if p == 2.0:
-        nrm = vector_norm(residual, 2.0)
-        return residual / nrm if nrm > 0.0 else np.zeros_like(residual)
-    # generic p > 1: gradient of ||r||_p away from 0
-    nrm = vector_norm(residual, p)
-    if nrm == 0.0:
-        return np.zeros_like(residual)
-    return np.sign(residual) * (np.abs(residual) / nrm) ** (p - 1.0)
+    nrm = vector_norm(residual, 2.0)
+    return residual / nrm if nrm > 0.0 else np.zeros_like(residual)
 
 
 def subgradient_baseline(inst, W, steps, seed=0, trace_every=1, timing=False):

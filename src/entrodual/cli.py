@@ -128,7 +128,8 @@ def build_parser():
     gen.add_argument("--m", type=int, default=4)
     gen.add_argument("--n", type=int, default=3)
     gen.add_argument("--d", type=int, default=5)
-    gen.add_argument("--p", type=float, default=2.0)
+    gen.add_argument("--p", type=float, default=2.0,
+                     help="loss exponent: 1 (box mode) or 2 (penalised mode)")
     gen.add_argument("--theta", type=float, default=0.5)
     gen.add_argument("--scale", type=float, default=1.0)
     gen.add_argument("--out", required=True)

@@ -7,9 +7,9 @@ Dualizing the consensus constraint (multiplier z) and the link y = A x
     H(z, s) = <s, b> + sum_i g*(-[Wz + A^T s]_i),
 
 where g* is the conjugate of the block entropy (a scaled log-sum-exp) and R
-is either nu ||s||_q^q (finite q) or the hard constraint ||s||_inf <= 1
-(q = inf, i.e. p = 1).  H is smooth; its gradient needs one gossip exchange
-for the z block and only local products for the s block.
+is either the penalty nu ||s||_2^2 (p = 2, q = 2) or the hard constraint
+||s||_inf <= 1 (p = 1, q = inf).  H is smooth; its gradient needs one
+gossip exchange for the z block and only local products for the s block.
 
 Every evaluation starts from the link T = -(Wz + A^T s).  T is linear in
 (z, s), so a solver whose iterates are affine combinations of each other
@@ -185,8 +185,8 @@ def objective_from_lse(s, lse, inst, nu):
 
     H = <s, b> + sum_i lse_i, lse_i = g*(-[Wz + A^T s]_i) as the row kernel
     yields it, so a caller that already made the point's kernel pass (for
-    its softmax) gets the objective without a second one.  R is nu ||s||_q^q
-    at the instance's q; at q = inf it is the hard ball constraint
+    its softmax) gets the objective without a second one.  R is nu ||s||_2^2
+    at q = 2; at q = inf it is the hard ball constraint
     ||s||_inf <= 1 (violations beyond the slack raise), which contributes 0.
     """
     qe = inst.q_exponent
@@ -197,12 +197,12 @@ def objective_from_lse(s, lse, inst, nu):
         return h
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
-    return h + regularizer(s, nu, qe)
+    return h + regularizer(s, nu)
 
 
-def regularizer(s, nu, q_exponent):
-    """The regularizer R(s) = nu ||s||_q^q of a finite q."""
-    return nu * float(np.sum(np.abs(s) ** q_exponent))
+def regularizer(s, nu):
+    """The penalty R(s) = nu ||s||_2^2 of the p = 2 mode."""
+    return nu * float(np.sum(s * s))
 
 
 def dual_objective(state, inst, W, nu):
@@ -268,17 +268,12 @@ def lipschitz_constants(inst, W):
     return DualConstants(L_H, L_z, L_s, eta=sW / (sW + sA))
 
 
-def _dual_ball_radius_sq(inst):
-    """R_s^2 = max(1, (mn)^(1 - 2/q)): the squared 2-norm radius of the dual
-    ball ||s||_q <= 1 in R^(mn), for the instance's finite q."""
-    return max(1.0, float(inst.m * inst.n) ** (1.0 - 2.0 / inst.q_exponent))
-
-
 def default_regularizer_weight(inst, target_eps):
-    """nu = eps / (2 R_s^2): the penalty perturbs the dual optimum by <= eps/2.
-    0 in the box mode (q = inf), whose hard constraint takes no penalty."""
+    """nu = eps / (2 R_s^2) = eps / 2 at p = 2, the dual ball ||s||_2 <= 1
+    having radius R_s = 1: the penalty perturbs the dual optimum by <= eps/2.
+    0 in the box mode (p = 1), whose hard constraint takes no penalty."""
     if not target_eps > 0.0:  # NaN fails too
         raise ValueError("target accuracy must be positive")
     if math.isinf(inst.q_exponent):
         return 0.0
-    return target_eps / (2.0 * _dual_ball_radius_sq(inst))
+    return target_eps / 2.0

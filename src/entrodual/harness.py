@@ -29,6 +29,7 @@ from .dual import default_regularizer_weight, lipschitz_constants
 from .errors import ConfigError
 from .network import build_laplacian, load_topology, make_topology
 from .problem import (
+    P_VALUES,
     data_constants,
     generate_instance,
     instance_checksum,
@@ -40,7 +41,6 @@ from .stm import STMConfig, resolve_config, run_stm
 from .trace import save_trace
 
 SOLVERS = ("stm", "acrcd", "subgradient")
-HARNESS_P_VALUES = (1.0, 2.0)
 # iters_to_eps and rounds_to_eps of a run whose gap never reaches target_eps
 NOT_REACHED = "none"
 
@@ -79,10 +79,8 @@ class ExperimentConfig:
         if self.instance is None:
             if min(self.m, self.n, self.d) < 1:
                 raise ConfigError("dimensions m, n, d must be positive")
-            if self.p < 1.0:
-                raise ConfigError("p must be at least 1")
-            if self.p not in HARNESS_P_VALUES:
-                raise ConfigError("the harness restricts p to {1, 2}")
+            if self.p not in P_VALUES:  # NaN and inf fail too
+                raise ConfigError(f"p must be 1 or 2, got {self.p!r}")
             if not self.theta > 0.0:  # NaN fails too
                 raise ConfigError("theta must be positive")
         if self.solver == "acrcd":
@@ -175,10 +173,7 @@ def _build_topology(cfg, m):
 
 def _load_or_generate(cfg):
     if cfg.instance is not None:
-        inst = load_instance(cfg.instance)
-        if inst.p not in HARNESS_P_VALUES:
-            raise ConfigError("the harness restricts p to {1, 2}")
-        return inst
+        return load_instance(cfg.instance)
     return generate_instance(cfg.seed, cfg.m, cfg.n, cfg.d, cfg.p, cfg.theta, cfg.scale)
 
 

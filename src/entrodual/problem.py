@@ -5,8 +5,10 @@ variable lives on the probability simplex and is regularized by entropy:
 
     min_{x in simplex}  (1/m) ||A x - b||_p  +  theta <x, log x>
 
-with A the row-stack of the blocks.  The distributed form replicates x per
-node, couples the copies through a gossip matrix, and drops the 1/m factor.
+with A the row-stack of the blocks and p one of P_VALUES: the loss is the
+1-norm, whose dual is the box mode, or the 2-norm, whose dual is the
+penalised mode.  The distributed form replicates x per node, couples the
+copies through a gossip matrix, and drops the 1/m factor.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ NOISE_REL = 1e-2
 # Blocks with at least this many entries (n * d) are applied by batched BLAS,
 # smaller ones by einsum; the two tie near 100-128 entries for m = 64-1024.
 BLAS_BLOCK_MIN = 128
+# The loss exponents an instance takes; every other p is rejected.
+P_VALUES = (1.0, 2.0)
 
 
 def entropy(x):
@@ -37,9 +41,10 @@ def entropy(x):
 
 
 def vector_norm(x, p):
-    """||x||_p of a 1-D float array, 1 <= p <= inf, by the reduction that
-    ``np.linalg.norm(x, p)`` makes for that p (so to the same bit), without
-    the dispatch that costs that call more than short vectors' reduction."""
+    """||x||_p of a 1-D float array for p in {1, 2, inf} (the losses and
+    their duals), by the reduction that ``np.linalg.norm(x, p)`` makes for
+    that p (so to the same bit), without the dispatch that costs that call
+    more than short vectors' reduction."""
     if p == 2.0:
         return math.sqrt(x.dot(x))
     a = np.abs(x)
@@ -47,8 +52,7 @@ def vector_norm(x, p):
         return float(np.maximum.reduce(a, initial=0.0))
     if p == 1.0:
         return float(np.add.reduce(a))
-    a **= p
-    return float(np.add.reduce(a)) ** (1.0 / p)
+    raise ValueError(f"vector_norm takes p in {{1, 2, inf}}, got {p!r}")
 
 
 def check_simplex(x, tol=SIMPLEX_TOL):
@@ -79,10 +83,9 @@ class ProblemInstance:
     def __post_init__(self):
         if min(self.m, self.n, self.d) < 1:
             raise ValueError("dimensions must be positive")
-        # written so that NaN fails the checks
-        if not self.p >= 1.0:
-            raise ValueError("p must be at least 1")
-        if not self.theta > 0.0:
+        if self.p not in P_VALUES:  # NaN and inf fail too
+            raise ValueError(f"p must be 1 or 2, got {self.p!r}")
+        if not self.theta > 0.0:  # NaN fails too
             raise ValueError("theta must be positive")
         A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
         b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
@@ -99,8 +102,8 @@ class ProblemInstance:
 
     @property
     def q_exponent(self):
-        """Holder conjugate of p (math.inf when p = 1)."""
-        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
+        """Holder conjugate of p: math.inf at p = 1 (the box mode), 2 at p = 2."""
+        return math.inf if self.p == 1.0 else 2.0
 
     @cached_property
     def block_singular_values(self):

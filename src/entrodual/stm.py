@@ -25,12 +25,13 @@ y, and that pass also yields the log-sum-exp from which run_stm's stall and
 divergence checks read the objective F(y).  A trace row adds one more pass
 and one more W product: ``duality_gap`` at q, whose single pass yields both
 softmax and log-sum-exp, and whose consensus residual applies W.  The row's
-objective F(q) is the certificate's H, plus nu ||s||_q^q in the penalised
+objective F(q) is the certificate's H, plus nu ||s||_2^2 in the penalised
 mode, equal bit for bit to ``dual_objective`` at q; only a q whose s lies
 outside the dual ball, where H is infinite, takes F(q) from the pass's
 log-sum-exp by ``objective_from_lse`` instead.  ``stm_step`` takes grad H,
 the prox of gamma R and the link as callables; ``run_stm`` builds them from
-the instance, whose p fixes R's exponent q.
+the instance, whose p fixes R: the box constraint at p = 1, the penalty
+nu ||s||_2^2 at p = 2.
 """
 
 import math
@@ -64,7 +65,8 @@ class STMConfig:
     """Solver knobs; unset entries are resolved from the problem at run time.
 
     L defaults to the global dual Lipschitz bound, nu to the accuracy-scaled
-    penalty weight (0 in the box mode, q = inf); R's exponent q is the instance's.
+    penalty weight; R's exponent q is the instance's.  The box mode (p = 1,
+    q = inf) takes no penalty, so there nu is unset or 0.
     """
 
     L: float | None = None
@@ -178,7 +180,11 @@ def stm_step(state, cfg, grad, prox, link=None):
 
 
 def resolve_config(cfg, inst, W):
-    """Fill unset solver knobs from the problem: L and nu."""
+    """Fill unset solver knobs from the problem: L and nu.  A nonzero nu
+    in the box mode, which has no penalty to weigh, raises."""
+    if cfg.nu and math.isinf(inst.q_exponent):
+        raise ValueError(
+            f"nu must be unset or 0 in the box mode (p = 1), got {cfg.nu!r}")
     L = cfg.L
     if L is None:
         L = lipschitz_constants(inst, W).L_H
@@ -270,7 +276,7 @@ def run_stm(inst, W, cfg=None):
         elif box:
             value = h
         else:
-            value = h + regularizer(q.s, cfg.nu, qe)
+            value = h + regularizer(q.s, cfg.nu)
         return value, rep.primal_value / inst.m, rep.gap, rep.consensus_residual, k, k
 
     trace = observe(step, row, cfg.max_iter, cfg.trace_every, cfg.timing)

@@ -4,12 +4,14 @@ Everything here is written against dense matrices and textbook update rules,
 on purpose: these oracles share no code with the package beyond the raw
 problem data, so agreement is meaningful evidence of correctness.  The
 exceptions are ``dual_kernel_floor`` and ``dual_radius``, which read the
-package's spectral and data constants, ``prox_lq_scalar``, which takes the
-package's bisection cap, and the two bit-for-bit oracles
+package's spectral and data constants, and the two bit-for-bit oracles
 ``duality_gap_reference`` and ``csv_trace_bytes``, which keep an earlier form
 of package code so that its replacement can be held to the same bits.  The
 helpers at the end (``ProxParams``, ``spectral_constants``,
 ``save_topology``, ``read_summary``) serve tests; no solver needs them.
+``prox_lq_scalar`` covers every q >= 1, while the package's ``prox_R`` takes
+only the q = 2 and q = inf of its p = 2 and p = 1 instances; it carries its
+own bisection cap and parameter checks.
 """
 
 import csv
@@ -22,9 +24,11 @@ import numpy as np
 from entrodual.dual import DUAL_BALL_SLACK
 from entrodual.network import _extreme_eigenvalues, gossip_operator
 from entrodual.problem import data_constants
-from entrodual.prox import BISECT_MAX_ITER, _check_prox_params
 from entrodual.recovery import GapReport, primal_from_dual
 from entrodual.trace import TRACE_COLUMNS
+
+# Iteration cap of prox_lq_scalar's bisection; reaching it raises.
+PROX_BISECT_MAX_ITER = 200
 
 
 def dense_operators(inst, W):
@@ -190,10 +194,10 @@ def prox_lq_scalar(t, params):
     lo, hi = 0.0, target
     iters = 0
     while hi - lo > params.tol:
-        if iters >= BISECT_MAX_ITER:
+        if iters >= PROX_BISECT_MAX_ITER:
             raise RuntimeError(
                 f"prox bisection failed to reach tol={params.tol} within "
-                f"{BISECT_MAX_ITER} iterations (|t|={target})"
+                f"{PROX_BISECT_MAX_ITER} iterations (|t|={target})"
             )
         mid = 0.5 * (lo + hi)
         if mid + coef * mid ** (q - 1.0) <= target:
@@ -329,8 +333,8 @@ def csv_trace_bytes(trace):
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Step gamma, penalty weight nu, exponent q and bisection tolerance of
-    one prox, checked as ``prox_R`` checks them."""
+    """Step gamma, penalty weight nu, exponent q >= 1 and bisection
+    tolerance of one scalar prox."""
 
     gamma: float
     nu: float
@@ -338,7 +342,12 @@ class ProxParams:
     tol: float = 1e-12
 
     def __post_init__(self):
-        _check_prox_params(self.gamma, self.nu, self.q_exponent)
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        if self.nu < 0.0:
+            raise ValueError("nu must be nonnegative")
+        if not self.q_exponent >= 1.0:  # NaN fails too
+            raise ValueError("q must be at least 1")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
 

@@ -1,9 +1,12 @@
 """Shared hypothesis strategies for property tests."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from entrodual import Topology, generate_instance
+from entrodual.problem import P_VALUES
 
 
 @st.composite
@@ -47,6 +50,14 @@ def simplex_points(draw, d):
     )
     v = np.asarray(raw, dtype=float)
     return v / v.sum()
+
+
+def invalid_loss_exponents():
+    """Loss exponents every instance rejects: any float but 1 and 2, with
+    NaN, both infinities and the near misses 0.5, 1.5 and 3 named so that
+    they are drawn often."""
+    named = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1.5, 3.0])
+    return st.one_of(named, st.floats().filter(lambda p: p not in P_VALUES))
 
 
 def invalid_accuracies():

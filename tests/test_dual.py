@@ -370,16 +370,6 @@ class TestRadii:
             with pytest.raises(ValueError, match="target accuracy"):
                 ed.default_regularizer_weight(inst, math.nan)
 
-    def test_default_weight_ball_radius_at_q4(self):
-        # p = 4/3 has q = 4, whose ball has squared 2-norm radius
-        # (mn)^(1 - 2/4) = sqrt(mn)
-        inst = ed.generate_instance(7, 4, 3, 5, 4.0 / 3.0, 0.5)
-        assert inst.q_exponent == pytest.approx(4.0, rel=1e-12)
-        mn = inst.m * inst.n
-        assert ed.default_regularizer_weight(inst, 1e-4) == pytest.approx(
-            1e-4 / (2 * math.sqrt(mn)), rel=1e-12
-        )
-
     def test_kernel_floor_matches_dense_eig(self, toy_p2, ring4):
         exact, claimed = dual_kernel_floor(toy_p2, ring4)
         Wk, Ak, _ = dense_operators(toy_p2, ring4)

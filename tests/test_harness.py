@@ -174,9 +174,9 @@ class TestExperimentConfig:
             self.base(instance="/nonexistent/inst.txt").validate()
 
     def test_p_restricted(self):
-        with pytest.raises(ed.ConfigError, match="restricts p"):
+        with pytest.raises(ed.ConfigError, match="p must be 1 or 2"):
             self.base(p=1.5).validate()
-        with pytest.raises(ed.ConfigError, match="at least 1"):
+        with pytest.raises(ed.ConfigError, match="p must be 1 or 2"):
             self.base(p=0.5).validate()
 
     def test_positive_theta_and_dims(self):
@@ -662,17 +662,32 @@ class TestCLI:
         pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
                       "--target-eps", "-1"], 2, "target accuracy must be positive",
                      id="box-target-eps=-1"),
+        pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
+                      "--nu", "0.5"], 2, "nu must be unset or 0 in the box mode",
+                     id="box-nu=0.5"),
+        pytest.param(["gen", "--seed", "1", "--p", "1.5", "--out", "{missing}"], 2,
+                     "p must be 1 or 2", id="gen-p=1.5"),
+        pytest.param(["gen", "--seed", "1", "--p", "inf", "--out", "{missing}"], 2,
+                     "p must be 1 or 2", id="gen-p=inf"),
+        pytest.param(["solve", "--seed", "1", "--p", "1.5"], 2, "p must be 1 or 2",
+                     id="solve-p=1.5"),
+        pytest.param(["solve", "--instance", "{p15}"], 2, "p must be 1 or 2",
+                     id="instance-p=1.5"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
         """Each edge input ends in its documented exit code and message."""
         trace = tmp_path / "t.csv"
         ed.save_trace(synthetic_trace([1.0, 0.5]), trace)
-        paths = {"missing": str(tmp_path / "missing.csv"), "trace": str(trace)}
+        p15 = tmp_path / "p15.txt"  # a well-formed instance file with p = 1.5
+        p15.write_text("2 1 2 1.5 0.5\n1.0,0.0,0.5\n0.0,1.0,0.5\n")
+        paths = {"missing": str(tmp_path / "missing.csv"), "trace": str(trace),
+                 "p15": str(p15)}
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err
         assert ("config error" if code == 2 else "numeric failure") in err
         assert message.format(**paths) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "missing.csv").exists()  # gen writes no file
 
     def test_compare_command(self, capsys):
         code = main(["compare", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",

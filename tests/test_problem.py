@@ -18,7 +18,7 @@ from reference_values import (
     TOY_P1_THETA,
     TOY_P2_THETA,
 )
-from strategies import simplex_points, small_instances
+from strategies import invalid_loss_exponents, simplex_points, small_instances
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -85,6 +85,13 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match=message):
             ed.ProblemInstance(2, 1, 2, p, theta, np.zeros((2, 1, 2)), np.zeros((2, 1)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(invalid_loss_exponents())
+    def test_p_other_than_1_or_2_rejected(self, p):
+        # every instance, generated, loaded or built by hand, passes here
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            ed.ProblemInstance(2, 1, 2, p, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 1)))
+
     def test_rejects_nonfinite_data(self):
         A = np.zeros((2, 1, 2))
         A[0, 0, 0] = np.inf
@@ -100,10 +107,8 @@ class TestProblemInstance:
     def test_q_exponent(self, toy_p2, toy_p1):
         assert toy_p2.q_exponent == 2.0
         assert toy_p1.q_exponent == math.inf
-        inst = ed.ProblemInstance(
-            2, 1, 2, 1.5, 0.5, np.ones((2, 1, 2)), np.ones((2, 1))
-        )
-        assert inst.q_exponent == pytest.approx(3.0)
+        with pytest.raises(ValueError, match="p must be 1 or 2"):
+            ed.ProblemInstance(2, 1, 2, 1.5, 0.5, np.ones((2, 1, 2)), np.ones((2, 1)))
 
     def test_stacked_views(self, toy_p2):
         assert toy_p2.stacked_A().shape == (12, 5)

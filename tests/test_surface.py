@@ -26,6 +26,11 @@ GONE = [
     (dual, "block_radii"),
     (dual, "_log_shift_sq"),
     (baseline, "_parse_step_rule"),
+    (prox, "_bisect_magnitudes"),
+    (prox, "BISECT_TOL"),
+    (prox, "BISECT_MAX_ITER"),
+    (dual, "_dual_ball_radius_sq"),
+    (harness, "HARNESS_P_VALUES"),
 ]
 
 
