@@ -1,8 +1,9 @@
 """Command-line interface: gen, solve, rate, compare.
 
 Exit codes: 0 on success, 2 for configuration problems (including NaN
-settings and missing input files), 3 for numeric failures inside a solver
-(including overflow and other ArithmeticErrors).
+settings and input or output paths that cannot be read or written), 3 for
+numeric failures inside a solver (including overflow and other
+ArithmeticErrors).
 """
 
 import argparse
@@ -78,19 +79,12 @@ def _cmd_solve(args):
     return 0
 
 
-def _read_trace(path):
-    try:
-        return load_trace(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from None
-
-
 def _cmd_rate(args):
-    trace = _read_trace(args.trace)
+    trace = load_trace(args.trace)
     if args.fstar is not None:
         f_star = args.fstar
     elif args.ref is not None:
-        ref = _read_trace(args.ref)
+        ref = load_trace(args.ref)
         f_star = min(ref.column(args.column)) - REFERENCE_MARGIN
     else:
         raise ConfigError("rate needs --fstar or --ref")
@@ -167,7 +161,7 @@ def main(argv=None):
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -272,8 +272,8 @@ def default_regularizer_weight(inst, target_eps):
     """nu = eps / (2 R_s^2) = eps / 2 at p = 2, the dual ball ||s||_2 <= 1
     having radius R_s = 1: the penalty perturbs the dual optimum by <= eps/2.
     0 in the box mode (p = 1), whose hard constraint takes no penalty."""
-    if not target_eps > 0.0:  # NaN fails too
-        raise ValueError("target accuracy must be positive")
+    if not 0.0 < target_eps < math.inf:  # NaN fails too
+        raise ValueError("target accuracy must be positive and finite")
     if math.isinf(inst.q_exponent):
         return 0.0
     return target_eps / 2.0

@@ -63,7 +63,6 @@ class ExperimentConfig:
     target_eps: float = 1e-4
     L: float | None = None
     mu: float = 0.0
-    nu: float | None = None
     solver_seed: int | None = None
     trace_every: int = 1
     timing: bool = False
@@ -81,15 +80,14 @@ class ExperimentConfig:
                 raise ConfigError("dimensions m, n, d must be positive")
             if self.p not in P_VALUES:  # NaN and inf fail too
                 raise ConfigError(f"p must be 1 or 2, got {self.p!r}")
-            if not self.theta > 0.0:  # NaN fails too
-                raise ConfigError("theta must be positive")
-        if self.solver == "acrcd":
-            if self.solver_seed is None:
-                raise ConfigError("acrcd needs solver_seed for its sampling coin")
+        if self.solver == "acrcd" and self.solver_seed is None:
+            raise ConfigError("acrcd needs solver_seed for its sampling coin")
+        if self.solver != "stm" and (self.L is not None or self.mu != 0.0):
+            raise ConfigError(f"L and mu are stm settings; {self.solver} takes neither")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
-        if not self.target_eps > 0.0:  # NaN fails too
-            raise ConfigError("target accuracy must be positive")
+        if not 0.0 < self.target_eps < math.inf:  # NaN fails too
+            raise ConfigError("target accuracy must be positive and finite")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be positive")
         if self.topology.startswith("file:"):
@@ -210,13 +208,13 @@ def run_experiment(cfg):
     if cfg.solver == "stm":
         scfg = resolve_config(
             STMConfig(L=cfg.L, mu=cfg.mu, max_iter=cfg.max_iter,
-                      target_eps=cfg.target_eps, nu=cfg.nu,
-                      trace_every=cfg.trace_every, timing=cfg.timing),
+                      target_eps=cfg.target_eps, trace_every=cfg.trace_every,
+                      timing=cfg.timing),
             inst, W,
         )
         final_state, trace = run_stm(inst, W, scfg)
         summary["L"] = scfg.L
-        summary["nu"] = scfg.nu
+        summary["nu"] = default_regularizer_weight(inst, cfg.target_eps)
         summary["q_exponent"] = inst.q_exponent
     elif cfg.solver == "acrcd":
         if inst.p != 1.0:
@@ -237,7 +235,6 @@ def run_experiment(cfg):
         rep = duality_gap(final_state, inst, W)
         summary["final_gap"] = rep.gap
         summary["final_dual_certificate"] = rep.dual_value
-    summary["nu_default"] = default_regularizer_weight(inst, cfg.target_eps)
     summary["iters"] = trace.iter[-1]
     summary["final_dual_obj"] = trace.dual_obj[-1]
     summary["final_primal_obj"] = trace.primal_obj[-1]

@@ -85,8 +85,8 @@ class ProblemInstance:
             raise ValueError("dimensions must be positive")
         if self.p not in P_VALUES:  # NaN and inf fail too
             raise ValueError(f"p must be 1 or 2, got {self.p!r}")
-        if not self.theta > 0.0:  # NaN fails too
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:  # NaN fails too
+            raise ValueError("theta must be positive and finite")
         A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
         b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
         if A.shape != (self.m, self.n, self.d):
@@ -311,4 +311,7 @@ def load_instance(path):
             raise ValueError(f"{path}:{lineno}: malformed number in {line!r}") from None
         A[k // n, k % n] = values[:d]
         b[k // n, k % n] = values[d]
-    return ProblemInstance(m, n, d, p, theta, A, b)
+    try:
+        return ProblemInstance(m, n, d, p, theta, A, b)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -62,18 +62,17 @@ COUPLING_RTOL = 1e-10
 
 @dataclass
 class STMConfig:
-    """Solver knobs; unset entries are resolved from the problem at run time.
+    """Solver knobs; an unset L is resolved from the problem at run time.
 
-    L defaults to the global dual Lipschitz bound, nu to the accuracy-scaled
-    penalty weight; R's exponent q is the instance's.  The box mode (p = 1,
-    q = inf) takes no penalty, so there nu is unset or 0.
+    L defaults to the global dual Lipschitz bound.  R's exponent q is the
+    instance's, and its penalty weight nu is worked out from target_eps
+    (``default_regularizer_weight``), never set.
     """
 
     L: float | None = None
     mu: float = 0.0
     max_iter: int = 1000
     target_eps: float = 1e-4
-    nu: float | None = None
     trace_every: int = 1
     timing: bool = False
 
@@ -83,10 +82,8 @@ class STMConfig:
             raise ValueError("mu must be nonnegative")
         if self.L is not None and not self.L > 0.0:
             raise ValueError("L must be positive")
-        if self.nu is not None and not self.nu >= 0.0:
-            raise ValueError("nu must be nonnegative")
-        if not self.target_eps > 0.0:
-            raise ValueError("target accuracy must be positive")
+        if not 0.0 < self.target_eps < math.inf:
+            raise ValueError("target accuracy must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -180,18 +177,10 @@ def stm_step(state, cfg, grad, prox, link=None):
 
 
 def resolve_config(cfg, inst, W):
-    """Fill unset solver knobs from the problem: L and nu.  A nonzero nu
-    in the box mode, which has no penalty to weigh, raises."""
-    if cfg.nu and math.isinf(inst.q_exponent):
-        raise ValueError(
-            f"nu must be unset or 0 in the box mode (p = 1), got {cfg.nu!r}")
-    L = cfg.L
-    if L is None:
-        L = lipschitz_constants(inst, W).L_H
-    nu = cfg.nu
-    if nu is None:
-        nu = default_regularizer_weight(inst, cfg.target_eps)
-    return replace(cfg, L=L, nu=nu)
+    """Fill an unset L from the problem: the global dual Lipschitz bound."""
+    if cfg.L is not None:
+        return cfg
+    return replace(cfg, L=lipschitz_constants(inst, W).L_H)
 
 
 def run_stm(inst, W, cfg=None):
@@ -220,6 +209,7 @@ def run_stm(inst, W, cfg=None):
     NumericFailure on divergence or non-finite iterates.
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
+    nu = default_regularizer_weight(inst, cfg.target_eps)
     qe = inst.q_exponent  # R's exponent, the conjugate of the instance's p
     box = math.isinf(qe)
     lse = np.empty(inst.m)
@@ -227,7 +217,7 @@ def run_stm(inst, W, cfg=None):
 
     def objective_at(s):
         # H + R at the point whose row log-sum-exp the last kernel pass left in lse
-        return objective_from_lse(s, lse, inst, cfg.nu)
+        return objective_from_lse(s, lse, inst, nu)
 
     def grad(ds):
         # the softmax's kernel pass also yields F(y)
@@ -237,7 +227,7 @@ def run_stm(inst, W, cfg=None):
         return g
 
     def prox(s, gamma):
-        prox_R(s, gamma, cfg.nu, qe, out=s)
+        prox_R(s, gamma, nu, qe, out=s)
 
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
@@ -245,7 +235,7 @@ def run_stm(inst, W, cfg=None):
     q0 = DualState.zeros(inst)
     q0.link = _neg_link(inst, W, q0.z, q0.s)
     state = stm_init(q0)
-    f0 = dual_objective(state.q, inst, W, cfg.nu)
+    f0 = dual_objective(state.q, inst, W, nu)
     best, last_improvement = f0, 0
 
     def step(k):
@@ -276,7 +266,7 @@ def run_stm(inst, W, cfg=None):
         elif box:
             value = h
         else:
-            value = h + regularizer(q.s, cfg.nu)
+            value = h + regularizer(q.s, nu)
         return value, rep.primal_value / inst.m, rep.gap, rep.consensus_residual, k, k
 
     trace = observe(step, row, cfg.max_iter, cfg.trace_every, cfg.timing)

@@ -61,5 +61,7 @@ def invalid_loss_exponents():
 
 
 def invalid_accuracies():
-    """target_eps values every mode rejects: NaN, zero (either sign), negative."""
-    return st.one_of(st.just(float("nan")), st.floats(max_value=0.0, allow_nan=False))
+    """target_eps values every mode rejects: NaN, infinity, zero (either
+    sign), negative."""
+    return st.one_of(st.sampled_from([float("nan"), float("inf")]),
+                     st.floats(max_value=0.0, allow_nan=False))

@@ -367,8 +367,9 @@ class TestRadii:
         with pytest.raises(ValueError):
             ed.default_regularizer_weight(toy_p2, 0.0)
         for inst in (toy_p1, toy_p2):
-            with pytest.raises(ValueError, match="target accuracy"):
-                ed.default_regularizer_weight(inst, math.nan)
+            for eps in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="target accuracy must be positive"):
+                    ed.default_regularizer_weight(inst, eps)
 
     def test_kernel_floor_matches_dense_eig(self, toy_p2, ring4):
         exact, claimed = dual_kernel_floor(toy_p2, ring4)

@@ -180,8 +180,9 @@ class TestExperimentConfig:
             self.base(p=0.5).validate()
 
     def test_positive_theta_and_dims(self):
-        with pytest.raises(ed.ConfigError, match="theta"):
-            self.base(theta=0.0).validate()
+        # theta is checked where every instance passes, in ProblemInstance
+        with pytest.raises(ValueError, match="theta must be positive"):
+            ed.run_experiment(self.base(theta=0.0))
         with pytest.raises(ed.ConfigError, match="positive"):
             self.base(d=0).validate()
 
@@ -322,7 +323,26 @@ class TestRunExperiment:
         summary, _ = ed.run_experiment(self.small_cfg())
         for key in ("L_H", "L_z", "L_s", "eta", "sigma_max", "lambda_max", "chi"):
             assert math.isfinite(summary[key])
-        assert summary["nu"] == summary["nu_default"]
+        assert summary["nu"] == ed.default_regularizer_weight(
+            ed.generate_instance(3, 3, 2, 3, 2.0, 0.5), 1e-4)
+
+    @pytest.mark.parametrize("p,nu", [(2.0, 5e-5), (1.0, 0.0)])
+    def test_summary_nu_is_half_the_target_accuracy(self, p, nu, tmp_path):
+        # nu = eps / 2 in the penalised mode, 0 in the box mode; never set
+        out = tmp_path / "run"
+        ed.run_experiment(self.small_cfg(p=p, theta=3.0, target_eps=1e-4, out=str(out)))
+        loaded = read_summary(out / "summary.txt")
+        assert loaded["nu"] == nu
+        assert "nu_default" not in loaded
+
+    def test_nu_is_not_a_setting(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seed", "1", "--nu", "0.5"])
+        assert exc.value.code == 2
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 1\nnu = 0.5\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "unknown key 'nu'" in capsys.readouterr().err
 
     def test_acrcd_path(self):
         cfg = self.small_cfg(solver="acrcd", p=1.0, solver_seed=11)
@@ -652,8 +672,6 @@ class TestCLI:
                      id="L=nan"),
         pytest.param(["solve", "--seed", "1", "--mu", "nan"], 2, "mu must be nonnegative",
                      id="mu=nan"),
-        pytest.param(["solve", "--seed", "1", "--nu", "nan"], 2, "nu must be nonnegative",
-                     id="nu=nan"),
         pytest.param(["solve", "--seed", "1", "--target-eps", "nan"], 2,
                      "target accuracy must be positive", id="target-eps=nan"),
         pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
@@ -662,16 +680,36 @@ class TestCLI:
         pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
                       "--target-eps", "-1"], 2, "target accuracy must be positive",
                      id="box-target-eps=-1"),
+        pytest.param(["solve", "--seed", "1", "--target-eps", "inf"], 2,
+                     "target accuracy must be positive", id="target-eps=inf"),
         pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
-                      "--nu", "0.5"], 2, "nu must be unset or 0 in the box mode",
-                     id="box-nu=0.5"),
+                      "--target-eps", "inf"], 2, "target accuracy must be positive",
+                     id="box-target-eps=inf"),
+        pytest.param(["solve", "--seed", "1", "--theta", "inf"], 2, "theta must be positive",
+                     id="theta=inf"),
+        pytest.param(["gen", "--seed", "1", "--theta", "inf", "--out", "{missing}"], 2,
+                     "theta must be positive", id="gen-theta=inf"),
+        pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
+                      "--p", "1", "--mu", "3"], 2, "L and mu are stm settings; acrcd",
+                     id="acrcd-mu=3"),
+        pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
+                      "--p", "1", "--L", "5"], 2, "L and mu are stm settings; acrcd",
+                     id="acrcd-L=5"),
+        pytest.param(["solve", "--solver", "subgradient", "--seed", "1", "--L", "5"], 2,
+                     "L and mu are stm settings; subgradient", id="subgradient-L=5"),
+        pytest.param(["solve", "--instance", "{dir}"], 2, "{dir}", id="instance-dir"),
+        pytest.param(["solve", "--seed", "1", "--topology", "file:{dir}"], 2, "{dir}",
+                     id="topology-dir"),
+        pytest.param(["gen", "--seed", "1", "--out", "{dir}"], 2, "{dir}", id="gen-out-dir"),
+        pytest.param(["solve", "--seed", "1", "--max-iter", "5", "--out", "{trace}"], 2,
+                     "{trace}", id="out-is-a-file"),
         pytest.param(["gen", "--seed", "1", "--p", "1.5", "--out", "{missing}"], 2,
                      "p must be 1 or 2", id="gen-p=1.5"),
         pytest.param(["gen", "--seed", "1", "--p", "inf", "--out", "{missing}"], 2,
                      "p must be 1 or 2", id="gen-p=inf"),
         pytest.param(["solve", "--seed", "1", "--p", "1.5"], 2, "p must be 1 or 2",
                      id="solve-p=1.5"),
-        pytest.param(["solve", "--instance", "{p15}"], 2, "p must be 1 or 2",
+        pytest.param(["solve", "--instance", "{p15}"], 2, "{p15}: p must be 1 or 2",
                      id="instance-p=1.5"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
@@ -681,7 +719,7 @@ class TestCLI:
         p15 = tmp_path / "p15.txt"  # a well-formed instance file with p = 1.5
         p15.write_text("2 1 2 1.5 0.5\n1.0,0.0,0.5\n0.0,1.0,0.5\n")
         paths = {"missing": str(tmp_path / "missing.csv"), "trace": str(trace),
-                 "p15": str(p15)}
+                 "p15": str(p15), "dir": str(tmp_path)}
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err
         assert ("config error" if code == 2 else "numeric failure") in err

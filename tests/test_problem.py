@@ -80,7 +80,8 @@ class TestProblemInstance:
             ed.ProblemInstance(0, 1, 2, 2.0, 0.5, np.zeros((0, 1, 2)), np.zeros((0, 1)))
 
     @pytest.mark.parametrize("p,theta,message", [(math.nan, 0.5, "p must"),
-                                                 (2.0, math.nan, "theta")])
+                                                 (2.0, math.nan, "theta"),
+                                                 (2.0, math.inf, "theta must be positive")])
     def test_nan_parameters_rejected(self, p, theta, message):
         with pytest.raises(ValueError, match=message):
             ed.ProblemInstance(2, 1, 2, p, theta, np.zeros((2, 1, 2)), np.zeros((2, 1)))

@@ -17,7 +17,7 @@ from reference_values import (
 
 
 def resolved_quadratic_cfg(L, mu=0.0):
-    return ed.STMConfig(L=L, mu=mu, nu=0.0)
+    return ed.STMConfig(L=L, mu=mu)
 
 
 def box_prox(s, gamma):
@@ -180,22 +180,21 @@ class TestResolveConfig:
         cfg = resolve_config(ed.STMConfig(), toy_p2, ring4)
         c = ed.lipschitz_constants(toy_p2, ring4)
         assert cfg.L == pytest.approx(c.L_H)
-        assert cfg.nu == pytest.approx(5e-5)
 
     def test_fills_defaults_p1(self, toy_p1, ring4):
         cfg = resolve_config(ed.STMConfig(), toy_p1, ring4)
-        assert cfg.nu == 0.0
+        assert cfg.L == pytest.approx(ed.lipschitz_constants(toy_p1, ring4).L_H)
 
     def test_explicit_values_kept(self, toy_p2, ring4):
-        cfg = resolve_config(ed.STMConfig(L=10.0, nu=0.3), toy_p2, ring4)
-        assert (cfg.L, cfg.nu) == (10.0, 0.3)
+        cfg = resolve_config(ed.STMConfig(L=10.0), toy_p2, ring4)
+        assert cfg.L == 10.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ed.STMConfig(mu=-1.0)
         with pytest.raises(ValueError):
             ed.STMConfig(max_iter=0)
-        for eps in (math.nan, -1.0, 0.0):
+        for eps in (math.nan, math.inf, -1.0, 0.0):
             with pytest.raises(ValueError, match="target accuracy must be positive"):
                 ed.STMConfig(target_eps=eps)
 
@@ -292,6 +291,7 @@ class TestObjectiveFromTheKernelPass:
 
     def test_stall_value_is_the_objective_at_y(self, problem, monkeypatch):
         inst, W, cfg = problem
+        nu = ed.default_regularizer_weight(inst, cfg.target_eps)
         points, values = [], []
         real_grad, real_value = stm_mod.dual_gradient, stm_mod.objective_from_lse
 
@@ -311,10 +311,11 @@ class TestObjectiveFromTheKernelPass:
         assert len(values) == len(points) == cfg.max_iter
         for y, v in zip(points, values):
             assert y.link is not None
-            assert v == ed.dual_objective(y, inst, W, cfg.nu)
+            assert v == ed.dual_objective(y, inst, W, nu)
 
     def test_trace_rows_report_the_objective_at_q(self, problem, monkeypatch):
         inst, W, cfg = problem
+        nu = ed.default_regularizer_weight(inst, cfg.target_eps)
         certified = []
         real = stm_mod.duality_gap
         monkeypatch.setattr(stm_mod, "duality_gap",
@@ -322,4 +323,4 @@ class TestObjectiveFromTheKernelPass:
         _, trace = ed.run_stm(inst, W, cfg)
         assert len(certified) == len(trace) == cfg.max_iter + 1
         for q, row_value in zip(certified, trace.dual_obj):
-            assert row_value == ed.dual_objective(q, inst, W, cfg.nu)
+            assert row_value == ed.dual_objective(q, inst, W, nu)

@@ -57,6 +57,8 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.ExperimentConfig, "step_rule"),
     (ed.ExperimentConfig, "penalty"),
     (ed.GossipMatrix, "topology"),
+    (ed.STMConfig, "nu"),
+    (ed.ExperimentConfig, "nu"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
