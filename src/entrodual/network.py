@@ -32,7 +32,7 @@ sends no graph to the slots where they lose.  The two products round differently
 at the ulp level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -201,8 +201,7 @@ class NeighbourSlots:
     ``np.einsum``, which adds the k + 1 terms in slot order and so rounds
     exactly as the term-by-term sum.  The gather is the product's one
     temporary: (k + 1) m d floats, which the rule (k + 1) * SLOT_CROSSOVER
-    <= m keeps below d / SLOT_CROSSOVER times the m^2 floats of the dense W
-    that GossipMatrix holds anyway.
+    <= m keeps below d / SLOT_CROSSOVER times the m^2 floats of a dense W.
     """
 
     index: np.ndarray
@@ -257,7 +256,7 @@ def _apply_form(W):
     return NeighbourSlots.from_entries(W, rows, cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipMatrix:
     """Gossip matrix W with its extreme spectrum, which construction measures
     from W in the one ``eigvalsh`` that validates it (``_validate_spectrum``).
@@ -269,30 +268,53 @@ class GossipMatrix:
     own sparsity (see the module docstring): the ``NeighbourSlots`` of W
     when (k + 1) * SLOT_CROSSOVER <= m, with k the largest off-diagonal
     nonzero count of any row, else the dense ``W``.  The slots are read
-    from W's nonzero pattern, so weighted matrices work too.  W stays the
-    dense, read-only matrix for spectra and tests.
+    from W's nonzero pattern, so weighted matrices work too.
 
-    W is kept as passed, not copied (a copy would cost 2 MB at m = 512),
-    and made read-only in place, so that the spectrum and the slots cannot
-    go stale: after ``GossipMatrix(W)`` the caller's own ``W`` is no longer
-    writeable.  Pass ``W.copy()`` to keep a writable array.
+    W is an argument, not a field: on the slot form the object keeps O(m k)
+    state, and the O(m^2) array and O(m^3) ``eigvalsh`` are needed during
+    construction only.  The property ``W`` is the one conversion back to a
+    dense, read-only matrix, for spectra and tests: on the dense form it is
+    ``operator`` itself; on the slot form it is rebuilt from the slots on
+    every access, as float64 and equal to the W passed in.
+
+    The array passed in is not copied but made read-only in place, so the
+    spectrum and the operator cannot go stale; pass ``W.copy()`` to keep a
+    writable array.  Equality is identity, so a GossipMatrix can be a dict key.
     """
 
-    W: np.ndarray
+    W: InitVar[np.ndarray]
     lambda_max: float = field(init=False)
     lambda_min_plus: float = field(init=False)
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
-    def __post_init__(self):
-        lam_max, lam_min_plus = _validate_spectrum(self.W)
-        self.W.setflags(write=False)
+    def __post_init__(self, W):
+        lam_max, lam_min_plus = _validate_spectrum(W)
+        W.setflags(write=False)
         object.__setattr__(self, "lambda_max", lam_max)
         object.__setattr__(self, "lambda_min_plus", lam_min_plus)
-        object.__setattr__(self, "operator", _apply_form(self.W))
+        object.__setattr__(self, "operator", _apply_form(W))
 
     @property
     def chi(self):
         return self.lambda_max / self.lambda_min_plus
+
+
+def _dense_matrix(gossip):
+    """The dense, read-only W of a GossipMatrix (its ``W`` property)."""
+    op = gossip.operator
+    if not isinstance(op, NeighbourSlots):
+        return op
+    m = op.index.shape[1]
+    W = np.zeros((m, m))
+    # added, not assigned: a padded slot points at the diagonal with weight 0
+    np.add.at(W, (np.arange(m), op.index), op.weights)
+    W.setflags(write=False)
+    return W
+
+
+# a property set after the class body, so that the dataclass reads W as the
+# init-only argument and not as a field with a default
+GossipMatrix.W = property(_dense_matrix)
 
 
 def gossip_operator(W):

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,8 +179,7 @@ class TestSpectrum:
         for key in ("lambda_max", "lambda_min_plus", "chi"):
             with pytest.raises(TypeError):
                 ed.GossipMatrix(W, **{key: 1.0})
-        init = [f.name for f in dataclasses.fields(ed.GossipMatrix) if f.init]
-        assert init == ["W"]
+        assert list(inspect.signature(ed.GossipMatrix).parameters) == ["W"]
 
 
 class TestGossipFromMatrix:
@@ -278,6 +279,20 @@ def slots_of(W):
     return NeighbourSlots.from_entries(W, *_off_diagonal(W))
 
 
+def weighted_laplacian(top, weights):
+    """Dense Laplacian of ``top`` with edge weights ``weights``, built here
+    rather than by the package, as a reference for its products."""
+    ends = np.array(top.edges)
+    W = np.zeros((top.m, top.m))
+    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
+    W[np.diag_indices(top.m)] = -W.sum(axis=1)
+    return W
+
+
+def random_edge_weights(top):
+    return np.random.default_rng(top.m).uniform(0.1, 2.0, len(top.edges))
+
+
 def assert_same_product(op, W, X):
     dense = W @ X
     out = op @ X
@@ -297,25 +312,38 @@ def graphs():
     return get
 
 
+@pytest.fixture(scope="module")
+def laplacians():
+    cache = {}
+
+    def get(spec, m):
+        if (spec, m) not in cache:
+            cache[spec, m] = weighted_laplacian(ed.make_topology(spec, m), 1.0)
+        return cache[spec, m]
+
+    return get
+
+
 class TestNeighbourSlots:
     @pytest.mark.parametrize("m", [4, 64, 256, 512])
     @pytest.mark.parametrize("spec", ["ring", "path", "star", "complete", "erdos-renyi"])
-    def test_product_matches_dense(self, spec, m, graphs):
-        g = graphs(ER_SPECS[m] if spec == "erdos-renyi" else spec, m)
-        op = slots_of(g.W)
+    def test_product_matches_dense(self, spec, m, graphs, laplacians):
+        spec = ER_SPECS[m] if spec == "erdos-renyi" else spec
+        W = laplacians(spec, m)
         rng = np.random.default_rng(m)
         for X in (rng.standard_normal(m), rng.standard_normal((m, 1)),
                   rng.standard_normal((m, 8))):
-            assert_same_product(op, g.W, X)
+            for op in (slots_of(W), graphs(spec, m).operator):
+                assert_same_product(op, W, X)
 
     @pytest.mark.parametrize("m", [4, 64, 256, 512])
-    def test_weighted_matrix(self, m, graphs):
-        base = graphs("ring", m)
-        g = ed.gossip_from_matrix(0.5 * base.W, ed.topology_ring(m))
+    def test_weighted_matrix(self, m, laplacians):
+        W = 0.5 * laplacians("ring", m)
+        g = ed.gossip_from_matrix(W, ed.topology_ring(m))
         rng = np.random.default_rng(m + 1)
-        for op in (g.operator, slots_of(g.W)):
+        for op in (g.operator, slots_of(W)):
             for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):
-                assert_same_product(op, g.W, X)
+                assert_same_product(op, W, X)
 
     def test_misshaped_operand_raises_on_both_forms(self, graphs):
         g = graphs("ring", 512)
@@ -331,25 +359,22 @@ class TestNeighbourSlots:
     def test_weighted_padded_rows(self, spec, m):
         # random positive edge weights; every graph but the ring pads some rows
         top = ed.make_topology(spec, m)
-        ends = np.array(top.edges)
-        weights = np.random.default_rng(m).uniform(0.1, 2.0, len(ends))
-        W = np.zeros((m, m))
-        W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
-        W[np.diag_indices(m)] = -W.sum(axis=1)
+        W = weighted_laplacian(top, random_edge_weights(top))
         g = ed.gossip_from_matrix(W, top)
-        op = slots_of(g.W)
+        op = slots_of(W)
         assert (op.weights[1:] == 0.0).any() == (spec != "ring")
         rng = np.random.default_rng(m + 2)
-        # 1-D and two widths through the same operator, in turn
+        # 1-D and two widths through the same operators, in turn
         for X in (rng.standard_normal(m), rng.standard_normal((m, 8)),
                   rng.standard_normal((m, 3)), rng.standard_normal((m, 8))):
-            dense = g.W @ X
-            assert np.abs(op @ X - dense).max() <= 1e-12 * np.abs(dense).max()
+            dense = W @ X
+            for out in (op @ X, g.operator @ X):
+                assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("spec,m", [("ring", 512), ("path", 300), ("star", 40),
                                         ("erdos-renyi 0.03 0", 256)])
-    def test_rounds_as_the_term_by_term_sum(self, spec, m, graphs):
-        op = slots_of(graphs(spec, m).W)
+    def test_rounds_as_the_term_by_term_sum(self, spec, m, laplacians):
+        op = slots_of(laplacians(spec, m))
         rng = np.random.default_rng(m + 3)
         for X in (rng.standard_normal((m, 1)), rng.standard_normal((m, 8))):
             expect = op.weights[0][:, None] * X[op.index[0]]
@@ -357,12 +382,12 @@ class TestNeighbourSlots:
                 expect = expect + op.weights[t][:, None] * X[op.index[t]]
             np.testing.assert_array_equal(op @ X, expect)
 
-    def test_weights_are_read_only(self, graphs):
-        g = graphs("path", 512)
-        op = slots_of(g.W)
+    def test_weights_are_read_only(self, laplacians):
+        W = laplacians("path", 512)
+        op = slots_of(W)
         assert op.weights.shape == op.index.shape == (3, 512)
         np.testing.assert_array_equal(op.index[0], np.arange(512))
-        np.testing.assert_array_equal(op.weights[0], np.diag(g.W))
+        np.testing.assert_array_equal(op.weights[0], np.diag(W))
         for array in (op.index, op.weights):
             with pytest.raises(ValueError):
                 array[0, 0] = 7
@@ -397,10 +422,10 @@ class TestApplyRule:
 
 
 class TestGossipOperator:
-    def test_slot_form_matches_dense(self, graphs):
+    def test_slot_form_matches_dense(self, graphs, laplacians):
         g = graphs("ring", 512)
         X = np.random.default_rng(2).standard_normal((512, 3))
-        assert_same_product(ed.network.gossip_operator(g), g.W, X)
+        assert_same_product(ed.network.gossip_operator(g), laplacians("ring", 512), X)
 
     def test_annihilates_consensual_stack(self, graphs):
         # W 1 = 0 on the dense form (ring4) and on the slot form (ring512)
@@ -416,7 +441,7 @@ class TestGossipMatrixObject:
             ring4.W[0, 0] = 7.0
 
     def test_construction_freezes_the_callers_array(self):
-        # documented: W is kept as passed, not copied, and made read-only in
+        # documented: the array passed in is not copied but made read-only in
         # place, so the caller's own array can no longer be written
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])
         g = ed.GossipMatrix(W)
@@ -439,3 +464,36 @@ class TestGossipMatrixObject:
             op.index = op.index.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.operator = g.W
+
+    def test_equality_is_identity_and_hashes(self):
+        top = ed.topology_ring(4)
+        g, h = ed.build_laplacian(top), ed.build_laplacian(top)
+        assert g == g and g != h
+        assert {g: 1, h: 2}[g] == 1
+
+
+class TestDenseFromSlots:
+    @pytest.mark.parametrize("spec,m,scale", [("ring", 512, 1.0), ("path", 512, 1.0),
+                                              ("ring", 512, 0.5), ("path", 300, None)])
+    def test_round_trip_is_bit_for_bit(self, spec, m, scale):
+        # the path's end nodes pad their second slot with themselves, weight 0;
+        # no scale draws random edge weights
+        top = ed.make_topology(spec, m)
+        W = weighted_laplacian(top, random_edge_weights(top) if scale is None else scale)
+        g = ed.build_laplacian(top) if scale == 1.0 else ed.gossip_from_matrix(W, top)
+        assert isinstance(g.operator, NeighbourSlots)
+        assert g.W.tobytes() == W.tobytes()
+        with pytest.raises(ValueError):
+            g.W[0, 0] = 7.0
+
+    def test_slot_form_does_not_keep_the_dense_matrix(self):
+        m, top = 512, ed.topology_ring(512)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [ed.build_laplacian(top) for _ in range(5)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(g.operator, NeighbourSlots) for g in kept)
+        assert held < m * m * 8
