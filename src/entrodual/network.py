@@ -40,6 +40,8 @@ import numpy as np
 ZERO_EIG_REL = 1e-9
 # Slack for the PSD / kernel checks, relative to lambda_max.
 SPECTRAL_SLACK_REL = 1e-10
+# W and W^T may differ by this fraction of max(1, max |W_ij|).
+SYMMETRY_TOL_REL = 1e-12
 # W is applied from its neighbour slots when m >= SLOT_CROSSOVER * (k + 1).
 SLOT_CROSSOVER = 64
 
@@ -243,13 +245,27 @@ def _off_diagonal(W):
     return rows[off], cols[off]
 
 
+def _check_symmetric(entries, mirrored, others=()):
+    """Raise unless ``entries`` of W equal their ``mirrored`` entries of W^T to
+    SYMMETRY_TOL_REL * max |W_ij| (at least 1); ``others`` are W's other nonzeros."""
+    scale = max(1.0, np.abs(entries).max(initial=0.0), np.abs(others).max(initial=0.0))
+    if np.abs(entries - mirrored).max(initial=0.0) > SYMMETRY_TOL_REL * scale:
+        raise ValueError("gossip matrix must be symmetric")
+
+
 def _apply_form(W):
-    """W's neighbour slots when (k + 1) * SLOT_CROSSOVER <= m, else W itself."""
+    """W's neighbour slots when (k + 1) * SLOT_CROSSOVER <= m, else W itself;
+    raises unless W is square and symmetric (``eigvalsh`` reads one triangle)."""
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError("gossip matrix must be square")
     m = W.shape[0]
     if SLOT_CROSSOVER > m:
         # dense for every k; skips the nonzero scan on small graphs
+        _check_symmetric(W, W.T)
         return W
     rows, cols = _off_diagonal(W)
+    # each off-diagonal nonzero meets its mirror, so together they cover W
+    _check_symmetric(W[rows, cols], W[cols, rows], W.diagonal())
     k = int(np.bincount(rows, minlength=m).max(initial=0))
     if (k + 1) * SLOT_CROSSOVER > m:
         return W
@@ -259,7 +275,8 @@ def _apply_form(W):
 @dataclass(frozen=True, eq=False)
 class GossipMatrix:
     """Gossip matrix W with its extreme spectrum, which construction measures
-    from W in the one ``eigvalsh`` that validates it (``_validate_spectrum``).
+    from W in the one ``eigvalsh`` that validates it (``_validate_spectrum``),
+    once ``_apply_form`` has checked that W is square and symmetric.
 
     chi = lambda_max / lambda_min_plus is the spectral condition number
     governing how fast consensus information spreads.
@@ -272,10 +289,7 @@ class GossipMatrix:
 
     W is an argument, not a field: on the slot form the object keeps O(m k)
     state, and the O(m^2) array and O(m^3) ``eigvalsh`` are needed during
-    construction only.  The property ``W`` is the one conversion back to a
-    dense, read-only matrix, for spectra and tests: on the dense form it is
-    ``operator`` itself; on the slot form it is rebuilt from the slots on
-    every access, as float64 and equal to the W passed in.
+    construction only.  Nothing turns the operator back into a matrix.
 
     The array passed in is not copied but made read-only in place, so the
     spectrum and the operator cannot go stale; pass ``W.copy()`` to keep a
@@ -288,42 +302,27 @@ class GossipMatrix:
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
     def __post_init__(self, W):
+        operator = _apply_form(W)
         lam_max, lam_min_plus = _validate_spectrum(W)
         W.setflags(write=False)
         object.__setattr__(self, "lambda_max", lam_max)
         object.__setattr__(self, "lambda_min_plus", lam_min_plus)
-        object.__setattr__(self, "operator", _apply_form(W))
+        object.__setattr__(self, "operator", operator)
 
     @property
     def chi(self):
         return self.lambda_max / self.lambda_min_plus
 
 
-def _dense_matrix(gossip):
-    """The dense, read-only W of a GossipMatrix (its ``W`` property)."""
-    op = gossip.operator
-    if not isinstance(op, NeighbourSlots):
-        return op
-    m = op.index.shape[1]
-    W = np.zeros((m, m))
-    # added, not assigned: a padded slot points at the diagonal with weight 0
-    np.add.at(W, (np.arange(m), op.index), op.weights)
-    W.setflags(write=False)
-    return W
-
-
-# a property set after the class body, so that the dataclass reads W as the
-# init-only argument and not as a field with a default
-GossipMatrix.W = property(_dense_matrix)
-
-
 def gossip_operator(W):
-    """What applies a GossipMatrix (its ``operator``), or any array-like W.
+    """What applies the GossipMatrix W (its ``operator``).
 
     The one place products with W are taken from: ``gossip_operator(W) @ X``
     for X of shape (m,) or (m, d).
     """
-    return W.operator if isinstance(W, GossipMatrix) else np.asarray(W, float)
+    if not isinstance(W, GossipMatrix):
+        raise TypeError(f"W must be a GossipMatrix, got {type(W).__name__}")
+    return W.operator
 
 
 def _extreme_eigenvalues(evals):
@@ -372,19 +371,12 @@ def build_laplacian(topology):
 def gossip_from_matrix(W, topology=None):
     """Accept a user-supplied gossip matrix after checking the standing assumptions.
 
-    Checks symmetry and, when a topology is given, sparsity matching the
-    edge set; GossipMatrix then checks positive semidefiniteness and that the
-    kernel is the consensus line.
+    Checks, on a float copy, that W's size and sparsity match ``topology``
+    when one is given; GossipMatrix checks the rest.
     """
     W = np.array(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("gossip matrix must be square")
-    m = W.shape[0]
-    scale = max(1.0, float(np.abs(W).max()))
-    if np.abs(W - W.T).max() > 1e-12 * scale:
-        raise ValueError("gossip matrix must be symmetric")
     if topology is not None:
-        if topology.m != m:
+        if W.shape != (topology.m, topology.m):
             raise ValueError("topology size does not match matrix size")
         off_edge = np.triu(W != 0.0, 1)  # edges are normalized with i < j
         off_edge[tuple(np.array(topology.edges, dtype=np.intp).reshape(-1, 2).T)] = False

@@ -7,8 +7,9 @@ exceptions are ``dual_kernel_floor`` and ``dual_radius``, which read the
 package's spectral and data constants, and the two bit-for-bit oracles
 ``duality_gap_reference`` and ``csv_trace_bytes``, which keep an earlier form
 of package code so that its replacement can be held to the same bits.  The
-helpers at the end (``ProxParams``, ``spectral_constants``,
-``save_topology``, ``read_summary``) serve tests; no solver needs them.
+helpers at the end (``ProxParams``, ``dense_matrix``, ``weighted_laplacian``,
+``spectral_constants``, ``save_topology``, ``read_summary``) serve tests; no
+solver needs them.
 ``prox_lq_scalar`` covers every q >= 1, while the package's ``prox_R`` takes
 only the q = 2 and q = inf of its p = 2 and p = 1 instances; it carries its
 own bisection cap and parameter checks.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entrodual.dual import DUAL_BALL_SLACK
-from entrodual.network import _extreme_eigenvalues, gossip_operator
+from entrodual.network import NeighbourSlots, _extreme_eigenvalues, gossip_operator
 from entrodual.problem import data_constants
 from entrodual.recovery import GapReport, primal_from_dual
 from entrodual.trace import TRACE_COLUMNS
@@ -33,8 +34,7 @@ PROX_BISECT_MAX_ITER = 200
 
 def dense_operators(inst, W):
     """Dense lifted matrices: kron(W, I_d), the block-diagonal data map, and b."""
-    Wm = W.W if hasattr(W, "W") else np.asarray(W, dtype=float)
-    Wk = np.kron(Wm, np.eye(inst.d))
+    Wk = np.kron(dense_matrix(W), np.eye(inst.d))
     Ak = np.zeros((inst.m * inst.n, inst.m * inst.d))
     for i in range(inst.m):
         Ak[i * inst.n : (i + 1) * inst.n, i * inst.d : (i + 1) * inst.d] = inst.A[i]
@@ -216,7 +216,7 @@ def dual_kernel_floor(inst, W):
     exact value only when the two kernels line up, so callers should compare
     the pair before trusting dual_radius as a hard bound.
     """
-    Wm = W.W if hasattr(W, "W") else np.asarray(W, dtype=float)
+    Wm = dense_matrix(W)
     M = np.kron(Wm @ Wm, np.eye(inst.d))
     for i in range(inst.m):
         sl = slice(i * inst.d, (i + 1) * inst.d)
@@ -257,7 +257,7 @@ def block_hessian_norms(inst, W, z, s, iters=300, seed=0):
     -(Wz + A^T s)_i / theta.  Each estimate is a Rayleigh quotient of a unit
     vector, so it never exceeds the true eigenvalue.
     """
-    Wm = W.W
+    Wm = dense_matrix(W)
     A = inst.A
     T = -(Wm @ z.reshape(inst.m, inst.d) + np.einsum("ind,in->id", A, s.reshape(inst.m, inst.n)))
     X = _softmax_rows(T, inst.theta)
@@ -350,6 +350,30 @@ class ProxParams:
             raise ValueError("q must be at least 1")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+
+
+def dense_matrix(gossip):
+    """The dense, read-only W of a GossipMatrix: on the dense form its
+    ``operator`` itself, on the slot form rebuilt from the slots."""
+    op = gossip.operator
+    if not isinstance(op, NeighbourSlots):
+        return op
+    m = op.index.shape[1]
+    W = np.zeros((m, m))
+    # added, not assigned: a padded slot points at the diagonal with weight 0
+    np.add.at(W, (np.arange(m), op.index), op.weights)
+    W.setflags(write=False)
+    return W
+
+
+def weighted_laplacian(top, weights):
+    """Dense Laplacian of ``top`` with edge weights ``weights``, built here
+    rather than by the package, as a reference for its products."""
+    ends = np.array(top.edges)
+    W = np.zeros((top.m, top.m))
+    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
+    W[np.diag_indices(top.m)] = -W.sum(axis=1)
+    return W
 
 
 def spectral_constants(W):

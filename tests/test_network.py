@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import entrodual as ed
 from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _off_diagonal
 
-from oracles import save_topology, spectral_constants
+from oracles import dense_matrix, save_topology, spectral_constants, weighted_laplacian
 from reference_values import RING4_EIGS
 from strategies import connected_topologies
 
@@ -97,7 +97,7 @@ class TestGenerators:
 
 class TestSpectrum:
     def test_ring4_spectrum(self, ring4):
-        eigs = np.linalg.eigvalsh(ring4.W)
+        eigs = np.linalg.eigvalsh(dense_matrix(ring4))
         assert np.allclose(eigs, RING4_EIGS, atol=1e-12)
         assert ring4.lambda_max == pytest.approx(4.0, abs=1e-12)
         assert ring4.lambda_min_plus == pytest.approx(2.0, abs=1e-12)
@@ -105,7 +105,7 @@ class TestSpectrum:
 
     def test_path2_matrix(self):
         g = ed.build_laplacian(ed.topology_path(2))
-        assert np.array_equal(g.W, [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(dense_matrix(g), [[1.0, -1.0], [-1.0, 1.0]])
         assert g.chi == pytest.approx(1.0)
 
     def test_complete_graph_constants(self):
@@ -120,7 +120,7 @@ class TestSpectrum:
         assert g.chi == pytest.approx(6.0, abs=1e-12)
 
     def test_spectral_constants_match_eigvalsh(self, ring4):
-        lam_max, lam_min_plus = spectral_constants(ring4.W)
+        lam_max, lam_min_plus = spectral_constants(dense_matrix(ring4))
         assert lam_max == pytest.approx(4.0, abs=1e-12)
         assert lam_min_plus == pytest.approx(2.0, abs=1e-12)
 
@@ -141,13 +141,13 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or real(M))
         g = ed.build_laplacian(ed.topology_ring(8))
         assert calls == [(8, 8)]
-        assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(g.W)
+        assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(dense_matrix(g))
 
     @settings(max_examples=40, deadline=None)
     @given(connected_topologies())
     def test_laplacian_properties(self, top):
         g = ed.build_laplacian(top)
-        W = g.W
+        W = dense_matrix(g)
         m = top.m
         # symmetric, zero row sums, degree diagonal
         assert np.array_equal(W, W.T)
@@ -165,15 +165,15 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("spec,m", [("ring", 4), ("star", 6), ("path", 300)])
     def test_gossip_matrix_measures_its_own_spectrum(self, spec, m):
-        W = ed.build_laplacian(ed.make_topology(spec, m)).W.copy()
+        W = weighted_laplacian(ed.make_topology(spec, m), 1.0)
         g = ed.GossipMatrix(W)
         evals = np.linalg.eigvalsh(W)
         assert g.lambda_max == evals[-1]
         assert g.lambda_min_plus == evals[1]
         assert g.chi == evals[-1] / evals[1]
 
-    def test_gossip_matrix_takes_no_spectrum(self, ring4):
-        W = ring4.W.copy()
+    def test_gossip_matrix_takes_no_spectrum(self):
+        W = weighted_laplacian(ed.topology_ring(4), 1.0)
         with pytest.raises(TypeError):
             ed.GossipMatrix(W, 4.0, 2.0, 2.0)
         for key in ("lambda_max", "lambda_min_plus", "chi"):
@@ -183,34 +183,58 @@ class TestSpectrum:
 
 
 class TestGossipFromMatrix:
-    def test_accepts_scaled_laplacian(self, ring4):
-        g = ed.gossip_from_matrix(0.5 * ring4.W, ed.topology_ring(4))
+    def test_accepts_scaled_laplacian(self):
+        top = ed.topology_ring(4)
+        g = ed.gossip_from_matrix(weighted_laplacian(top, 0.5), top)
         assert g.lambda_max == pytest.approx(2.0)
         assert g.chi == pytest.approx(2.0)
 
     def test_rejects_asymmetric(self):
-        W = ed.build_laplacian(ed.topology_path(3)).W.copy()
-        W[0, 1] += 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            ed.gossip_from_matrix(W)
+        nudged = weighted_laplacian(ed.topology_path(3), 1.0)
+        nudged[0, 1] += 1e-6
+        # rows sum to 0 and the lower triangle is the path Laplacian, which is
+        # all that eigvalsh reads; W itself has eigenvalues 0, 1.29 and 2.71
+        skewed = np.array([[1.0, -0.5, -0.5], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        for W in (nudged, skewed):
+            for build in (ed.gossip_from_matrix, ed.GossipMatrix):
+                with pytest.raises(ValueError, match="gossip matrix must be symmetric"):
+                    build(W.copy())
+
+    @pytest.mark.parametrize("spec,m", [("ring", 512), ("ring", 64), ("complete", 64)])
+    def test_rejects_asymmetric_from_the_nonzeros(self, spec, m):
+        # at m >= SLOT_CROSSOVER the check compares each nonzero with its
+        # mirror, on the slot form (ring512) and the dense one; on the rings
+        # the mirror of (0, m // 2) is zero
+        top = ed.make_topology(spec, m)
+        for i, j, value in ((0, 1, -1.5), (0, m // 2, -1e-6)):
+            W = weighted_laplacian(top, 1.0)
+            W[i, j] = value
+            with pytest.raises(ValueError, match="gossip matrix must be symmetric"):
+                ed.GossipMatrix(W)
+
+    def test_rejects_non_square(self):
+        for W in (np.zeros((3, 4)), np.zeros(3)):
+            for build in (ed.gossip_from_matrix, ed.GossipMatrix):
+                with pytest.raises(ValueError, match="gossip matrix must be square"):
+                    build(W.copy())
 
     def test_rejects_non_edge_entry(self):
         top = ed.topology_path(3)
-        W = ed.build_laplacian(top).W.copy()
+        W = weighted_laplacian(top, 1.0)
         W[0, 2] = W[2, 0] = 1e-8
         with pytest.raises(ValueError, match="non-edge"):
             ed.gossip_from_matrix(W, top)
 
     def test_non_edge_message_names_the_first_in_row_major_order(self):
         top = ed.topology_path(4)
-        W = ed.build_laplacian(top).W.copy()
+        W = weighted_laplacian(top, 1.0)
         W[1, 3] = W[3, 1] = 1e-8
         W[0, 2] = W[2, 0] = 1e-8
         with pytest.raises(ValueError, match=r"non-edge \(0, 2\)$"):
             ed.gossip_from_matrix(W, top)
 
     def test_rejects_indefinite(self):
-        W = -ed.build_laplacian(ed.topology_path(3)).W
+        W = -weighted_laplacian(ed.topology_path(3), 1.0)
         with pytest.raises(ValueError):
             ed.gossip_from_matrix(W)
 
@@ -279,16 +303,6 @@ def slots_of(W):
     return NeighbourSlots.from_entries(W, *_off_diagonal(W))
 
 
-def weighted_laplacian(top, weights):
-    """Dense Laplacian of ``top`` with edge weights ``weights``, built here
-    rather than by the package, as a reference for its products."""
-    ends = np.array(top.edges)
-    W = np.zeros((top.m, top.m))
-    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
-    W[np.diag_indices(top.m)] = -W.sum(axis=1)
-    return W
-
-
 def random_edge_weights(top):
     return np.random.default_rng(top.m).uniform(0.1, 2.0, len(top.edges))
 
@@ -345,14 +359,16 @@ class TestNeighbourSlots:
             for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):
                 assert_same_product(op, W, X)
 
-    def test_misshaped_operand_raises_on_both_forms(self, graphs):
-        g = graphs("ring", 512)
+    @pytest.mark.parametrize("m", [64, 512])
+    def test_misshaped_operand_raises_on_both_forms(self, m, graphs):
+        # ring64 takes the dense form, ring512 the slots
+        op = graphs("ring", m).operator
+        assert isinstance(op, NeighbourSlots) == (m == 512)
         rng = np.random.default_rng(3)
-        for X in (rng.standard_normal((8, 512)), rng.standard_normal(512 * 8),
-                  rng.standard_normal((512, 2, 4)), rng.standard_normal(511)):
-            for op in (g.W, g.operator):
-                with pytest.raises(ValueError):
-                    op @ X
+        for X in (rng.standard_normal((8, m)), rng.standard_normal(m * 8),
+                  rng.standard_normal((m, 2, 4)), rng.standard_normal(m - 1)):
+            with pytest.raises(ValueError):
+                op @ X
 
     @pytest.mark.parametrize("spec,m", [("path", 300), ("star", 40), ("ring", 256),
                                         ("erdos-renyi 0.03 0", 256)])
@@ -403,10 +419,11 @@ class TestNeighbourSlots:
 class TestApplyRule:
     @pytest.mark.parametrize("spec,m", [("ring", 4), ("ring", 64), ("complete", 64),
                                         (ER_SPECS[512], 512)])
-    def test_dense(self, spec, m, graphs):
+    def test_dense(self, spec, m, graphs, laplacians):
         g = graphs(spec, m)
-        assert g.operator is g.W
-        assert ed.network.gossip_operator(g) is g.W
+        assert type(g.operator) is np.ndarray
+        assert np.array_equal(g.operator, laplacians(spec, m))
+        assert ed.network.gossip_operator(g) is g.operator
 
     @pytest.mark.parametrize("spec", ["ring", "path"])
     def test_slots(self, spec, graphs):
@@ -418,7 +435,7 @@ class TestApplyRule:
         # k = 2 for a ring: slots from m = 3 * SLOT_CROSSOVER on
         m = 3 * ed.network.SLOT_CROSSOVER
         assert isinstance(graphs("ring", m).operator, NeighbourSlots)
-        assert graphs("ring", m - 1).operator is graphs("ring", m - 1).W
+        assert type(graphs("ring", m - 1).operator) is np.ndarray
 
 
 class TestGossipOperator:
@@ -438,14 +455,14 @@ class TestGossipOperator:
 class TestGossipMatrixObject:
     def test_matrix_is_read_only(self, ring4):
         with pytest.raises(ValueError):
-            ring4.W[0, 0] = 7.0
+            ring4.operator[0, 0] = 7.0
 
     def test_construction_freezes_the_callers_array(self):
         # documented: the array passed in is not copied but made read-only in
         # place, so the caller's own array can no longer be written
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])
         g = ed.GossipMatrix(W)
-        assert g.W is W
+        assert g.operator is W
         assert not W.flags.writeable
         with pytest.raises(ValueError):
             W[0, 0] = 7.0
@@ -463,7 +480,7 @@ class TestGossipMatrixObject:
         with pytest.raises(dataclasses.FrozenInstanceError):
             op.index = op.index.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            g.operator = g.W
+            g.operator = op
 
     def test_equality_is_identity_and_hashes(self):
         top = ed.topology_ring(4)
@@ -482,9 +499,10 @@ class TestDenseFromSlots:
         W = weighted_laplacian(top, random_edge_weights(top) if scale is None else scale)
         g = ed.build_laplacian(top) if scale == 1.0 else ed.gossip_from_matrix(W, top)
         assert isinstance(g.operator, NeighbourSlots)
-        assert g.W.tobytes() == W.tobytes()
+        dense = dense_matrix(g)
+        assert dense.tobytes() == W.tobytes()
         with pytest.raises(ValueError):
-            g.W[0, 0] = 7.0
+            dense[0, 0] = 7.0
 
     def test_slot_form_does_not_keep_the_dense_matrix(self):
         m, top = 512, ed.topology_ring(512)

@@ -139,7 +139,7 @@ class TestBlockProducts:
     def test_both_forms_match_the_dense_oracle(self, form, shape):
         m, n, d = shape
         inst = ed.generate_instance(5, m, n, d, 1.0, 3.0)
-        _, Ak, _ = dense_operators(inst, np.zeros((m, m)))
+        _, Ak, _ = dense_operators(inst, ed.build_laplacian(ed.topology_ring(m)))
         rng = np.random.default_rng(m * n * d)
         X = rng.dirichlet(np.ones(d), size=m)
         S = rng.uniform(-1.0, 1.0, (m, n))

@@ -3,6 +3,7 @@ because no solver, command or script uses them stay out of ``src/``."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import entrodual as ed
@@ -31,6 +32,7 @@ GONE = [
     (prox, "BISECT_MAX_ITER"),
     (dual, "_dual_ball_radius_sq"),
     (harness, "HARNESS_P_VALUES"),
+    (network, "_dense_matrix"),
 ]
 
 
@@ -59,6 +61,15 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.GossipMatrix, "topology"),
     (ed.STMConfig, "nu"),
     (ed.ExperimentConfig, "nu"),
+    (ed.GossipMatrix, "W"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_w_is_taken_only_as_a_gossip_matrix():
+    X = np.full((4, 3), 1.0 / 3.0)
+    for call in (lambda: network.gossip_operator(np.eye(3)),
+                 lambda: problem.consensus_residual(np.eye(4), X)):
+        with pytest.raises(TypeError, match="GossipMatrix"):
+            call()
