@@ -24,7 +24,6 @@ from .network import (
     GossipMatrix,
     Topology,
     build_laplacian,
-    gossip_from_matrix,
     load_topology,
     make_topology,
     topology_complete,

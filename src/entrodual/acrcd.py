@@ -57,7 +57,9 @@ class ACRCDConfig:
     """Block steps and the sampling coin; unset constants resolve at run time.
 
     The coin stream comes from a PCG64 generator seeded with rng_seed, one
-    uniform draw per iteration, so runs are reproducible bit for bit.
+    uniform draw per iteration, so runs are reproducible bit for bit; a
+    None seed, which would draw from OS entropy, is rejected.  ``observe``
+    checks the loop settings max_iter and trace_every.
     """
 
     rng_seed: int
@@ -69,8 +71,8 @@ class ACRCDConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if self.rng_seed is None:
+            raise ValueError("acrcd needs rng_seed (solver_seed in a config) for its coin")
         if self.eta is not None:
             check_eta(self.eta, self.L_z, self.L_s)
 
@@ -219,10 +221,10 @@ def run_acrcd(inst, W, cfg):
     Raises
     ------
     ValueError
-        If the instance has p != 1 (use run_stm for general p).
+        If the instance has p != 1 (use run_stm for p = 2).
     """
     if inst.p != 1.0:
-        raise ValueError("block-coordinate solver handles p = 1 only; use run_stm")
+        raise ValueError("acrcd handles p = 1 only; use stm")
     consts = None
     if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
         consts = lipschitz_constants(inst, W)

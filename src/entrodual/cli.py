@@ -88,10 +88,7 @@ def _cmd_rate(args):
         f_star = min(ref.column(args.column)) - REFERENCE_MARGIN
     else:
         raise ConfigError("rate needs --fstar or --ref")
-    try:
-        report = fit_rate(trace, args.column, (args.kmin, args.kmax), f_star)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = fit_rate(trace, args.column, (args.kmin, args.kmax), f_star)
     print(f"slope={report.slope!r}")
     print(f"intercept={report.intercept!r}")
     print(f"window={report.window[0]}..{report.window[1]}")
@@ -155,13 +152,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -260,6 +260,7 @@ def lipschitz_constants(inst, W):
     counts and p = 2 reference values that the benchmark pins; it waits for
     the benchmark's re-base.
     """
+    gossip_operator(W)  # raises TypeError unless W is a GossipMatrix
     sW = W.lambda_max
     sA = sigma_max(inst)
     L_H = inst.m * (sA**2 + sW**2) / inst.theta

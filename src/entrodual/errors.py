@@ -1,8 +1,9 @@
 """Exceptions shared by the solvers and the command-line harness."""
 
 
-class ConfigError(Exception):
-    """Invalid experiment configuration; the CLI maps this to exit code 2."""
+class ConfigError(ValueError):
+    """Invalid experiment configuration; the CLI maps it, like every
+    ValueError, to exit code 2."""
 
 
 class NumericFailure(RuntimeError):

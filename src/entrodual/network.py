@@ -291,9 +291,10 @@ class GossipMatrix:
     state, and the O(m^2) array and O(m^3) ``eigvalsh`` are needed during
     construction only.  Nothing turns the operator back into a matrix.
 
-    The array passed in is not copied but made read-only in place, so the
-    spectrum and the operator cannot go stale; pass ``W.copy()`` to keep a
-    writable array.  Equality is identity, so a GossipMatrix can be a dict key.
+    W must be an ndarray (anything else raises TypeError).  It is not
+    copied but made read-only in place, so the spectrum and the operator
+    cannot go stale; pass ``W.copy()`` to keep a writable array.  Equality
+    is identity, so a GossipMatrix can be a dict key.
     """
 
     W: InitVar[np.ndarray]
@@ -302,6 +303,8 @@ class GossipMatrix:
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
     def __post_init__(self, W):
+        if not isinstance(W, np.ndarray):
+            raise TypeError(f"W must be a numpy array, got {type(W).__name__}")
         operator = _apply_form(W)
         lam_max, lam_min_plus = _validate_spectrum(W)
         W.setflags(write=False)
@@ -367,20 +370,3 @@ def build_laplacian(topology):
     W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
     return GossipMatrix(W)
 
-
-def gossip_from_matrix(W, topology=None):
-    """Accept a user-supplied gossip matrix after checking the standing assumptions.
-
-    Checks, on a float copy, that W's size and sparsity match ``topology``
-    when one is given; GossipMatrix checks the rest.
-    """
-    W = np.array(W, dtype=float)
-    if topology is not None:
-        if W.shape != (topology.m, topology.m):
-            raise ValueError("topology size does not match matrix size")
-        off_edge = np.triu(W != 0.0, 1)  # edges are normalized with i < j
-        off_edge[tuple(np.array(topology.edges, dtype=np.intp).reshape(-1, 2).T)] = False
-        if off_edge.any():  # argwhere lists in row-major order
-            i, j = np.argwhere(off_edge)[0]
-            raise ValueError(f"nonzero entry at non-edge ({i}, {j})")
-    return GossipMatrix(W)

@@ -66,7 +66,8 @@ class STMConfig:
 
     L defaults to the global dual Lipschitz bound.  R's exponent q is the
     instance's, and its penalty weight nu is worked out from target_eps
-    (``default_regularizer_weight``), never set.
+    (``default_regularizer_weight``, which also checks it), never set.
+    ``observe`` checks the loop settings max_iter and trace_every.
     """
 
     L: float | None = None
@@ -82,10 +83,6 @@ class STMConfig:
             raise ValueError("mu must be nonnegative")
         if self.L is not None and not self.L > 0.0:
             raise ValueError("L must be positive")
-        if not 0.0 < self.target_eps < math.inf:
-            raise ValueError("target accuracy must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 @dataclass

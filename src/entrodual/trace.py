@@ -82,9 +82,10 @@ def observe(step, row, max_iter, trace_every=1, timing=False):
     ``stop_reason`` is the step's reason, else "max_iter".  A max_iter or
     trace_every below 1 raises ValueError.
     """
-    for name, value in (("max_iter", max_iter), ("trace_every", trace_every)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if trace_every < 1:
+        raise ValueError("trace_every must be positive")
     trace = SolverTrace(stop_reason="max_iter")
     t0 = time.perf_counter()
 

@@ -91,9 +91,15 @@ class TestStepCoefficients:
 
 
 class TestConfigValidation:
-    def test_max_iter_positive(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            ed.ACRCDConfig(rng_seed=0, max_iter=0)
+    def test_max_iter_positive(self, toy_p1, ring4):
+        # observe checks the loop settings of every solver
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=0))
+
+    def test_seed_required(self):
+        # a None seed would draw the coin stream from OS entropy
+        with pytest.raises(ValueError, match="acrcd needs rng_seed"):
+            ed.ACRCDConfig(rng_seed=None)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
     def test_eta_open_interval(self, eta):

@@ -170,14 +170,16 @@ class TestExperimentConfig:
             ed.ExperimentConfig().validate()
 
     def test_missing_instance_file(self):
-        with pytest.raises(ed.ConfigError, match="not found"):
-            self.base(instance="/nonexistent/inst.txt").validate()
+        # open() owns the check, so the path cannot vanish after it
+        self.base(instance="/nonexistent/inst.txt").validate()
+        with pytest.raises(FileNotFoundError, match="/nonexistent/inst.txt"):
+            ed.run_experiment(self.base(instance="/nonexistent/inst.txt"))
 
     def test_p_restricted(self):
-        with pytest.raises(ed.ConfigError, match="p must be 1 or 2"):
-            self.base(p=1.5).validate()
-        with pytest.raises(ed.ConfigError, match="p must be 1 or 2"):
-            self.base(p=0.5).validate()
+        # ProblemInstance owns the check
+        for p in (1.5, 0.5):
+            with pytest.raises(ValueError, match="p must be 1 or 2"):
+                ed.run_experiment(self.base(p=p))
 
     def test_positive_theta_and_dims(self):
         # theta is checked where every instance passes, in ProblemInstance
@@ -187,14 +189,18 @@ class TestExperimentConfig:
             self.base(d=0).validate()
 
     def test_acrcd_needs_solver_seed(self):
-        with pytest.raises(ed.ConfigError, match="solver_seed"):
-            self.base(solver="acrcd", p=1.0).validate()
+        # ACRCDConfig owns the check
+        with pytest.raises(ValueError, match="solver_seed"):
+            ed.run_experiment(self.base(solver="acrcd", p=1.0))
 
     def test_iteration_knobs_positive(self):
-        with pytest.raises(ed.ConfigError, match="max_iter"):
-            self.base(max_iter=0).validate()
-        with pytest.raises(ed.ConfigError, match="trace_every"):
-            self.base(trace_every=0).validate()
+        # observe owns the check, for every solver
+        for solver in ed.harness.SOLVERS:
+            cfg = self.base(solver=solver, p=1.0, solver_seed=0)
+            with pytest.raises(ValueError, match="max_iter must be positive"):
+                ed.run_experiment(dataclasses.replace(cfg, max_iter=0))
+            with pytest.raises(ValueError, match="trace_every must be positive"):
+                ed.run_experiment(dataclasses.replace(cfg, trace_every=0))
 
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([1.0, 2.0]), eps=invalid_accuracies())
@@ -204,8 +210,9 @@ class TestExperimentConfig:
             self.base(p=p, target_eps=eps).validate()
 
     def test_topology_file_checked(self):
-        with pytest.raises(ed.ConfigError, match="topology file"):
-            self.base(topology="file:/nonexistent/top.txt").validate()
+        # open() owns the check
+        with pytest.raises(FileNotFoundError, match="/nonexistent/top.txt"):
+            ed.run_experiment(self.base(topology="file:/nonexistent/top.txt"))
 
     def test_merge_skips_none_and_rejects_unknown(self):
         cfg = self.base(theta=0.7)
@@ -351,8 +358,9 @@ class TestRunExperiment:
         assert all(math.isfinite(v) for v in trace.dual_obj)
 
     def test_acrcd_rejects_p2(self):
+        # run_acrcd owns the check
         cfg = self.small_cfg(solver="acrcd", solver_seed=11)
-        with pytest.raises(ed.ConfigError, match="p = 1"):
+        with pytest.raises(ValueError, match="p = 1"):
             ed.run_experiment(cfg)
 
     def test_subgradient_path_decreases_primal(self):
@@ -378,7 +386,8 @@ class TestRunExperiment:
             ed.run_experiment(cfg)
 
     def test_bad_topology_spec(self):
-        with pytest.raises(ed.ConfigError):
+        # make_topology owns the check
+        with pytest.raises(ValueError, match="unknown topology spec 'moebius'"):
             ed.run_experiment(self.small_cfg(topology="moebius"))
 
     def test_reruns_byte_identical(self, tmp_path):
@@ -714,6 +723,19 @@ class TestCLI:
                      id="solve-p=1.5"),
         pytest.param(["solve", "--instance", "{p15}"], 2, "{p15}: p must be 1 or 2",
                      id="instance-p=1.5"),
+        pytest.param(["solve", "--seed", "1", "--max-iter", "0", "--out", "{out}"], 2,
+                     "max_iter must be positive", id="max-iter=0"),
+        pytest.param(["solve", "--seed", "1", "--trace-every", "0", "--out", "{out}"], 2,
+                     "trace_every must be positive", id="trace-every=0"),
+        pytest.param(["solve", "--instance", "{missing}", "--out", "{out}"], 2, "{missing}",
+                     id="missing-instance"),
+        pytest.param(["solve", "--seed", "1", "--topology", "file:{missing}", "--out", "{out}"],
+                     2, "{missing}", id="missing-topology"),
+        pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
+                      "--p", "2", "--out", "{out}"], 2, "acrcd handles p = 1 only; use stm",
+                     id="acrcd-p=2"),
+        pytest.param(["solve", "--solver", "acrcd", "--seed", "1", "--p", "1", "--out", "{out}"],
+                     2, "acrcd needs rng_seed (solver_seed in a config)", id="acrcd-no-seed"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
         """Each edge input ends in its documented exit code and message."""
@@ -722,13 +744,14 @@ class TestCLI:
         p15 = tmp_path / "p15.txt"  # a well-formed instance file with p = 1.5
         p15.write_text("2 1 2 1.5 0.5\n1.0,0.0,0.5\n0.0,1.0,0.5\n")
         paths = {"missing": str(tmp_path / "missing.csv"), "trace": str(trace),
-                 "p15": str(p15), "dir": str(tmp_path)}
+                 "p15": str(p15), "dir": str(tmp_path), "out": str(tmp_path / "out")}
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err
         assert ("config error" if code == 2 else "numeric failure") in err
         assert message.format(**paths) in err
         assert "Traceback" not in err
         assert not (tmp_path / "missing.csv").exists()  # gen writes no file
+        assert not (tmp_path / "out").exists()  # solve makes no output directory
 
     def test_compare_command(self, capsys):
         code = main(["compare", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",

@@ -189,14 +189,17 @@ class TestResolveConfig:
         cfg = resolve_config(ed.STMConfig(L=10.0), toy_p2, ring4)
         assert cfg.L == 10.0
 
-    def test_config_validation(self):
+    def test_config_validation(self, toy_p1, toy_p2, ring4):
         with pytest.raises(ValueError):
             ed.STMConfig(mu=-1.0)
-        with pytest.raises(ValueError):
-            ed.STMConfig(max_iter=0)
+        # the loop settings are observe's to check, target_eps is
+        # default_regularizer_weight's; both run at the start of run_stm
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            ed.run_stm(toy_p2, ring4, ed.STMConfig(max_iter=0))
         for eps in (math.nan, math.inf, -1.0, 0.0):
-            with pytest.raises(ValueError, match="target accuracy must be positive"):
-                ed.STMConfig(target_eps=eps)
+            for inst in (toy_p1, toy_p2):
+                with pytest.raises(ValueError, match="target accuracy must be positive"):
+                    ed.run_stm(inst, ring4, ed.STMConfig(max_iter=5, target_eps=eps))
 
 
 class TestRunSTM:

@@ -2,6 +2,7 @@
 because no solver, command or script uses them stay out of ``src/``."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ GONE = [
     (dual, "_dual_ball_radius_sq"),
     (harness, "HARNESS_P_VALUES"),
     (network, "_dense_matrix"),
+    (network, "gossip_from_matrix"),
 ]
 
 
@@ -67,9 +69,33 @@ def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
 
 
-def test_w_is_taken_only_as_a_gossip_matrix():
+def test_w_is_taken_only_as_a_gossip_matrix(toy_p1):
     X = np.full((4, 3), 1.0 / 3.0)
     for call in (lambda: network.gossip_operator(np.eye(3)),
-                 lambda: problem.consensus_residual(np.eye(4), X)):
+                 lambda: problem.consensus_residual(np.eye(4), X),
+                 lambda: dual.lipschitz_constants(toy_p1, np.eye(4))):
         with pytest.raises(TypeError, match="GossipMatrix"):
             call()
+    # a GossipMatrix is built from an ndarray only
+    with pytest.raises(TypeError, match="numpy array"):
+        ed.GossipMatrix([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_each_input_rule_has_one_owner():
+    """Each input rule's message is raised from one line of ``src/``: the
+    object that every path passes through checks it, and nothing else."""
+    src = Path(ed.__file__).parent
+    lines = [line for path in sorted(src.glob("*.py")) for line in path.read_text().splitlines()]
+    owners = {
+        "max_iter must be positive": 1,  # trace.observe
+        "trace_every must be positive": 1,  # trace.observe
+        "p must be 1 or 2": 1,  # ProblemInstance
+        "acrcd needs rng_seed": 1,  # ACRCDConfig
+        "acrcd handles p = 1 only": 1,  # run_acrcd
+        # default_regularizer_weight checks it for run_stm; the harness keeps
+        # a second copy, because acrcd and the subgradient comparator never
+        # read target_eps and only the harness's first_certified does
+        "target accuracy must be positive and finite": 2,
+    }
+    for message, count in owners.items():
+        assert sum(message in line for line in lines) == count, message
