@@ -46,16 +46,6 @@ def best_us(fn, repeats, budget_s=0.02):
     return 1e6 * min(timer.repeat(repeats, number)) / number
 
 
-def laplacian(spec, m):
-    """The Laplacian of a generated graph, without the spectral checks."""
-    topology = network.make_topology(spec, m)
-    ends = np.array(topology.edges).reshape(-1, 2)
-    W = np.zeros((m, m))
-    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -1.0
-    W[np.diag_indices(m)] = -W.sum(axis=1)
-    return W
-
-
 def gossip_table(quick, repeats):
     specs = [("ring", m) for m in (RINGS[::2] if quick else RINGS)]
     specs += [(f"erdos-renyi {p} 1", m) for m, p in (ER_GRAPHS[3:6] if quick else ER_GRAPHS)]
@@ -66,12 +56,12 @@ def gossip_table(quick, repeats):
           f"{'dense/slots':>11} {'rule':>6}")
     for spec, m in specs:
         try:
-            W = laplacian(spec, m)
+            topology = network.make_topology(spec, m)
         except ValueError:
             continue  # a disconnected draw
-        rows, cols = network._off_diagonal(W)
-        slots = network.NeighbourSlots.from_entries(W, rows, cols)
-        rule = "slots" if isinstance(network._apply_form(W), network.NeighbourSlots) else "dense"
+        W = network.laplacian_matrix(topology)
+        slots = network.NeighbourSlots.of(topology)
+        rule = "slots" if network.takes_slots(topology) else "dense"
         for d in WIDTHS:
             X = rng.standard_normal((m, d))
             dense = best_us(lambda: W @ X, repeats)

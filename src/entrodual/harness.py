@@ -32,7 +32,7 @@ from .problem import data_constants, generate_instance, instance_checksum, load_
 from .recovery import duality_gap
 from .recovery import primal_from_dual  # unused here; perfbench's spans wrap it
 from .stm import STMConfig, resolve_config, run_stm
-from .trace import save_trace
+from .trace import check_loop_settings, save_trace
 
 SOLVERS = ("stm", "acrcd", "subgradient")
 # iters_to_eps and rounds_to_eps of a run whose gap never reaches target_eps
@@ -162,6 +162,15 @@ def run_experiment(cfg):
     When cfg.out is set, trace.csv and summary.txt are written there.
     """
     cfg.validate()
+    # the loop and solver settings fail here, before the instance and W are built
+    check_loop_settings(cfg.max_iter, cfg.trace_every)
+    if cfg.solver == "stm":
+        solver_cfg = STMConfig(L=cfg.L, mu=cfg.mu, max_iter=cfg.max_iter,
+                               target_eps=cfg.target_eps, trace_every=cfg.trace_every,
+                               timing=cfg.timing)
+    elif cfg.solver == "acrcd":
+        solver_cfg = ACRCDConfig(rng_seed=cfg.solver_seed, max_iter=cfg.max_iter,
+                                 trace_every=cfg.trace_every, timing=cfg.timing)
     inst = _load_or_generate(cfg)
     topology = _build_topology(cfg, inst.m)
     if topology.m != inst.m:
@@ -187,20 +196,13 @@ def run_experiment(cfg):
 
     final_state = None
     if cfg.solver == "stm":
-        scfg = resolve_config(
-            STMConfig(L=cfg.L, mu=cfg.mu, max_iter=cfg.max_iter,
-                      target_eps=cfg.target_eps, trace_every=cfg.trace_every,
-                      timing=cfg.timing),
-            inst, W,
-        )
+        scfg = resolve_config(solver_cfg, inst, W)
         final_state, trace = run_stm(inst, W, scfg)
         summary["L"] = scfg.L
         summary["nu"] = default_regularizer_weight(inst, cfg.target_eps)
         summary["q_exponent"] = inst.q_exponent
     elif cfg.solver == "acrcd":
-        acfg = ACRCDConfig(rng_seed=cfg.solver_seed, max_iter=cfg.max_iter,
-                           trace_every=cfg.trace_every, timing=cfg.timing)
-        final_state, trace = run_acrcd(inst, W, acfg)
+        final_state, trace = run_acrcd(inst, W, solver_cfg)
     else:
         trace = subgradient_baseline(inst, W, cfg.max_iter, seed=cfg.seed or 0,
                                      trace_every=cfg.trace_every, timing=cfg.timing)

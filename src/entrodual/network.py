@@ -1,23 +1,23 @@
 """Communication graphs and their gossip matrices.
 
-A gossip matrix is any symmetric positive semidefinite matrix whose sparsity
+A gossip matrix is a symmetric positive semidefinite matrix whose sparsity
 pattern matches the graph and whose kernel is exactly the consensus line
-span(1).  The default construction is the unnormalized graph Laplacian.
+span(1).  Here it is always the unnormalized Laplacian of a checked
+``Topology``: the degree on the diagonal and -1 per edge.
 
 How W is applied.  Every product with W goes through ``gossip_operator``,
 which returns the operator a GossipMatrix fixed at construction: the dense
 (m, m) array, multiplied by BLAS, or its neighbour slots.  The slot form
 lists, for each row i, the node itself and then one neighbour column per
-t < k (k the largest off-diagonal nonzero count of any row), with W's
-entries as weights, so that
+t < k (k the largest node degree), with W's entries as weights, so that
 
     W X = sum_t weights[t] * X[index[t]],   t = 0..k,
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
 neighbours pad with their own index and weight 0.  A slot product is one
 gather of the k + 1 rows each node needs and one einsum with their weights.
-The slots are read from W's nonzero pattern, so weighted matrices work too.
-They are used when (k + 1) * SLOT_CROSSOVER <= m.
+The slots are read from the topology's edges, never from the dense W.
+They are used when (k + 1) * SLOT_CROSSOVER <= m (``takes_slots``).
 
 SLOT_CROSSOVER = 64 comes from ``scripts/crossover.py`` (one thread, a
 2-core x86 machine with 4 MiB of L2 per core).  On rings (k = 2) the slots
@@ -40,8 +40,6 @@ import numpy as np
 ZERO_EIG_REL = 1e-9
 # Slack for the PSD / kernel checks, relative to lambda_max.
 SPECTRAL_SLACK_REL = 1e-10
-# W and W^T may differ by this fraction of max(1, max |W_ij|).
-SYMMETRY_TOL_REL = 1e-12
 # W is applied from its neighbour slots when m >= SLOT_CROSSOVER * (k + 1).
 SLOT_CROSSOVER = 64
 
@@ -193,10 +191,10 @@ def load_topology(path):
 class NeighbourSlots:
     """W in neighbour-slot form: W X = sum_t weights[t] * X[index[t]].
 
-    Column i of the (k + 1, m) tables ``index`` and ``weights`` lists row i:
-    the node itself with W's diagonal entry, then its off-diagonal nonzeros
-    in ascending column order, padded with i itself and weight 0.
-    ``from_entries`` makes both read-only.
+    Column i of the read-only (k + 1, m) tables ``index`` and ``weights``
+    lists row i of the Laplacian: the node itself with its degree, then its
+    neighbours in ascending column order with weight -1, padded with i
+    itself and weight 0.
 
     A product gathers, in one ``np.take``, each row of X and its k slot rows
     into a (k + 1, m, d) array and contracts it with the weights in one
@@ -210,19 +208,20 @@ class NeighbourSlots:
     weights: np.ndarray
 
     @classmethod
-    def from_entries(cls, W, rows, cols):
-        """The slots of W, given the positions (rows, cols) of its off-diagonal nonzeros."""
-        m = W.shape[0]
+    def of(cls, topology):
+        """The slots of the Laplacian of ``topology``, read from its edges."""
+        m = topology.m
+        rows, cols = _edge_ends(topology)
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        counts = np.bincount(rows, minlength=m)
+        degrees = np.bincount(rows, minlength=m)
         # slot 0 is the node itself; its neighbours fill slots 1..k in order
-        slot = 1 + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        index = np.tile(np.arange(m), (1 + int(counts.max(initial=0)), 1))
+        slot = 1 + np.arange(rows.size) - (np.cumsum(degrees) - degrees)[rows]
+        index = np.tile(np.arange(m), (1 + int(degrees.max(initial=0)), 1))
         weights = np.zeros(index.shape)
-        weights[0] = np.diag(W)
+        weights[0] = degrees
         index[slot, rows] = cols
-        weights[slot, rows] = W[rows, cols]
+        weights[slot, rows] = -1.0
         index.setflags(write=False)
         weights.setflags(write=False)
         return cls(index, weights)
@@ -237,80 +236,61 @@ class NeighbourSlots:
         return np.einsum("tmd,tm->md", terms, self.weights).reshape(X.shape)
 
 
-def _off_diagonal(W):
-    """Positions (rows, cols) of the off-diagonal nonzeros of W, row by row."""
-    # a flat scan of a boolean mask is several times faster than 2-D np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(W != 0), W.shape[1])
-    off = rows != cols
-    return rows[off], cols[off]
+def _edge_ends(topology):
+    """(rows, cols) of the Laplacian's off-diagonal entries: each edge both ways."""
+    ends = np.array(topology.edges, dtype=np.intp).reshape(-1, 2)
+    return np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
 
 
-def _check_symmetric(entries, mirrored, others=()):
-    """Raise unless ``entries`` of W equal their ``mirrored`` entries of W^T to
-    SYMMETRY_TOL_REL * max |W_ij| (at least 1); ``others`` are W's other nonzeros."""
-    scale = max(1.0, np.abs(entries).max(initial=0.0), np.abs(others).max(initial=0.0))
-    if np.abs(entries - mirrored).max(initial=0.0) > SYMMETRY_TOL_REL * scale:
-        raise ValueError("gossip matrix must be symmetric")
+def laplacian_matrix(topology):
+    """The dense, read-only Laplacian of ``topology``: the one place W becomes a matrix."""
+    m = topology.m
+    rows, cols = _edge_ends(topology)
+    W = np.zeros((m, m))
+    W[rows, cols] = -1.0
+    W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
+    W.setflags(write=False)
+    return W
 
 
-def _apply_form(W):
-    """W's neighbour slots when (k + 1) * SLOT_CROSSOVER <= m, else W itself;
-    raises unless W is square and symmetric (``eigvalsh`` reads one triangle)."""
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("gossip matrix must be square")
-    m = W.shape[0]
-    if SLOT_CROSSOVER > m:
-        # dense for every k; skips the nonzero scan on small graphs
-        _check_symmetric(W, W.T)
-        return W
-    rows, cols = _off_diagonal(W)
-    # each off-diagonal nonzero meets its mirror, so together they cover W
-    _check_symmetric(W[rows, cols], W[cols, rows], W.diagonal())
-    k = int(np.bincount(rows, minlength=m).max(initial=0))
-    if (k + 1) * SLOT_CROSSOVER > m:
-        return W
-    return NeighbourSlots.from_entries(W, rows, cols)
+def takes_slots(topology):
+    """The operator rule: neighbour slots when (k + 1) * SLOT_CROSSOVER <= m,
+    with k the largest node degree of ``topology``, else the dense matrix."""
+    degrees = np.bincount(_edge_ends(topology)[0], minlength=topology.m)
+    return (int(degrees.max(initial=0)) + 1) * SLOT_CROSSOVER <= topology.m
 
 
 @dataclass(frozen=True, eq=False)
 class GossipMatrix:
-    """Gossip matrix W with its extreme spectrum, which construction measures
-    from W in the one ``eigvalsh`` that validates it (``_validate_spectrum``),
-    once ``_apply_form`` has checked that W is square and symmetric.
+    """The Laplacian W of a ``Topology`` with its extreme spectrum, measured
+    in the one ``eigvalsh`` that validates it (``_validate_spectrum``).
 
     chi = lambda_max / lambda_min_plus is the spectral condition number
     governing how fast consensus information spreads.
 
-    ``operator`` is what applies W, fixed at construction by one rule on W's
-    own sparsity (see the module docstring): the ``NeighbourSlots`` of W
-    when (k + 1) * SLOT_CROSSOVER <= m, with k the largest off-diagonal
-    nonzero count of any row, else the dense ``W``.  The slots are read
-    from W's nonzero pattern, so weighted matrices work too.
-
-    W is an argument, not a field: on the slot form the object keeps O(m k)
-    state, and the O(m^2) array and O(m^3) ``eigvalsh`` are needed during
-    construction only.  Nothing turns the operator back into a matrix.
-
-    W must be an ndarray (anything else raises TypeError).  It is not
-    copied but made read-only in place, so the spectrum and the operator
-    cannot go stale; pass ``W.copy()`` to keep a writable array.  Equality
-    is identity, so a GossipMatrix can be a dict key.
+    ``operator`` applies W: ``NeighbourSlots.of`` the topology where
+    ``takes_slots`` (see the module docstring), else the dense
+    ``laplacian_matrix``; both are read-only.  The topology is an argument,
+    not a field (anything else raises TypeError), so on the slot form the
+    object keeps O(m k) state; the O(m^2) matrix and O(m^3) ``eigvalsh`` are
+    needed during construction only.  Equality is identity, so a
+    GossipMatrix can be a dict key.
     """
 
-    W: InitVar[np.ndarray]
+    topology: InitVar[Topology]
     lambda_max: float = field(init=False)
     lambda_min_plus: float = field(init=False)
     operator: "np.ndarray | NeighbourSlots" = field(init=False, repr=False)
 
-    def __post_init__(self, W):
-        if not isinstance(W, np.ndarray):
-            raise TypeError(f"W must be a numpy array, got {type(W).__name__}")
-        operator = _apply_form(W)
+    def __post_init__(self, topology):
+        if not isinstance(topology, Topology):
+            raise TypeError(f"a GossipMatrix takes a Topology, got {type(topology).__name__}")
+        W = laplacian_matrix(topology)
         lam_max, lam_min_plus = _validate_spectrum(W)
-        W.setflags(write=False)
         object.__setattr__(self, "lambda_max", lam_max)
         object.__setattr__(self, "lambda_min_plus", lam_min_plus)
-        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "operator",
+                           NeighbourSlots.of(topology) if takes_slots(topology) else W)
 
     @property
     def chi(self):
@@ -361,12 +341,4 @@ def _validate_spectrum(W):
 
 def build_laplacian(topology):
     """Gossip matrix from the unnormalized graph Laplacian of ``topology``."""
-    m = topology.m
-    ends = np.array(topology.edges, dtype=np.intp).reshape(-1, 2)
-    rows = np.concatenate((ends[:, 0], ends[:, 1]))
-    cols = np.concatenate((ends[:, 1], ends[:, 0]))
-    W = np.zeros((m, m))
-    W[rows, cols] = -1.0
-    W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
-    return GossipMatrix(W)
-
+    return GossipMatrix(topology)

@@ -70,6 +70,14 @@ class SolverTrace:
         return list(zip(*(getattr(self, c) for c in TRACE_COLUMNS)))
 
 
+def check_loop_settings(max_iter, trace_every):
+    """Raise ValueError unless max_iter and trace_every are at least 1."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if trace_every < 1:
+        raise ValueError("trace_every must be positive")
+
+
 def observe(step, row, max_iter, trace_every=1, timing=False):
     """Run a solver's iterations k = 1..max_iter and return their trace.
 
@@ -80,12 +88,9 @@ def observe(step, row, max_iter, trace_every=1, timing=False):
     the k whose step stopped the run.  ``wall_ms`` counts from the loop's
     start when ``timing`` is on and is 0.0 otherwise.  The trace's
     ``stop_reason`` is the step's reason, else "max_iter".  A max_iter or
-    trace_every below 1 raises ValueError.
+    trace_every below 1 raises ValueError (``check_loop_settings``).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if trace_every < 1:
-        raise ValueError("trace_every must be positive")
+    check_loop_settings(max_iter, trace_every)
     trace = SolverTrace(stop_reason="max_iter")
     t0 = time.perf_counter()
 

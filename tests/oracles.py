@@ -368,7 +368,8 @@ def dense_matrix(gossip):
 
 def weighted_laplacian(top, weights):
     """Dense Laplacian of ``top`` with edge weights ``weights``, built here
-    rather than by the package, as a reference for its products."""
+    rather than by the package; at unit weight, the reference that the
+    package's Laplacian and its products are held to."""
     ends = np.array(top.edges)
     W = np.zeros((top.m, top.m))
     W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights

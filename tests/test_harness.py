@@ -202,6 +202,21 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="trace_every must be positive"):
                 ed.run_experiment(dataclasses.replace(cfg, trace_every=0))
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(max_iter=0), "max_iter must be positive"),
+        (dict(trace_every=0), "trace_every must be positive"),
+        (dict(solver="acrcd", p=1.0), "acrcd needs rng_seed"),
+        (dict(mu=-1.0), "mu must be nonnegative"),
+    ])
+    def test_settings_fail_before_set_up(self, change, message, monkeypatch):
+        # the instance, W and the block SVDs are never built for a bad setting
+        def no_set_up(cfg):
+            raise AssertionError("set-up ran before the settings were checked")
+
+        monkeypatch.setattr(ed.harness, "_load_or_generate", no_set_up)
+        with pytest.raises(ValueError, match=message):
+            ed.run_experiment(self.base(**change))
+
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([1.0, 2.0]), eps=invalid_accuracies())
     def test_target_eps_positive_in_every_mode(self, p, eps):
@@ -411,6 +426,22 @@ class TestRunExperiment:
                                              out=str(out)))
             outs.append((out / "trace.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_edge_list_ring_takes_slots_and_solves_as_the_generator(self, tmp_path):
+        # a file: topology builds its slots from the edges, as a generator does
+        top_path = tmp_path / "ring256.txt"
+        save_topology(ed.topology_ring(256), top_path)
+        W = ed.build_laplacian(ed.load_topology(top_path))
+        assert isinstance(W.operator, ed.network.NeighbourSlots)
+        blobs = []
+        for name, topology in (("file", f"file:{top_path}"), ("ring", "ring")):
+            out = tmp_path / name
+            assert main(["solve", "--seed", "3", "--m", "256", "--n", "2", "--d", "3",
+                         "--p", "1", "--theta", "3", "--topology", topology,
+                         "--max-iter", "100", "--trace-every", "10",
+                         "--out", str(out)]) == 0
+            blobs.append((out / "trace.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_baseline_on_slot_ring_matches_dense(self, monkeypatch):
         # the penalty product and the observer's residual both take the slots

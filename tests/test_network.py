@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
-from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _off_diagonal
+from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _validate_spectrum
 
 from oracles import dense_matrix, save_topology, spectral_constants, weighted_laplacian
 from reference_values import RING4_EIGS
@@ -133,7 +133,7 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=message):
             ed.build_laplacian(ed.Topology(1, ()))
         with pytest.raises(ValueError, match=message):
-            ed.GossipMatrix(np.array([[0.0]]))
+            _validate_spectrum(np.array([[0.0]]))
 
     def test_one_eigensolve_per_laplacian(self, monkeypatch):
         calls = []
@@ -165,72 +165,47 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("spec,m", [("ring", 4), ("star", 6), ("path", 300)])
     def test_gossip_matrix_measures_its_own_spectrum(self, spec, m):
-        W = weighted_laplacian(ed.make_topology(spec, m), 1.0)
-        g = ed.GossipMatrix(W)
+        top = ed.make_topology(spec, m)
+        W = weighted_laplacian(top, 1.0)
+        g = ed.GossipMatrix(top)
         evals = np.linalg.eigvalsh(W)
         assert g.lambda_max == evals[-1]
         assert g.lambda_min_plus == evals[1]
         assert g.chi == evals[-1] / evals[1]
 
     def test_gossip_matrix_takes_no_spectrum(self):
-        W = weighted_laplacian(ed.topology_ring(4), 1.0)
+        top = ed.topology_ring(4)
         with pytest.raises(TypeError):
-            ed.GossipMatrix(W, 4.0, 2.0, 2.0)
+            ed.GossipMatrix(top, 4.0, 2.0, 2.0)
         for key in ("lambda_max", "lambda_min_plus", "chi"):
             with pytest.raises(TypeError):
-                ed.GossipMatrix(W, **{key: 1.0})
-        assert list(inspect.signature(ed.GossipMatrix).parameters) == ["W"]
+                ed.GossipMatrix(top, **{key: 1.0})
+        assert list(inspect.signature(ed.GossipMatrix).parameters) == ["topology"]
 
 
-class TestGossipFromMatrix:
-    def test_accepts_scaled_laplacian(self):
-        top = ed.topology_ring(4)
-        g = ed.GossipMatrix(np.array(weighted_laplacian(top, 0.5), float))
-        assert g.lambda_max == pytest.approx(2.0)
-        assert g.chi == pytest.approx(2.0)
-
-    def test_rejects_asymmetric(self):
-        nudged = weighted_laplacian(ed.topology_path(3), 1.0)
-        nudged[0, 1] += 1e-6
-        # rows sum to 0 and the lower triangle is the path Laplacian, which is
-        # all that eigvalsh reads; W itself has eigenvalues 0, 1.29 and 2.71
-        skewed = np.array([[1.0, -0.5, -0.5], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        for W in (nudged, skewed):
-            with pytest.raises(ValueError, match="gossip matrix must be symmetric"):
-                ed.GossipMatrix(W)
-
-    @pytest.mark.parametrize("spec,m", [("ring", 512), ("ring", 64), ("complete", 64)])
-    def test_rejects_asymmetric_from_the_nonzeros(self, spec, m):
-        # at m >= SLOT_CROSSOVER the check compares each nonzero with its
-        # mirror, on the slot form (ring512) and the dense one; on the rings
-        # the mirror of (0, m // 2) is zero
-        top = ed.make_topology(spec, m)
-        for i, j, value in ((0, 1, -1.5), (0, m // 2, -1e-6)):
-            W = weighted_laplacian(top, 1.0)
-            W[i, j] = value
-            with pytest.raises(ValueError, match="gossip matrix must be symmetric"):
-                ed.GossipMatrix(W)
-
-    def test_rejects_non_square(self):
-        for W in (np.zeros((3, 4)), np.zeros(3)):
-            with pytest.raises(ValueError, match="gossip matrix must be square"):
-                ed.GossipMatrix(W)
+class TestValidateSpectrum:
+    """The spectral checks, on matrices that no Topology's Laplacian is."""
 
     def test_rejects_indefinite(self):
-        W = -weighted_laplacian(ed.topology_path(3), 1.0)
-        with pytest.raises(ValueError):
-            ed.GossipMatrix(W)
+        L = weighted_laplacian(ed.topology_path(3), 1.0)
+        # eigenvalues -0.5, 0.5 and 2.5
+        with pytest.raises(ValueError, match="not PSD"):
+            _validate_spectrum(L - 0.5 * np.eye(3))
+        # -L has no positive eigenvalue at all
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            _validate_spectrum(-L)
 
     def test_rejects_nonzero_row_sums(self):
-        with pytest.raises(ValueError):
-            ed.GossipMatrix(np.eye(3))
+        # PSD with a one-dimensional kernel, but not the consensus line
+        with pytest.raises(ValueError, match="annihilate"):
+            _validate_spectrum(np.diag([0.0, 1.0, 1.0]))
 
     def test_rejects_enlarged_kernel(self):
         # block-diagonal Laplacian of two components, presented as one matrix
         blk = np.array([[1.0, -1.0], [-1.0, 1.0]])
         W = np.block([[blk, np.zeros((2, 2))], [np.zeros((2, 2)), blk]])
         with pytest.raises(ValueError, match="kernel"):
-            ed.GossipMatrix(W)
+            _validate_spectrum(W)
 
 
 class TestTopologyIO:
@@ -277,13 +252,9 @@ ER_SPECS = {4: "erdos-renyi 0.7 0", 64: "erdos-renyi 0.1 0",
 SLOT_RTOL = 1e-14
 
 
-def slots_of(W):
-    """The neighbour slots of W, whatever the rule picks for it."""
-    return NeighbourSlots.from_entries(W, *_off_diagonal(W))
-
-
-def random_edge_weights(top):
-    return np.random.default_rng(top.m).uniform(0.1, 2.0, len(top.edges))
+def slots_of(spec, m):
+    """The neighbour slots of a generated graph, whatever the rule picks for it."""
+    return NeighbourSlots.of(ed.make_topology(spec, m))
 
 
 def assert_same_product(op, W, X):
@@ -326,16 +297,7 @@ class TestNeighbourSlots:
         rng = np.random.default_rng(m)
         for X in (rng.standard_normal(m), rng.standard_normal((m, 1)),
                   rng.standard_normal((m, 8))):
-            for op in (slots_of(W), graphs(spec, m).operator):
-                assert_same_product(op, W, X)
-
-    @pytest.mark.parametrize("m", [4, 64, 256, 512])
-    def test_weighted_matrix(self, m, laplacians):
-        W = 0.5 * laplacians("ring", m)
-        g = ed.GossipMatrix(np.array(W, float))
-        rng = np.random.default_rng(m + 1)
-        for op in (g.operator, slots_of(W)):
-            for X in (rng.standard_normal(m), rng.standard_normal((m, 8))):
+            for op in (slots_of(spec, m), graphs(spec, m).operator):
                 assert_same_product(op, W, X)
 
     @pytest.mark.parametrize("m", [64, 512])
@@ -351,12 +313,9 @@ class TestNeighbourSlots:
 
     @pytest.mark.parametrize("spec,m", [("path", 300), ("star", 40), ("ring", 256),
                                         ("erdos-renyi 0.03 0", 256)])
-    def test_weighted_padded_rows(self, spec, m):
-        # random positive edge weights; every graph but the ring pads some rows
-        top = ed.make_topology(spec, m)
-        W = weighted_laplacian(top, random_edge_weights(top))
-        g = ed.GossipMatrix(np.array(W, float))
-        op = slots_of(W)
+    def test_padded_rows(self, spec, m, graphs, laplacians):
+        # every graph but the ring pads some rows
+        W, g, op = laplacians(spec, m), graphs(spec, m), slots_of(spec, m)
         assert (op.weights[1:] == 0.0).any() == (spec != "ring")
         rng = np.random.default_rng(m + 2)
         # 1-D and two widths through the same operators, in turn
@@ -368,8 +327,8 @@ class TestNeighbourSlots:
 
     @pytest.mark.parametrize("spec,m", [("ring", 512), ("path", 300), ("star", 40),
                                         ("erdos-renyi 0.03 0", 256)])
-    def test_rounds_as_the_term_by_term_sum(self, spec, m, laplacians):
-        op = slots_of(laplacians(spec, m))
+    def test_rounds_as_the_term_by_term_sum(self, spec, m):
+        op = slots_of(spec, m)
         rng = np.random.default_rng(m + 3)
         for X in (rng.standard_normal((m, 1)), rng.standard_normal((m, 8))):
             expect = op.weights[0][:, None] * X[op.index[0]]
@@ -377,9 +336,17 @@ class TestNeighbourSlots:
                 expect = expect + op.weights[t][:, None] * X[op.index[t]]
             np.testing.assert_array_equal(op @ X, expect)
 
+    @settings(max_examples=40, deadline=None)
+    @given(connected_topologies())
+    def test_slots_and_matrix_of_any_graph_are_its_laplacian(self, top):
+        # the rule keeps these small graphs dense, so the slots are built directly
+        W = weighted_laplacian(top, 1.0)
+        assert ed.network.laplacian_matrix(top).tobytes() == W.tobytes()
+        np.testing.assert_array_equal(NeighbourSlots.of(top) @ np.eye(top.m), W)
+
     def test_weights_are_read_only(self, laplacians):
         W = laplacians("path", 512)
-        op = slots_of(W)
+        op = slots_of("path", 512)
         assert op.weights.shape == op.index.shape == (3, 512)
         np.testing.assert_array_equal(op.index[0], np.arange(512))
         np.testing.assert_array_equal(op.weights[0], np.diag(W))
@@ -410,11 +377,20 @@ class TestApplyRule:
         assert isinstance(g.operator, NeighbourSlots)
         assert ed.network.gossip_operator(g) is g.operator
 
+    @pytest.mark.parametrize("spec,m,slots", [("path", 512, True), ("star", 512, False),
+                                              (ER_SPECS[512], 512, False)])
+    def test_takes_slots_is_the_operator_rule(self, spec, m, slots, graphs):
+        # the star's hub has degree m - 1, so it stays dense at any m
+        assert ed.network.takes_slots(ed.make_topology(spec, m)) is slots
+        assert isinstance(graphs(spec, m).operator, NeighbourSlots) is slots
+
     def test_the_rule_reads_the_row_counts(self, graphs):
         # k = 2 for a ring: slots from m = 3 * SLOT_CROSSOVER on
         m = 3 * ed.network.SLOT_CROSSOVER
         assert isinstance(graphs("ring", m).operator, NeighbourSlots)
         assert type(graphs("ring", m - 1).operator) is np.ndarray
+        assert ed.network.takes_slots(ed.topology_ring(m))
+        assert not ed.network.takes_slots(ed.topology_ring(m - 1))
 
 
 class TestGossipOperator:
@@ -436,20 +412,6 @@ class TestGossipMatrixObject:
         with pytest.raises(ValueError):
             ring4.operator[0, 0] = 7.0
 
-    def test_construction_freezes_the_callers_array(self):
-        # documented: the array passed in is not copied but made read-only in
-        # place, so the caller's own array can no longer be written
-        W = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        g = ed.GossipMatrix(W)
-        assert g.operator is W
-        assert not W.flags.writeable
-        with pytest.raises(ValueError):
-            W[0, 0] = 7.0
-        # passing a copy keeps the caller's array writable
-        mine = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        ed.GossipMatrix(mine.copy())
-        assert mine.flags.writeable
-
     def test_slots_are_read_only(self, graphs):
         g = graphs("ring", 512)
         op = g.operator
@@ -469,14 +431,12 @@ class TestGossipMatrixObject:
 
 
 class TestDenseFromSlots:
-    @pytest.mark.parametrize("spec,m,scale", [("ring", 512, 1.0), ("path", 512, 1.0),
-                                              ("ring", 512, 0.5), ("path", 300, None)])
-    def test_round_trip_is_bit_for_bit(self, spec, m, scale):
-        # the path's end nodes pad their second slot with themselves, weight 0;
-        # no scale draws random edge weights
+    @pytest.mark.parametrize("spec,m", [("ring", 512), ("path", 512), ("path", 300)])
+    def test_round_trip_is_bit_for_bit(self, spec, m):
+        # the path's end nodes pad their second slot with themselves, weight 0
         top = ed.make_topology(spec, m)
-        W = weighted_laplacian(top, random_edge_weights(top) if scale is None else scale)
-        g = ed.build_laplacian(top) if scale == 1.0 else ed.GossipMatrix(np.array(W, float))
+        W = weighted_laplacian(top, 1.0)
+        g = ed.build_laplacian(top)
         assert isinstance(g.operator, NeighbourSlots)
         dense = dense_matrix(g)
         assert dense.tobytes() == W.tobytes()

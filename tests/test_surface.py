@@ -35,6 +35,10 @@ GONE = [
     (harness, "HARNESS_P_VALUES"),
     (network, "_dense_matrix"),
     (network, "gossip_from_matrix"),
+    (network, "_apply_form"),
+    (network, "_off_diagonal"),
+    (network, "_check_symmetric"),
+    (network, "SYMMETRY_TOL_REL"),
 ]
 
 
@@ -64,6 +68,7 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.STMConfig, "nu"),
     (ed.ExperimentConfig, "nu"),
     (ed.GossipMatrix, "W"),
+    (network.NeighbourSlots, "from_entries"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -76,9 +81,10 @@ def test_w_is_taken_only_as_a_gossip_matrix(toy_p1):
                  lambda: dual.lipschitz_constants(toy_p1, np.eye(4))):
         with pytest.raises(TypeError, match="GossipMatrix"):
             call()
-    # a GossipMatrix is built from an ndarray only
-    with pytest.raises(TypeError, match="numpy array"):
-        ed.GossipMatrix([[1.0, -1.0], [-1.0, 1.0]])
+    # a GossipMatrix is built from a Topology only
+    for W in (np.eye(3), [[1.0, -1.0], [-1.0, 1.0]]):
+        with pytest.raises(TypeError, match="Topology"):
+            ed.GossipMatrix(W)
 
 
 def test_each_input_rule_has_one_owner():
