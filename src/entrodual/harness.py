@@ -21,8 +21,6 @@ import os
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 from .acrcd import ACRCDConfig, run_acrcd
 from .baseline import subgradient_baseline
 from .dual import default_regularizer_weight, lipschitz_constants

@@ -19,6 +19,14 @@ gather of the k + 1 rows each node needs and one einsum with their weights.
 The slots are read from the topology's edges, never from the dense W.
 They are used when (k + 1) * SLOT_CROSSOVER <= m (``takes_slots``).
 
+The spectrum.  lambda_max and lambda_min_plus are taken in closed form
+(``closed_form_spectrum``) when the edge count and the degrees fix the graph:
+complete graphs, stars, paths and rings, under any labelling of the nodes.
+There the slot form is built in O(m k) time without ever forming the dense W,
+and the dense form skips only the eigensolve.  Every other graph is measured
+in the one O(m^3) ``eigvalsh`` of ``_validate_spectrum``, which also checks
+PSD and the kernel.
+
 SLOT_CROSSOVER = 64 comes from ``scripts/crossover.py`` (one thread, a
 2-core x86 machine with 4 MiB of L2 per core).  On rings (k = 2) the slots
 tie with dense at m = 192, d = 8 and win from there on (1.4x at 256, 9x at
@@ -32,6 +40,8 @@ sends no graph to the slots where they lose.  The two products round differently
 at the ulp level.
 """
 
+import itertools
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -238,7 +248,8 @@ class NeighbourSlots:
 
 def _edge_ends(topology):
     """(rows, cols) of the Laplacian's off-diagonal entries: each edge both ways."""
-    ends = np.array(topology.edges, dtype=np.intp).reshape(-1, 2)
+    flat = itertools.chain.from_iterable(topology.edges)
+    ends = np.fromiter(flat, dtype=np.intp, count=2 * len(topology.edges)).reshape(-1, 2)
     return np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
 
 
@@ -253,17 +264,54 @@ def laplacian_matrix(topology):
     return W
 
 
+def _max_degree(topology):
+    return int(np.bincount(_edge_ends(topology)[0], minlength=topology.m).max(initial=0))
+
+
 def takes_slots(topology):
     """The operator rule: neighbour slots when (k + 1) * SLOT_CROSSOVER <= m,
     with k the largest node degree of ``topology``, else the dense matrix."""
-    degrees = np.bincount(_edge_ends(topology)[0], minlength=topology.m)
-    return (int(degrees.max(initial=0)) + 1) * SLOT_CROSSOVER <= topology.m
+    return (_max_degree(topology) + 1) * SLOT_CROSSOVER <= topology.m
+
+
+def _four_sin_sq(j, n):
+    # 4 sin^2(pi j / n) = 2 - 2 cos(2 pi j / n), without the cancellation at small j
+    return 4.0 * math.sin(math.pi * j / n) ** 2
+
+
+def closed_form_spectrum(topology):
+    """(lambda_max, lambda_min_plus) of the Laplacian of ``topology`` when its
+    edge count e and largest degree k fix the graph, else None.
+
+    A connected graph on m >= 2 nodes is complete when e = m(m - 1)/2, a star
+    when e = m - 1 and k = m - 1, a path when e = m - 1 and k <= 2, and a ring
+    when e = m and k = 2 (the degrees sum to 2m, so every one is 2).  Their
+    Laplacian eigenvalues (Brouwer & Haemers, Spectra of Graphs, 2012)
+    are 0 and m; 0, 1 and m; 4 sin^2(pi j / (2m)); and 4 sin^2(pi j / m),
+    for j = 0..m-1.  A checked Topology is connected, so PSD and the
+    one-dimensional kernel hold.  m = 1 gets None: ``_validate_spectrum``
+    rejects it.
+    """
+    m, e = topology.m, len(topology.edges)
+    if m < 2:
+        return None
+    k = _max_degree(topology)
+    if 2 * e == m * (m - 1):
+        return float(m), float(m)
+    if e == m - 1 and k == m - 1:
+        return float(m), 1.0
+    if e == m - 1 and k <= 2:
+        return _four_sin_sq(m - 1, 2 * m), _four_sin_sq(1, 2 * m)
+    if e == m and k == 2:
+        return _four_sin_sq(m // 2, m), _four_sin_sq(1, m)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class GossipMatrix:
-    """The Laplacian W of a ``Topology`` with its extreme spectrum, measured
-    in the one ``eigvalsh`` that validates it (``_validate_spectrum``).
+    """The Laplacian W of a ``Topology`` with its extreme spectrum: in closed
+    form where ``closed_form_spectrum`` knows the graph, else measured in the
+    one ``eigvalsh`` that validates it (``_validate_spectrum``).
 
     chi = lambda_max / lambda_min_plus is the spectral condition number
     governing how fast consensus information spreads.
@@ -272,9 +320,9 @@ class GossipMatrix:
     ``takes_slots`` (see the module docstring), else the dense
     ``laplacian_matrix``; both are read-only.  The topology is an argument,
     not a field (anything else raises TypeError), so on the slot form the
-    object keeps O(m k) state; the O(m^2) matrix and O(m^3) ``eigvalsh`` are
-    needed during construction only.  Equality is identity, so a
-    GossipMatrix can be a dict key.
+    object keeps O(m k) state.  The dense W is formed only to be the operator
+    or to be measured, so a ring or path on the slot form is built in O(m k)
+    time.  Equality is identity, so a GossipMatrix can be a dict key.
     """
 
     topology: InitVar[Topology]
@@ -285,12 +333,13 @@ class GossipMatrix:
     def __post_init__(self, topology):
         if not isinstance(topology, Topology):
             raise TypeError(f"a GossipMatrix takes a Topology, got {type(topology).__name__}")
-        W = laplacian_matrix(topology)
-        lam_max, lam_min_plus = _validate_spectrum(W)
+        spectrum = closed_form_spectrum(topology)
+        slots = takes_slots(topology)
+        W = None if slots and spectrum else laplacian_matrix(topology)
+        lam_max, lam_min_plus = spectrum or _validate_spectrum(W)
         object.__setattr__(self, "lambda_max", lam_max)
         object.__setattr__(self, "lambda_min_plus", lam_min_plus)
-        object.__setattr__(self, "operator",
-                           NeighbourSlots.of(topology) if takes_slots(topology) else W)
+        object.__setattr__(self, "operator", NeighbourSlots.of(topology) if slots else W)
 
     @property
     def chi(self):

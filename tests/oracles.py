@@ -7,7 +7,7 @@ exceptions are ``dual_kernel_floor`` and ``dual_radius``, which read the
 package's spectral and data constants, and the two bit-for-bit oracles
 ``duality_gap_reference`` and ``csv_trace_bytes``, which keep an earlier form
 of package code so that its replacement can be held to the same bits.  The
-helpers at the end (``ProxParams``, ``dense_matrix``, ``weighted_laplacian``,
+helpers at the end (``ProxParams``, ``dense_matrix``, ``laplacian``,
 ``spectral_constants``, ``save_topology``, ``read_summary``) serve tests; no
 solver needs them.
 ``prox_lq_scalar`` covers every q >= 1, while the package's ``prox_R`` takes
@@ -366,13 +366,12 @@ def dense_matrix(gossip):
     return W
 
 
-def weighted_laplacian(top, weights):
-    """Dense Laplacian of ``top`` with edge weights ``weights``, built here
-    rather than by the package; at unit weight, the reference that the
-    package's Laplacian and its products are held to."""
+def laplacian(top):
+    """Dense unit-weight Laplacian of ``top``, built here rather than by the
+    package: the reference its Laplacian, spectrum and products are held to."""
     ends = np.array(top.edges)
     W = np.zeros((top.m, top.m))
-    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -weights
+    W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -1.0
     W[np.diag_indices(top.m)] = -W.sum(axis=1)
     return W
 

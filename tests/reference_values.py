@@ -56,13 +56,13 @@ RING64 = ("--m", "64", "--n", "20", "--d", "50", "--max-iter", "60")
 RING512 = ("--m", "512", "--n", "2", "--d", "8", "--max-iter", "60")
 TRACE_SHA256 = {
     ("configs/toy.cfg", ()):
-        "a31c02688c6c7fd744e0c4a70d25d26cc84cf310e9178868d01b9777111cc1f2",
+        "a49cb2e786609f20a116392f4119c6ef1ebf740402c1a988247bafd6fcd64469",
     ("configs/toy_p1.cfg", ()):
-        "7d46ab581f448d2e2b630541ab83e053b64fa82b28cd3345e18e760a7d2fe0cc",
+        "a78f2faddfac2d1a503ed6c18b910272726314c86d8ef19daf6db2c1fdbbbbcd",
     ("configs/toy_p1.cfg", ("--solver", "subgradient")):
         "0e699b10dc9e09db2307d340f7253ebe751a38796e6e1090d567e6ed74ab156a",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
-        "3cacd566a06b6b1f1b4a8768d40807182f2cfa9430acf8705223846b3c5e3ccd",
+        "dcbe90ef7d974fcd4e6f5d54c0b02b1b2d8e07481375ee05685ee9d216b3db78",
     ("configs/toy_p1.cfg", RING64):
         "c6c510b76ed8ef2d3ec3762559141a0a5e414eb7edbea222c7055a57e1492443",
     ("configs/toy_p1.cfg", RING512):

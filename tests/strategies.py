@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from entrodual import Topology, generate_instance
+from entrodual import Topology, generate_instance, make_topology
 from entrodual.problem import P_VALUES
 
 
@@ -24,6 +24,16 @@ def connected_topologies(draw, max_m=7):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     return Topology(m, tuple(sorted(edges)))
+
+
+@st.composite
+def relabelled_generator_topologies(draw, max_m=40):
+    """A ring, path, star or complete graph with its nodes relabelled at random."""
+    spec = draw(st.sampled_from(["ring", "path", "star", "complete"]))
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    label = draw(st.permutations(range(m)))
+    edges = make_topology(spec, m).edges
+    return Topology.from_edges(m, [(label[i], label[j]) for i, j in edges])
 
 
 @st.composite

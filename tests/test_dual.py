@@ -18,8 +18,8 @@ from oracles import (
     dense_dual_value,
     dense_operators,
     dual_kernel_floor,
+    laplacian,
     softmax_map,
-    weighted_laplacian,
 )
 from strategies import small_instances
 
@@ -304,7 +304,7 @@ class TestDualGradient:
 
 class TestConstants:
     def test_formulas_from_dense_quantities(self, toy_p2, ring4):
-        lam = float(np.linalg.eigvalsh(weighted_laplacian(ed.topology_ring(4), 1.0))[-1])
+        lam = float(np.linalg.eigvalsh(laplacian(ed.topology_ring(4)))[-1])
         sig = max(
             float(np.linalg.svd(toy_p2.A[i], compute_uv=False)[0])
             for i in range(toy_p2.m)

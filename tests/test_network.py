@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
-from entrodual.network import ZERO_EIG_REL, NeighbourSlots, _validate_spectrum
+from entrodual.network import (ZERO_EIG_REL, NeighbourSlots, _validate_spectrum,
+                                closed_form_spectrum)
 
-from oracles import dense_matrix, save_topology, spectral_constants, weighted_laplacian
+from oracles import dense_matrix, laplacian, save_topology, spectral_constants
 from reference_values import RING4_EIGS
-from strategies import connected_topologies
+from strategies import connected_topologies, relabelled_generator_topologies
 
 
 class TestTopologyValidation:
@@ -135,13 +136,115 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=message):
             _validate_spectrum(np.array([[0.0]]))
 
-    def test_one_eigensolve_per_laplacian(self, monkeypatch):
+    def test_closed_forms_make_no_eigensolve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called on a graph with a closed-form spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for spec in ("ring", "path", "star", "complete"):
+            for m in range(2, 41):
+                # all of these take the dense form, which is formed as the operator
+                g = ed.build_laplacian(ed.make_topology(spec, m))
+                assert type(g.operator) is np.ndarray
+        # the slot form does not form the dense W at all
+        monkeypatch.setattr(ed.network, "laplacian_matrix", forbidden)
+        for spec in ("ring", "path"):
+            assert isinstance(ed.build_laplacian(ed.make_topology(spec, 512)).operator,
+                              NeighbourSlots)
+
+    def test_other_graphs_make_one_eigensolve(self, monkeypatch, tmp_path):
+        # a ring with a chord (e = m + 1) and a tree that is neither path nor star
+        chorded = ed.Topology.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+        spider = ed.Topology(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
+        graphs = [ed.make_topology(ER_SPECS[64], 64)]
+        for k, top in enumerate((chorded, spider)):
+            save_topology(top, tmp_path / f"top{k}.txt")
+            graphs.append(ed.load_topology(tmp_path / f"top{k}.txt"))
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or real(M))
-        g = ed.build_laplacian(ed.topology_ring(8))
-        assert calls == [(8, 8)]
-        assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(dense_matrix(g))
+        for top in graphs:
+            calls.clear()
+            assert closed_form_spectrum(top) is None
+            g = ed.build_laplacian(top)
+            assert calls == [(top.m, top.m)]
+            assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(laplacian(top))
+
+    @pytest.mark.parametrize("spec", ["ring", "path", "star", "complete"])
+    def test_gossip_matrix_measures_its_own_spectrum(self, spec):
+        for m in [*range(2, 41), 64, 300, 512]:
+            top = ed.make_topology(spec, m)
+            g = ed.GossipMatrix(top)
+            evals = np.linalg.eigvalsh(laplacian(top))
+            chi = evals[-1] / evals[1]
+            assert g.lambda_max == pytest.approx(evals[-1], rel=1e-12, abs=0.0)
+            # eigvalsh errs by a few ulps of lambda_max on every eigenvalue, which
+            # is chi times more relative to lambda_min_plus: 1.5e-11 on path300,
+            # where the closed form keeps its own ulps (the test below)
+            assert g.lambda_min_plus == pytest.approx(evals[1], rel=1e-12 * chi, abs=0.0)
+            assert g.chi == pytest.approx(chi, rel=1e-12 * chi, abs=0.0)
+
+    def test_closed_forms_keep_relative_accuracy(self):
+        # 4 sin^2 keeps every digit where 2 - 2 cos cancels (9e-15 relative on
+        # ring64's lambda_min_plus, 5e-13 on ring512's); the reference is the
+        # same form at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for m in (64, 300, 512, 2048):
+            for spec, n, top_j in (("ring", m, m // 2), ("path", 2 * m, m - 1)):
+                g = ed.build_laplacian(ed.make_topology(spec, m))
+                for value, j in ((g.lambda_max, top_j), (g.lambda_min_plus, 1)):
+                    assert value == pytest.approx(
+                        float(4 * mpmath.sin(mpmath.pi * j / n) ** 2), rel=2e-15, abs=0.0)
+
+    def test_exact_closed_forms(self):
+        # m = 2 is complete, m = 3 the star and the path; an even ring's top is 4
+        for top, spectrum in ((ed.topology_path(2), (2.0, 2.0)),
+                              (ed.topology_path(3), (3.0, 1.0)),
+                              (ed.topology_ring(3), (3.0, 3.0)),
+                              (ed.topology_star(7), (7.0, 1.0)),
+                              (ed.topology_complete(9), (9.0, 9.0))):
+            assert closed_form_spectrum(top) == spectrum
+        for m in (4, 6, 64, 512):
+            assert closed_form_spectrum(ed.topology_ring(m))[0] == 4.0
+        assert closed_form_spectrum(ed.Topology(1, ())) is None
+
+    def test_relabelled_ring_from_a_file(self, monkeypatch, tmp_path):
+        m = 512
+        label = np.random.default_rng(5).permutation(m)
+        path = tmp_path / "ring.txt"
+        path.write_text(f"{m}\n" + "".join(f"{label[i]} {label[(i + 1) % m]}\n"
+                                            for i in range(m)))
+        loaded = ed.load_topology(path)
+        assert loaded.edges != ed.topology_ring(m).edges
+        generated = ed.build_laplacian(ed.topology_ring(m))
+
+        def forbidden(*args):
+            raise AssertionError("a relabelled ring has a closed-form spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(ed.network, "laplacian_matrix", forbidden)
+        g = ed.build_laplacian(loaded)
+        assert isinstance(g.operator, NeighbourSlots)
+        assert (g.lambda_max, g.lambda_min_plus) == (generated.lambda_max,
+                                                     generated.lambda_min_plus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_topologies())
+    def test_spectrum_of_any_graph_matches_the_oracle(self, top):
+        g = ed.build_laplacian(top)
+        lam_max, lam_min_plus = spectral_constants(laplacian(top))
+        assert abs(g.lambda_max - lam_max) <= 1e-10 * lam_max
+        assert abs(g.lambda_min_plus - lam_min_plus) <= 1e-10 * lam_max
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_generator_topologies())
+    def test_relabelled_generators_take_the_closed_form(self, top):
+        spectrum = closed_form_spectrum(top)
+        assert spectrum is not None
+        lam_max, lam_min_plus = spectral_constants(laplacian(top))
+        assert abs(spectrum[0] - lam_max) <= 1e-10 * lam_max
+        assert abs(spectrum[1] - lam_min_plus) <= 1e-10 * lam_max
 
     @settings(max_examples=40, deadline=None)
     @given(connected_topologies())
@@ -163,16 +266,6 @@ class TestSpectrum:
         assert int(np.sum(eigs <= ZERO_EIG_REL * g.lambda_max)) == 1
         assert g.chi >= 1.0
 
-    @pytest.mark.parametrize("spec,m", [("ring", 4), ("star", 6), ("path", 300)])
-    def test_gossip_matrix_measures_its_own_spectrum(self, spec, m):
-        top = ed.make_topology(spec, m)
-        W = weighted_laplacian(top, 1.0)
-        g = ed.GossipMatrix(top)
-        evals = np.linalg.eigvalsh(W)
-        assert g.lambda_max == evals[-1]
-        assert g.lambda_min_plus == evals[1]
-        assert g.chi == evals[-1] / evals[1]
-
     def test_gossip_matrix_takes_no_spectrum(self):
         top = ed.topology_ring(4)
         with pytest.raises(TypeError):
@@ -187,7 +280,7 @@ class TestValidateSpectrum:
     """The spectral checks, on matrices that no Topology's Laplacian is."""
 
     def test_rejects_indefinite(self):
-        L = weighted_laplacian(ed.topology_path(3), 1.0)
+        L = laplacian(ed.topology_path(3))
         # eigenvalues -0.5, 0.5 and 2.5
         with pytest.raises(ValueError, match="not PSD"):
             _validate_spectrum(L - 0.5 * np.eye(3))
@@ -282,7 +375,7 @@ def laplacians():
 
     def get(spec, m):
         if (spec, m) not in cache:
-            cache[spec, m] = weighted_laplacian(ed.make_topology(spec, m), 1.0)
+            cache[spec, m] = laplacian(ed.make_topology(spec, m))
         return cache[spec, m]
 
     return get
@@ -340,7 +433,7 @@ class TestNeighbourSlots:
     @given(connected_topologies())
     def test_slots_and_matrix_of_any_graph_are_its_laplacian(self, top):
         # the rule keeps these small graphs dense, so the slots are built directly
-        W = weighted_laplacian(top, 1.0)
+        W = laplacian(top)
         assert ed.network.laplacian_matrix(top).tobytes() == W.tobytes()
         np.testing.assert_array_equal(NeighbourSlots.of(top) @ np.eye(top.m), W)
 
@@ -435,7 +528,7 @@ class TestDenseFromSlots:
     def test_round_trip_is_bit_for_bit(self, spec, m):
         # the path's end nodes pad their second slot with themselves, weight 0
         top = ed.make_topology(spec, m)
-        W = weighted_laplacian(top, 1.0)
+        W = laplacian(top)
         g = ed.build_laplacian(top)
         assert isinstance(g.operator, NeighbourSlots)
         dense = dense_matrix(g)

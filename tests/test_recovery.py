@@ -15,8 +15,8 @@ from entrodual.dual import _neg_link
 from entrodual.network import NeighbourSlots
 from entrodual.problem import BLAS_BLOCK_MIN
 
-from oracles import (duality_gap_reference, fista_reference, primal_subgradient_reference,
-                     weighted_laplacian)
+from oracles import (duality_gap_reference, fista_reference, laplacian,
+                     primal_subgradient_reference)
 from reference_values import PRIMAL_OPT_P2
 
 
@@ -45,7 +45,7 @@ class TestPrimalFromDual:
     def test_matches_manual_softmax(self, toy_p1, ring4):
         state = random_state(toy_p1, 1, 1.5, 0.5)
         ps = ed.primal_from_dual(state, toy_p1, ring4)
-        lifted = np.kron(weighted_laplacian(ed.topology_ring(4), 1.0), np.eye(toy_p1.d))
+        lifted = np.kron(laplacian(ed.topology_ring(4)), np.eye(toy_p1.d))
         link = lifted @ state.z
         for i in range(toy_p1.m):
             link[i * toy_p1.d:(i + 1) * toy_p1.d] += (
