@@ -1,9 +1,11 @@
 """Communication graphs and their gossip matrices.
 
-A gossip matrix is a symmetric positive semidefinite matrix whose sparsity
-pattern matches the graph and whose kernel is exactly the consensus line
-span(1).  Here it is always the unnormalized Laplacian of a checked
-``Topology``: the degree on the diagonal and -1 per edge.
+A ``Topology`` is one read-only (e, 2) edge array, checked in vectorised
+NumPy passes; ``_connected`` proves it connected.  A gossip matrix is a
+symmetric positive semidefinite matrix whose sparsity pattern matches the
+graph and whose kernel is exactly the consensus line span(1).  Here it is
+always the unnormalized Laplacian of a checked ``Topology``: the degree on
+the diagonal and -1 per edge.
 
 How W is applied.  Every product with W goes through ``gossip_operator``,
 which returns the operator a GossipMatrix fixed at construction: the dense
@@ -40,7 +42,6 @@ sends no graph to the slots where they lose.  The two products round differently
 at the ulp level.
 """
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -53,101 +54,121 @@ SPECTRAL_SLACK_REL = 1e-10
 # W is applied from its neighbour slots when m >= SLOT_CROSSOVER * (k + 1).
 SLOT_CROSSOVER = 64
 
-GENERATOR_NAMES = ("path", "ring", "complete", "star", "erdos-renyi")
+
+def _edge_array(edges):
+    ends = np.array(edges).reshape(-1, 2)
+    if ends.size and ends.dtype.kind not in "iu":
+        raise ValueError(f"edge endpoints must be machine integers, got dtype {ends.dtype}")
+    return ends.astype(np.intp, copy=False)
 
 
-def _adjacency_lists(m, edges):
-    nbrs = [[] for _ in range(m)]
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    return nbrs
+def _edge_fault(m, edges):
+    """The message for the first edge, in order, that ``Topology`` rejects."""
+    u, v = edges.T
+    # keys of out-of-range edges may collide, but never ahead of a faulty edge
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[np.unique(u * m + v, return_index=True)[1]] = False
+    bad = (u == v) | (edges < 0).any(axis=1) | (edges >= m).any(axis=1) | (v < u) | repeat
+    i, j = edges[np.argmax(bad)].tolist()
+    if i == j:
+        return f"self-loop at node {i}"
+    if not (0 <= i < m and 0 <= j < m):
+        return f"edge {(i, j)} out of range for m={m}"
+    if j < i:
+        return f"edge {(i, j)} not normalized as (i, j) with i < j"
+    return f"duplicate edge {(i, j)}"
 
 
 def _connected(m, edges):
-    # breadth-first search from node 0
-    nbrs = _adjacency_lists(m, edges)
-    seen = [False] * m
-    seen[0] = True
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in nbrs[i]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return all(seen)
+    """Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
+    round hooks every root onto its smallest smaller neighbouring root, then
+    points every node at its root.  Labels only fall and node 0 keeps 0, so
+    the graph is connected when all are 0 and not when a round hooks nothing."""
+    u, v = edges.T
+    label = np.arange(m)
+    while np.count_nonzero(label):
+        lu, lv = label[u], label[v]
+        if not np.count_nonzero(lu != lv):
+            return False
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        # a chain of hooked roots is shorter than m, so this flattens it
+        for _ in range(int(m).bit_length()):
+            label = label[label]
+    return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Connected undirected graph on nodes 0..m-1 with normalized edges (i < j)."""
+    """Connected undirected graph on nodes 0..m-1: ``edges`` is a read-only
+    (e, 2) ``intp`` array of distinct pairs i < j in the order given, and
+    ``degrees`` counts each node's edges.  Equality is identity."""
 
     m: int
-    edges: tuple
+    edges: np.ndarray
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("node count must be at least 1")
-        seen = set()
-        for edge in self.edges:
-            i, j = edge
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.m and 0 <= j < self.m):
-                raise ValueError(f"edge {edge} out of range for m={self.m}")
-            if j < i:
-                raise ValueError(f"edge {edge} not normalized as (i, j) with i < j")
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
-        if not _connected(self.m, self.edges):
-            raise ValueError(
-                "graph is disconnected: the gossip-matrix kernel would be larger "
-                "than the consensus line"
-            )
+        edges = _edge_array(self.edges)
+        u, v = edges.T
+        if np.count_nonzero((u < 0) | (u >= v) | (v >= self.m)):
+            raise ValueError(_edge_fault(self.m, edges))
+        # in range and normalized, distinct edges have distinct keys
+        keys = np.sort(u * self.m + v)
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            raise ValueError(_edge_fault(self.m, edges))
+        if not _connected(self.m, edges):
+            raise ValueError("graph is disconnected: the gossip-matrix kernel would be "
+                             "larger than the consensus line")
+        degrees = np.bincount(edges.ravel(), minlength=self.m)
+        for name, array in (("edges", edges), ("degrees", degrees)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_edges(cls, m, edges):
         """Normalize arbitrary (i, j) pairs into a sorted, deduplicated Topology."""
-        normalized = sorted({(min(i, j), max(i, j)) for i, j in edges})
-        return cls(m, tuple(normalized))
+        # unique rows, not keys i * m + j, which alias out-of-range pairs onto valid ones
+        return cls(m, np.unique(np.sort(_edge_array(edges)), axis=0))
 
 
 def topology_path(m):
-    return Topology(m, tuple((i, i + 1) for i in range(m - 1)))
+    return Topology(m, np.array((np.arange(m - 1), np.arange(1, m))).T)
 
 
 def topology_ring(m):
     # the 2-node ring degenerates to a single edge
     if m <= 2:
         return topology_path(m)
-    edges = [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)]
-    return Topology.from_edges(m, edges)
+    # sorted: (0, 1), (0, m - 1), (1, 2), (2, 3), ..., (m - 2, m - 1)
+    seconds = np.arange(m)
+    seconds[:2] = 1, m - 1
+    return Topology(m, np.array((np.maximum(np.arange(-1, m - 1), 0), seconds)).T)
 
 
 def topology_complete(m):
-    return Topology(m, tuple((i, j) for i in range(m) for j in range(i + 1, m)))
+    return Topology(m, np.array(np.triu_indices(m, 1)).T)
 
 
 def topology_star(m):
-    return Topology(m, tuple((0, j) for j in range(1, m)))
+    return Topology(m, np.array((np.zeros_like(np.arange(1, m)), np.arange(1, m))).T)
 
 
 def topology_erdos_renyi(m, p, seed):
-    """G(m, p) sample from a seeded generator; raises if the draw is disconnected."""
+    """G(m, p): one uniform draw per pair i < j, row by row; raises if disconnected."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    edges = [
-        (i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p
-    ]
-    if m > 1 and not _connected(m, edges):
-        raise ValueError(
-            f"erdos-renyi draw (m={m}, p={p}, seed={seed}) is disconnected; "
-            "raise p or pick another seed"
-        )
-    return Topology(m, tuple(edges))
+    pairs = np.array(np.triu_indices(m, 1)).T
+    edges = pairs[np.random.default_rng(seed).random(len(pairs)) < p]
+    if not _connected(m, edges):
+        raise ValueError(f"erdos-renyi draw (m={m}, p={p}, seed={seed}) is disconnected; "
+                         "raise p or pick another seed")
+    return Topology(m, edges)
+
+
+GENERATORS = {"path": topology_path, "ring": topology_ring,
+              "complete": topology_complete, "star": topology_star}
 
 
 def make_topology(spec, m):
@@ -156,26 +177,18 @@ def make_topology(spec, m):
     if not parts:
         raise ValueError("empty topology spec")
     name, args = parts[0], parts[1:]
-    if name == "path" and not args:
-        return topology_path(m)
-    if name == "ring" and not args:
-        return topology_ring(m)
-    if name == "complete" and not args:
-        return topology_complete(m)
-    if name == "star" and not args:
-        return topology_star(m)
+    if name in GENERATORS and not args:
+        return GENERATORS[name](m)
     if name == "erdos-renyi" and len(args) == 2:
         return topology_erdos_renyi(m, float(args[0]), int(args[1]))
-    raise ValueError(
-        f"unknown topology spec {spec!r}; generators: {', '.join(GENERATOR_NAMES)} "
-        "(erdos-renyi takes: p seed)"
-    )
+    generators = ", ".join([*GENERATORS, "erdos-renyi"])
+    raise ValueError(f"unknown topology spec {spec!r}; generators: {generators} "
+                     "(erdos-renyi takes: p seed)")
 
 
 def load_topology(path):
     with open(path) as fh:
-        raw = [line.strip() for line in fh]
-    lines = [(k + 1, line) for k, line in enumerate(raw) if line]
+        lines = [(k + 1, line.strip()) for k, line in enumerate(fh) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty topology file")
     try:
@@ -220,11 +233,11 @@ class NeighbourSlots:
     @classmethod
     def of(cls, topology):
         """The slots of the Laplacian of ``topology``, read from its edges."""
-        m = topology.m
-        rows, cols = _edge_ends(topology)
+        m, degrees = topology.m, topology.degrees
+        # each edge both ways, sorted by row and then column
+        rows, cols = np.concatenate((topology.edges, topology.edges[:, ::-1])).T
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        degrees = np.bincount(rows, minlength=m)
         # slot 0 is the node itself; its neighbours fill slots 1..k in order
         slot = 1 + np.arange(rows.size) - (np.cumsum(degrees) - degrees)[rows]
         index = np.tile(np.arange(m), (1 + int(degrees.max(initial=0)), 1))
@@ -246,32 +259,20 @@ class NeighbourSlots:
         return np.einsum("tmd,tm->md", terms, self.weights).reshape(X.shape)
 
 
-def _edge_ends(topology):
-    """(rows, cols) of the Laplacian's off-diagonal entries: each edge both ways."""
-    flat = itertools.chain.from_iterable(topology.edges)
-    ends = np.fromiter(flat, dtype=np.intp, count=2 * len(topology.edges)).reshape(-1, 2)
-    return np.concatenate((ends[:, 0], ends[:, 1])), np.concatenate((ends[:, 1], ends[:, 0]))
-
-
 def laplacian_matrix(topology):
     """The dense, read-only Laplacian of ``topology``: the one place W becomes a matrix."""
-    m = topology.m
-    rows, cols = _edge_ends(topology)
-    W = np.zeros((m, m))
-    W[rows, cols] = -1.0
-    W[np.diag_indices(m)] = np.bincount(rows, minlength=m)
+    u, v = topology.edges.T
+    W = np.zeros((topology.m, topology.m))
+    W[u, v] = W[v, u] = -1.0
+    np.fill_diagonal(W, topology.degrees)
     W.setflags(write=False)
     return W
-
-
-def _max_degree(topology):
-    return int(np.bincount(_edge_ends(topology)[0], minlength=topology.m).max(initial=0))
 
 
 def takes_slots(topology):
     """The operator rule: neighbour slots when (k + 1) * SLOT_CROSSOVER <= m,
     with k the largest node degree of ``topology``, else the dense matrix."""
-    return (_max_degree(topology) + 1) * SLOT_CROSSOVER <= topology.m
+    return (int(topology.degrees.max(initial=0)) + 1) * SLOT_CROSSOVER <= topology.m
 
 
 def _four_sin_sq(j, n):
@@ -295,7 +296,7 @@ def closed_form_spectrum(topology):
     m, e = topology.m, len(topology.edges)
     if m < 2:
         return None
-    k = _max_degree(topology)
+    k = int(topology.degrees.max(initial=0))
     if 2 * e == m * (m - 1):
         return float(m), float(m)
     if e == m - 1 and k == m - 1:
@@ -320,9 +321,8 @@ class GossipMatrix:
     ``takes_slots`` (see the module docstring), else the dense
     ``laplacian_matrix``; both are read-only.  The topology is an argument,
     not a field (anything else raises TypeError), so on the slot form the
-    object keeps O(m k) state.  The dense W is formed only to be the operator
-    or to be measured, so a ring or path on the slot form is built in O(m k)
-    time.  Equality is identity, so a GossipMatrix can be a dict key.
+    object keeps O(m k) state.  Equality is identity, so a GossipMatrix can be
+    a dict key.
     """
 
     topology: InitVar[Topology]

@@ -6,7 +6,10 @@ problem data, so agreement is meaningful evidence of correctness.  The
 exceptions are ``dual_kernel_floor`` and ``dual_radius``, which read the
 package's spectral and data constants, and the two bit-for-bit oracles
 ``duality_gap_reference`` and ``csv_trace_bytes``, which keep an earlier form
-of package code so that its replacement can be held to the same bits.  The
+of package code so that its replacement can be held to the same bits.
+``topology_fault``, ``connected`` and ``erdos_renyi_edges`` keep the
+per-edge loops, breadth-first search and per-pair draws that the vectorised
+``Topology`` checks and ``topology_erdos_renyi`` replaced.  The
 helpers at the end (``ProxParams``, ``dense_matrix``, ``laplacian``,
 ``spectral_constants``, ``save_topology``, ``read_summary``) serve tests; no
 solver needs them.
@@ -369,7 +372,7 @@ def dense_matrix(gossip):
 def laplacian(top):
     """Dense unit-weight Laplacian of ``top``, built here rather than by the
     package: the reference its Laplacian, spectrum and products are held to."""
-    ends = np.array(top.edges)
+    ends = top.edges
     W = np.zeros((top.m, top.m))
     W[ends[:, 0], ends[:, 1]] = W[ends[:, 1], ends[:, 0]] = -1.0
     W[np.diag_indices(top.m)] = -W.sum(axis=1)
@@ -381,10 +384,58 @@ def spectral_constants(W):
     return _extreme_eigenvalues(np.linalg.eigvalsh(np.asarray(W, dtype=float)))
 
 
+def connected(m, edges):
+    """Whether the graph is connected: breadth-first search from node 0."""
+    nbrs = [[] for _ in range(m)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = [False] * m
+    seen[0] = True
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in nbrs[i]:
+            if not seen[j]:
+                seen[j] = True
+                queue.append(j)
+    return all(seen)
+
+
+def topology_fault(m, edges):
+    """The message a Topology on ``m`` nodes raises for ``edges`` (a list of
+    (i, j) tuples), or None if it accepts them: the edges are checked one by
+    one in the given order, then connectivity by ``connected``."""
+    if m < 1:
+        return "node count must be at least 1"
+    seen = set()
+    for edge in edges:
+        i, j = edge
+        if i == j:
+            return f"self-loop at node {i}"
+        if not (0 <= i < m and 0 <= j < m):
+            return f"edge {edge} out of range for m={m}"
+        if j < i:
+            return f"edge {edge} not normalized as (i, j) with i < j"
+        if edge in seen:
+            return f"duplicate edge {edge}"
+        seen.add(edge)
+    if not connected(m, edges):
+        return ("graph is disconnected: the gossip-matrix kernel would be larger "
+                "than the consensus line")
+    return None
+
+
+def erdos_renyi_edges(m, p, seed):
+    """The edges of G(m, p): one ``rng.random()`` per pair i < j, row by row."""
+    rng = np.random.default_rng(seed)
+    return [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p]
+
+
 def save_topology(topology, path):
     """Write the edge-list format: first line m, then one 'i j' line per edge."""
     lines = [str(topology.m)]
-    lines += [f"{i} {j}" for i, j in topology.edges]
+    lines += [f"{i} {j}" for i, j in topology.edges.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

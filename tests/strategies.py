@@ -31,9 +31,26 @@ def relabelled_generator_topologies(draw, max_m=40):
     """A ring, path, star or complete graph with its nodes relabelled at random."""
     spec = draw(st.sampled_from(["ring", "path", "star", "complete"]))
     m = draw(st.integers(min_value=2, max_value=max_m))
-    label = draw(st.permutations(range(m)))
-    edges = make_topology(spec, m).edges
-    return Topology.from_edges(m, [(label[i], label[j]) for i, j in edges])
+    label = np.array(draw(st.permutations(range(m))))
+    return Topology.from_edges(m, label[make_topology(spec, m).edges])
+
+
+@st.composite
+def edge_lists(draw, max_m=8):
+    """(m, edges): any list of (i, j) tuples on m nodes.
+
+    Either endpoints stay in range or they run from -1 to m; the pairs come
+    as drawn or normalized to i < j, without self-loops or repeats, and in
+    the drawn order either way.  Repeats, reversed and out-of-range pairs,
+    disconnected graphs and isolated nodes all occur.
+    """
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    lo, hi = draw(st.sampled_from([(0, m - 1), (0, m - 1), (-1, m)]))
+    ends = st.integers(min_value=lo, max_value=hi)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * m))
+    if draw(st.booleans()):
+        edges = list(dict.fromkeys((min(e), max(e)) for e in edges if e[0] != e[1]))
+    return m, edges
 
 
 @st.composite

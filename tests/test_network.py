@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,10 @@ import entrodual as ed
 from entrodual.network import (ZERO_EIG_REL, NeighbourSlots, _validate_spectrum,
                                 closed_form_spectrum)
 
-from oracles import dense_matrix, laplacian, save_topology, spectral_constants
+from oracles import (connected, dense_matrix, erdos_renyi_edges, laplacian, save_topology,
+                     spectral_constants, topology_fault)
 from reference_values import RING4_EIGS
-from strategies import connected_topologies, relabelled_generator_topologies
+from strategies import connected_topologies, edge_lists, relabelled_generator_topologies
 
 
 class TestTopologyValidation:
@@ -38,41 +40,128 @@ class TestTopologyValidation:
         with pytest.raises(ValueError, match="disconnected"):
             ed.Topology(4, ((0, 1), (2, 3)))
 
+    def test_two_triangles_are_disconnected(self):
+        # e = m = 6 and every degree 2, as on a ring: only connectivity tells
+        with pytest.raises(ValueError, match="disconnected"):
+            ed.Topology(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+
     def test_from_edges_normalizes_and_dedups(self):
         top = ed.Topology.from_edges(3, [(1, 0), (0, 1), (2, 1)])
-        assert top.edges == ((0, 1), (1, 2))
+        assert top.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_single_node(self):
         top = ed.Topology(1, ())
         assert top.m == 1
+        assert top.edges.shape == (0, 2)
+
+    def test_edges_are_one_read_only_array(self):
+        given = np.array([[0, 1], [1, 2]])
+        top = ed.Topology(3, given)
+        assert top.edges.dtype == np.intp and top.edges.shape == (2, 2)
+        for array in (top.edges, top.degrees):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        # the caller's array is copied, not frozen
+        given[0, 0] = 2
+        assert top.edges.tolist() == [[0, 1], [1, 2]]
+        assert top.degrees.tolist() == [1, 2, 1]
+
+    def test_equality_is_identity(self):
+        a, b = ed.topology_ring(4), ed.topology_ring(4)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(ValueError):
+            ed.Topology(3, (0, 1, 2))
+
+    def test_endpoints_must_be_machine_integers(self):
+        # a float is not truncated, an integer too large for intp does not overflow
+        for edges in (((0, 1.5), (1, 2)), ((0, 1), (1, 2**70))):
+            for make in (ed.Topology, ed.Topology.from_edges):
+                with pytest.raises(ValueError, match="machine integers"):
+                    make(3, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_checks_match_the_oracle(self, case):
+        # the same verdict and message as the per-edge loop and the BFS
+        m, edges = case
+        fault = topology_fault(m, edges)
+        if fault is None:
+            assert ed.Topology(m, tuple(edges)).edges.tolist() == [list(e) for e in edges]
+        else:
+            with pytest.raises(ValueError) as info:
+                ed.Topology(m, tuple(edges))
+            assert str(info.value) == fault
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_from_edges_matches_the_oracle(self, case):
+        m, edges = case
+        normalized = sorted({(min(i, j), max(i, j)) for i, j in edges})
+        fault = topology_fault(m, normalized)
+        if fault is None:
+            top = ed.Topology.from_edges(m, edges)
+            assert top.edges.tolist() == [list(e) for e in normalized]
+        else:
+            with pytest.raises(ValueError) as info:
+                ed.Topology.from_edges(m, edges)
+            assert str(info.value) == fault
+
+    def test_connectivity_matches_the_bfs_on_relabelled_graphs(self):
+        # G(m, p) below, near and above the connectivity threshold log(m) / m,
+        # relabelled and shuffled
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for m in (2, 3, 17, 64, 300, 1000):
+            pairs = np.array(np.triu_indices(m, 1)).T
+            for p in (1.0 / m, math.log(m) / m, 3.0 * math.log(m) / m):
+                edges = pairs[rng.random(len(pairs)) < p]
+                edges = [tuple(e) for e in np.sort(rng.permutation(m)[edges], axis=1).tolist()]
+                rng.shuffle(edges)
+                verdicts.add(connected(m, edges))
+                if connected(m, edges):
+                    assert ed.Topology(m, edges).m == m
+                else:
+                    with pytest.raises(ValueError, match="disconnected"):
+                        ed.Topology(m, edges)
+        assert verdicts == {True, False}
 
 
 class TestGenerators:
     def test_path_edges(self):
-        assert ed.topology_path(4).edges == ((0, 1), (1, 2), (2, 3))
+        assert ed.topology_path(4).edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
     def test_ring_edges(self):
-        assert ed.topology_ring(4).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert ed.topology_ring(4).edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_ring_of_two_degenerates_to_path(self):
-        assert ed.topology_ring(2).edges == ed.topology_path(2).edges
+        assert ed.topology_ring(2).edges.tolist() == ed.topology_path(2).edges.tolist()
 
     def test_complete_edge_count(self):
         assert len(ed.topology_complete(6).edges) == 15
 
     def test_star_edges(self):
-        assert ed.topology_star(4).edges == ((0, 1), (0, 2), (0, 3))
+        assert ed.topology_star(4).edges.tolist() == [[0, 1], [0, 2], [0, 3]]
 
     def test_erdos_renyi_deterministic(self):
         a = ed.topology_erdos_renyi(6, 0.7, 3)
         b = ed.topology_erdos_renyi(6, 0.7, 3)
-        assert a.edges == b.edges
+        assert a.edges.tolist() == b.edges.tolist()
+
+    @pytest.mark.parametrize("m,p,seed", [(6, 0.7, 3), (50, 0.2, 1), (300, 0.05, 9),
+                                          (1024, 0.01, 7)])
+    def test_erdos_renyi_draws_as_one_draw_per_pair(self, m, p, seed):
+        expect = [list(e) for e in erdos_renyi_edges(m, p, seed)]
+        assert ed.topology_erdos_renyi(m, p, seed).edges.tolist() == expect
 
     def test_erdos_renyi_full_probability_is_complete(self):
-        assert ed.topology_erdos_renyi(5, 1.0, 0).edges == ed.topology_complete(5).edges
+        assert (ed.topology_erdos_renyi(5, 1.0, 0).edges.tolist()
+                == ed.topology_complete(5).edges.tolist())
 
     def test_erdos_renyi_disconnected_draw_raises(self):
-        with pytest.raises(ValueError, match="disconnected"):
+        with pytest.raises(ValueError, match="disconnected; raise p or pick another seed"):
             ed.topology_erdos_renyi(5, 0.0, 0)
 
     def test_erdos_renyi_bad_probability(self):
@@ -80,14 +169,15 @@ class TestGenerators:
             ed.topology_erdos_renyi(5, 1.5, 0)
 
     def test_make_topology_names(self):
-        assert ed.make_topology("ring", 4).edges == ed.topology_ring(4).edges
-        assert ed.make_topology("path", 3).edges == ed.topology_path(3).edges
-        assert ed.make_topology("complete", 4).edges == ed.topology_complete(4).edges
-        assert ed.make_topology("star", 5).edges == ed.topology_star(5).edges
+        assert ed.make_topology("ring", 4).edges.tolist() == ed.topology_ring(4).edges.tolist()
+        assert ed.make_topology("path", 3).edges.tolist() == ed.topology_path(3).edges.tolist()
+        assert (ed.make_topology("complete", 4).edges.tolist()
+                == ed.topology_complete(4).edges.tolist())
+        assert ed.make_topology("star", 5).edges.tolist() == ed.topology_star(5).edges.tolist()
 
     def test_make_topology_erdos_renyi_args(self):
         top = ed.make_topology("erdos-renyi 0.7 3", 6)
-        assert top.edges == ed.topology_erdos_renyi(6, 0.7, 3).edges
+        assert top.edges.tolist() == ed.topology_erdos_renyi(6, 0.7, 3).edges.tolist()
 
     def test_make_topology_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown topology spec"):
@@ -216,7 +306,7 @@ class TestSpectrum:
         path.write_text(f"{m}\n" + "".join(f"{label[i]} {label[(i + 1) % m]}\n"
                                             for i in range(m)))
         loaded = ed.load_topology(path)
-        assert loaded.edges != ed.topology_ring(m).edges
+        assert loaded.edges.tolist() != ed.topology_ring(m).edges.tolist()
         generated = ed.build_laplacian(ed.topology_ring(m))
 
         def forbidden(*args):
@@ -308,7 +398,7 @@ class TestTopologyIO:
         save_topology(top, path)
         loaded = ed.load_topology(path)
         assert loaded.m == top.m
-        assert loaded.edges == top.edges
+        assert loaded.edges.tolist() == top.edges.tolist()
 
     def test_format_is_plain_edge_list(self, tmp_path):
         path = tmp_path / "top.txt"
@@ -318,7 +408,7 @@ class TestTopologyIO:
     def test_load_normalizes_reversed_edges(self, tmp_path):
         path = tmp_path / "top.txt"
         path.write_text("3\n1 0\n2 1\n")
-        assert ed.load_topology(path).edges == ((0, 1), (1, 2))
+        assert ed.load_topology(path).edges.tolist() == [[0, 1], [1, 2]]
 
     def test_load_reports_bad_line(self, tmp_path):
         path = tmp_path / "top.txt"
@@ -330,6 +420,12 @@ class TestTopologyIO:
         path = tmp_path / "top.txt"
         path.write_text("three\n0 1\n")
         with pytest.raises(ValueError, match="node count"):
+            ed.load_topology(path)
+
+    def test_load_reports_an_endpoint_too_large_for_an_integer(self, tmp_path):
+        path = tmp_path / "top.txt"
+        path.write_text(f"3\n0 1\n1 {2**70}\n")
+        with pytest.raises(ValueError, match="top.txt"):
             ed.load_topology(path)
 
     def test_load_empty_file(self, tmp_path):
@@ -547,3 +643,14 @@ class TestDenseFromSlots:
             tracemalloc.stop()
         assert all(isinstance(g.operator, NeighbourSlots) for g in kept)
         assert held < m * m * 8
+
+    def test_ring4096_peaks_at_o_mk(self):
+        # the dense W of a 4096-node ring would take m^2 * 8 bytes = 128 MiB
+        tracemalloc.start()
+        try:
+            g = ed.build_laplacian(ed.make_topology("ring", 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g.operator, NeighbourSlots)
+        assert peak < 8 * 2**20
