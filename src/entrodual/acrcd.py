@@ -209,6 +209,12 @@ def _running_pair(state):
     return DualState(state.z_bar, state.s_bar, -(state.P_bar + state.Q_bar))
 
 
+def check_p(inst):
+    """Raise unless ``inst`` is a p = 1 instance, the one mode ACRCD solves."""
+    if inst.p != 1.0:
+        raise ValueError("acrcd handles p = 1 only; use stm")
+
+
 def run_acrcd(inst, W, cfg):
     """Minimize the hard-constrained dual of a p = 1 instance from the origin.
 
@@ -223,8 +229,7 @@ def run_acrcd(inst, W, cfg):
     ValueError
         If the instance has p != 1 (use run_stm for p = 2).
     """
-    if inst.p != 1.0:
-        raise ValueError("acrcd handles p = 1 only; use stm")
+    check_p(inst)
     consts = None
     if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
         consts = lipschitz_constants(inst, W)

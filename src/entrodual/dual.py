@@ -79,9 +79,11 @@ class DualConstants:
     """Smoothness constants of H and the block-sampling probability eta.
 
     L_z and L_s bound the curvature of H along the z and the s block, L_H
-    along both together; ``lipschitz_constants`` derives them.  eta equals
-    both lambda_max(W) / (lambda_max(W) + sigma_max(A)) and
-    sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)); ``check_eta`` asserts the identity.
+    along both together.  ``lipschitz_constants``, their one producer, takes
+    all four from the same lambda_max(W) and sigma_max(A), so eta =
+    lambda_max / (lambda_max + sigma_max) = sqrt(L_z) / (sqrt(L_z) + sqrt(L_s))
+    by construction.  It is 1 when every data block is zero, a value STM
+    never reads and ``ACRCDConfig`` rejects.
     """
 
     L_H: float
@@ -89,12 +91,10 @@ class DualConstants:
     L_s: float
     eta: float
 
-    def __post_init__(self):
-        check_eta(self.eta, self.L_z, self.L_s)
-
 
 def check_eta(eta, L_z=None, L_s=None):
-    """Raise unless 0 < eta < 1 and, when both block constants are given,
+    """Check an eta that a caller supplies (``ACRCDConfig``): raise unless
+    0 < eta < 1 and, when both block constants are given,
     eta = sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)) to within ETA_IDENTITY_TOL."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly in (0, 1), got {eta}")

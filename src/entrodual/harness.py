@@ -21,7 +21,7 @@ import os
 import typing
 from dataclasses import dataclass
 
-from .acrcd import ACRCDConfig, run_acrcd
+from .acrcd import ACRCDConfig, check_p, run_acrcd
 from .baseline import subgradient_baseline
 from .dual import default_regularizer_weight, lipschitz_constants
 from .errors import ConfigError
@@ -53,7 +53,6 @@ class ExperimentConfig:
     scale: float = 1.0
     max_iter: int = 2000
     target_eps: float = 1e-4
-    L: float | None = None
     mu: float = 0.0
     solver_seed: int | None = None
     trace_every: int = 1
@@ -70,8 +69,8 @@ class ExperimentConfig:
         # numpy rejects a negative shape before ProblemInstance could name it
         if self.instance is None and min(self.m, self.n, self.d) < 1:
             raise ConfigError("dimensions m, n, d must be positive")
-        if self.solver != "stm" and (self.L is not None or self.mu != 0.0):
-            raise ConfigError(f"L and mu are stm settings; {self.solver} takes neither")
+        if self.solver != "stm" and self.mu != 0.0:
+            raise ConfigError(f"mu is an stm setting; {self.solver} does not take it")
         # run_stm checks target_eps itself; acrcd and subgradient never read
         # it, only first_certified below does
         if not 0.0 < self.target_eps < math.inf:  # NaN fails too
@@ -163,13 +162,14 @@ def run_experiment(cfg):
     # the loop and solver settings fail here, before the instance and W are built
     check_loop_settings(cfg.max_iter, cfg.trace_every)
     if cfg.solver == "stm":
-        solver_cfg = STMConfig(L=cfg.L, mu=cfg.mu, max_iter=cfg.max_iter,
-                               target_eps=cfg.target_eps, trace_every=cfg.trace_every,
-                               timing=cfg.timing)
+        solver_cfg = STMConfig(mu=cfg.mu, max_iter=cfg.max_iter, target_eps=cfg.target_eps,
+                               trace_every=cfg.trace_every, timing=cfg.timing)
     elif cfg.solver == "acrcd":
         solver_cfg = ACRCDConfig(rng_seed=cfg.solver_seed, max_iter=cfg.max_iter,
                                  trace_every=cfg.trace_every, timing=cfg.timing)
     inst = _load_or_generate(cfg)
+    if cfg.solver == "acrcd":
+        check_p(inst)  # the instance's rule, checked before the topology's spectrum
     topology = _build_topology(cfg, inst.m)
     if topology.m != inst.m:
         raise ConfigError(
@@ -196,7 +196,6 @@ def run_experiment(cfg):
     if cfg.solver == "stm":
         scfg = resolve_config(solver_cfg, inst, W)
         final_state, trace = run_stm(inst, W, scfg)
-        summary["L"] = scfg.L
         summary["nu"] = default_regularizer_weight(inst, cfg.target_eps)
         summary["q_exponent"] = inst.q_exponent
     elif cfg.solver == "acrcd":

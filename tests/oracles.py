@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entrodual.dual import DUAL_BALL_SLACK
-from entrodual.network import NeighbourSlots, _extreme_eigenvalues, gossip_operator
+from entrodual.network import ZERO_EIG_REL, NeighbourSlots, gossip_operator
 from entrodual.problem import data_constants
 from entrodual.recovery import GapReport, primal_from_dual
 from entrodual.trace import TRACE_COLUMNS
@@ -380,8 +380,13 @@ def laplacian(top):
 
 
 def spectral_constants(W):
-    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix."""
-    return _extreme_eigenvalues(np.linalg.eigvalsh(np.asarray(W, dtype=float)))
+    """(lambda_max, lambda_min_plus) of a symmetric PSD matrix; eigenvalues
+    at most ``ZERO_EIG_REL * lambda_max`` count as zero."""
+    evals = np.linalg.eigvalsh(np.asarray(W, dtype=float))
+    lam_max = float(evals[-1])
+    if lam_max <= 0.0:
+        raise ValueError("matrix has no positive eigenvalue")
+    return lam_max, float(evals[evals > ZERO_EIG_REL * lam_max][0])
 
 
 def connected(m, edges):

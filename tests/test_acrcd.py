@@ -110,16 +110,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="disagrees with sqrt"):
             ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=8.0, eta=0.5)
 
-    def test_one_eta_message_for_solver_and_constants(self):
-        messages = []
-        for build in (lambda: ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=8.0, eta=0.5),
-                      lambda: ed.DualConstants(L_H=10.0, L_z=2.0, L_s=8.0, eta=0.5)):
-            with pytest.raises(ValueError) as info:
-                build()
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("eta=0.5 disagrees with sqrt(L_z)/(sqrt(L_z)+sqrt(L_s))=")
-
     def test_consistent_triple_accepted(self):
         cfg = tiny_cfg()
         assert cfg.eta == pytest.approx(1.0 / 3.0)

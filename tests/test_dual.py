@@ -329,14 +329,18 @@ class TestConstants:
             assert 0.0 < lam_z / c.L_z <= 1.0 + 1e-9
             assert 0.0 < lam_s / c.L_s <= 1.0 + 1e-9
 
-    def test_eta_identity_enforced(self):
-        with pytest.raises(ValueError, match="disagrees with sqrt"):
-            ed.DualConstants(L_H=10.0, L_z=4.0, L_s=1.0, eta=0.5)
-        ed.DualConstants(L_H=10.0, L_z=4.0, L_s=1.0, eta=2.0 / 3.0)
-
-    def test_eta_range_enforced(self):
-        with pytest.raises(ValueError, match="strictly"):
-            ed.DualConstants(L_H=1.0, L_z=1.0, L_s=1.0, eta=1.0)
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_zero_data_gives_eta_one_which_only_acrcd_reads(self, p, ring4):
+        # sigma_max = 0: eta = lambda_max / (lambda_max + 0) = 1, L_s = 0
+        inst = ed.generate_instance(7, 4, 3, 5, p, 3.0, scale=0.0)
+        c = ed.lipschitz_constants(inst, ring4)
+        assert (c.eta, c.L_s) == (1.0, 0.0)
+        # STM steps with L_H alone and never reads eta
+        _, trace = ed.run_stm(inst, ring4, ed.STMConfig(max_iter=5))
+        assert trace.iter[-1] == 5
+        if p == 1.0:
+            with pytest.raises(ValueError, match=r"eta must lie strictly in \(0, 1\), got 1.0"):
+                ed.run_acrcd(inst, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=5))
 
     def test_empirical_smoothness_never_exceeds_bounds(self, toy_p2, ring4):
         c = ed.lipschitz_constants(toy_p2, ring4)

@@ -28,6 +28,7 @@ from reference_values import TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_SEED, TRACE_
 from strategies import invalid_accuracies
 
 REPO = Path(__file__).resolve().parent.parent
+ACRCD_P_RULE = "acrcd handles p = 1 only; use stm"
 
 
 def synthetic_trace(values, start=1):
@@ -207,13 +208,17 @@ class TestExperimentConfig:
         (dict(trace_every=0), "trace_every must be positive"),
         (dict(solver="acrcd", p=1.0), "acrcd needs rng_seed"),
         (dict(mu=-1.0), "mu must be nonnegative"),
+        (dict(solver="acrcd", p=2.0, solver_seed=0), ACRCD_P_RULE),
     ])
     def test_settings_fail_before_set_up(self, change, message, monkeypatch):
-        # the instance, W and the block SVDs are never built for a bad setting
-        def no_set_up(cfg):
+        # the instance, W and the block SVDs are never built for a bad setting;
+        # acrcd's p rule reads the instance's p, so only the topology waits for it
+        def no_set_up(*args):
             raise AssertionError("set-up ran before the settings were checked")
 
-        monkeypatch.setattr(ed.harness, "_load_or_generate", no_set_up)
+        if message != ACRCD_P_RULE:
+            monkeypatch.setattr(ed.harness, "_load_or_generate", no_set_up)
+        monkeypatch.setattr(ed.harness, "_build_topology", no_set_up)
         with pytest.raises(ValueError, match=message):
             ed.run_experiment(self.base(**change))
 
@@ -277,9 +282,9 @@ class TestLoadConfig:
 
     def test_empty_value_keeps_default(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("seed = 4\nL =\n")
+        path.write_text("seed = 4\nsolver_seed =\n")
         cfg = ed.load_config(path)
-        assert cfg.L is None and cfg.seed == 4
+        assert cfg.solver_seed is None and cfg.seed == 4
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ed.ConfigError, match="cannot read"):
@@ -345,6 +350,8 @@ class TestRunExperiment:
         summary, _ = ed.run_experiment(self.small_cfg())
         for key in ("L_H", "L_z", "L_s", "eta", "sigma_max", "lambda_max", "chi"):
             assert math.isfinite(summary[key])
+        # STM steps with L_H, so no separate L is reported
+        assert "L" not in summary
         assert summary["nu"] == ed.default_regularizer_weight(
             ed.generate_instance(3, 3, 2, 3, 2.0, 0.5), 1e-4)
 
@@ -366,6 +373,18 @@ class TestRunExperiment:
         assert main(["solve", "--config", str(path)]) == 2
         assert "unknown key 'nu'" in capsys.readouterr().err
 
+    def test_L_is_not_a_setting(self, tmp_path, capsys):
+        # STM's step is always the worked-out L_H
+        assert "L" not in CONFIG_TYPES
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seed", "1", "--L", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --L 5" in capsys.readouterr().err
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 1\nL = 5\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "unknown key 'L'" in capsys.readouterr().err
+
     def test_acrcd_path(self):
         cfg = self.small_cfg(solver="acrcd", p=1.0, solver_seed=11)
         summary, trace = ed.run_experiment(cfg)
@@ -373,7 +392,7 @@ class TestRunExperiment:
         assert all(math.isfinite(v) for v in trace.dual_obj)
 
     def test_acrcd_rejects_p2(self):
-        # run_acrcd owns the check
+        # acrcd.check_p owns the check; run_acrcd and the harness call it
         cfg = self.small_cfg(solver="acrcd", solver_seed=11)
         with pytest.raises(ValueError, match="p = 1"):
             ed.run_experiment(cfg)
@@ -697,22 +716,20 @@ class TestCLI:
 
     def test_numeric_failure_exit_code(self, capsys):
         code = main(["solve", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",
-                     "--L", "1e-7", "--max-iter", "3000"])
+                     "--mu", "100", "--max-iter", "3000"])
         assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert "numeric failure: non-finite iterate at iteration 441" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,code,message", [
-        pytest.param(["solve", "--seed", "1", "--L", "0"], 2, "L must be positive", id="L=0"),
-        pytest.param(["solve", "--seed", "1", "--L", "-1"], 2, "L must be positive", id="L=-1"),
         pytest.param(["solve", "--seed", "1", "--scale", "1e160"], 3, "", id="scale=1e160"),
+        pytest.param(["solve", "--seed", "1", "--scale", "0"], 2, "all data blocks are zero",
+                     id="scale=0"),
         pytest.param(["rate", "--trace", "{missing}", "--fstar", "0"], 2, "{missing}",
                      id="missing-trace"),
         pytest.param(["rate", "--trace", "{trace}", "--ref", "{missing}"], 2, "{missing}",
                      id="missing-ref"),
         pytest.param(["solve", "--seed", "1", "--theta", "nan"], 2, "theta must be positive",
                      id="theta=nan"),
-        pytest.param(["solve", "--seed", "1", "--L", "nan"], 2, "L must be positive",
-                     id="L=nan"),
         pytest.param(["solve", "--seed", "1", "--mu", "nan"], 2, "mu must be nonnegative",
                      id="mu=nan"),
         pytest.param(["solve", "--seed", "1", "--target-eps", "nan"], 2,
@@ -733,13 +750,10 @@ class TestCLI:
         pytest.param(["gen", "--seed", "1", "--theta", "inf", "--out", "{missing}"], 2,
                      "theta must be positive", id="gen-theta=inf"),
         pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
-                      "--p", "1", "--mu", "3"], 2, "L and mu are stm settings; acrcd",
+                      "--p", "1", "--mu", "3"], 2, "mu is an stm setting; acrcd does not take it",
                      id="acrcd-mu=3"),
-        pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
-                      "--p", "1", "--L", "5"], 2, "L and mu are stm settings; acrcd",
-                     id="acrcd-L=5"),
-        pytest.param(["solve", "--solver", "subgradient", "--seed", "1", "--L", "5"], 2,
-                     "L and mu are stm settings; subgradient", id="subgradient-L=5"),
+        pytest.param(["solve", "--solver", "subgradient", "--seed", "1", "--mu", "3"], 2,
+                     "mu is an stm setting; subgradient does not take it", id="subgradient-mu=3"),
         pytest.param(["solve", "--instance", "{dir}"], 2, "{dir}", id="instance-dir"),
         pytest.param(["solve", "--seed", "1", "--topology", "file:{dir}"], 2, "{dir}",
                      id="topology-dir"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import entrodual as ed
-from entrodual.network import (ZERO_EIG_REL, NeighbourSlots, _validate_spectrum,
+from entrodual.network import (ZERO_EIG_REL, NeighbourSlots, _measured_spectrum,
                                 closed_form_spectrum)
 
 from oracles import (connected, dense_matrix, erdos_renyi_edges, laplacian, save_topology,
@@ -164,6 +164,20 @@ class TestGenerators:
         with pytest.raises(ValueError, match="disconnected; raise p or pick another seed"):
             ed.topology_erdos_renyi(5, 0.0, 0)
 
+    def test_erdos_renyi_keeps_the_node_count_message(self):
+        with pytest.raises(ValueError, match="^node count must be at least 1$"):
+            ed.topology_erdos_renyi(0, 0.5, 0)
+
+    def test_erdos_renyi_proves_connectivity_once(self, monkeypatch):
+        calls = []
+        connected_ = ed.network._connected
+        monkeypatch.setattr(ed.network, "_connected",
+                            lambda *args: calls.append(1) or connected_(*args))
+        ed.topology_erdos_renyi(6, 0.7, 3)
+        with pytest.raises(ValueError, match="raise p"):
+            ed.topology_erdos_renyi(5, 0.0, 0)
+        assert len(calls) == 2
+
     def test_erdos_renyi_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
             ed.topology_erdos_renyi(5, 1.5, 0)
@@ -224,7 +238,7 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=message):
             ed.build_laplacian(ed.Topology(1, ()))
         with pytest.raises(ValueError, match=message):
-            _validate_spectrum(np.array([[0.0]]))
+            _measured_spectrum(np.array([[0.0]]))
 
     def test_closed_forms_make_no_eigensolve(self, monkeypatch):
         def forbidden(*args):
@@ -367,28 +381,33 @@ class TestSpectrum:
 
 
 class TestValidateSpectrum:
-    """The spectral checks, on matrices that no Topology's Laplacian is."""
-
-    def test_rejects_indefinite(self):
-        L = laplacian(ed.topology_path(3))
-        # eigenvalues -0.5, 0.5 and 2.5
-        with pytest.raises(ValueError, match="not PSD"):
-            _validate_spectrum(L - 0.5 * np.eye(3))
-        # -L has no positive eigenvalue at all
-        with pytest.raises(ValueError, match="no positive eigenvalue"):
-            _validate_spectrum(-L)
-
-    def test_rejects_nonzero_row_sums(self):
-        # PSD with a one-dimensional kernel, but not the consensus line
-        with pytest.raises(ValueError, match="annihilate"):
-            _validate_spectrum(np.diag([0.0, 1.0, 1.0]))
+    """The one guard of a measured spectrum: lambda_min_plus must lie within
+    the eigensolver's resolution.  PSD, zero row sums and the one-dimensional
+    kernel hold for every Topology's Laplacian and are not re-checked."""
 
     def test_rejects_enlarged_kernel(self):
         # block-diagonal Laplacian of two components, presented as one matrix
         blk = np.array([[1.0, -1.0], [-1.0, 1.0]])
         W = np.block([[blk, np.zeros((2, 2))], [np.zeros((2, 2)), blk]])
-        with pytest.raises(ValueError, match="kernel"):
-            _validate_spectrum(W)
+        with pytest.raises(ValueError, match="chi is beyond the eigensolver's resolution"):
+            _measured_spectrum(W)
+
+    def test_unresolved_chi_is_not_called_disconnected(self, monkeypatch):
+        # a connected graph whose lambda_min_plus the eigensolver cannot tell from 0
+        top = ed.make_topology(ER_SPECS[4], 4)
+        assert closed_form_spectrum(top) is None
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda W: np.array([0.0, 1e-12, 3.0, 4.0]))
+        with pytest.raises(ValueError, match="chi is beyond the eigensolver's resolution") as info:
+            ed.build_laplacian(top)
+        assert "connected" not in str(info.value)
+
+    def test_one_eigensolve_on_a_measured_graph(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda W: calls.append(1) or eigvalsh(W))
+        g = ed.build_laplacian(ed.make_topology(ER_SPECS[64], 64))
+        assert len(calls) == 1
+        assert (g.lambda_max, g.lambda_min_plus) == spectral_constants(dense_matrix(g))
 
 
 class TestTopologyIO:

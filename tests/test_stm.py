@@ -189,6 +189,12 @@ class TestResolveConfig:
         cfg = resolve_config(ed.STMConfig(L=10.0), toy_p2, ring4)
         assert cfg.L == 10.0
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+    def test_set_L_must_be_positive(self, L):
+        # STMConfig owns the rule; the harness never sets L
+        with pytest.raises(ValueError, match="L must be positive"):
+            ed.STMConfig(L=L)
+
     def test_config_validation(self, toy_p1, toy_p2, ring4):
         with pytest.raises(ValueError):
             ed.STMConfig(mu=-1.0)

@@ -39,6 +39,9 @@ GONE = [
     (network, "_off_diagonal"),
     (network, "_check_symmetric"),
     (network, "SYMMETRY_TOL_REL"),
+    (network, "_validate_spectrum"),
+    (network, "_extreme_eigenvalues"),
+    (network, "SPECTRAL_SLACK_REL"),
 ]
 
 
@@ -69,6 +72,7 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.ExperimentConfig, "nu"),
     (ed.GossipMatrix, "W"),
     (network.NeighbourSlots, "from_entries"),
+    (ed.ExperimentConfig, "L"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -97,7 +101,10 @@ def test_each_input_rule_has_one_owner():
         "trace_every must be positive": 1,  # trace.observe
         "p must be 1 or 2": 1,  # ProblemInstance
         "acrcd needs rng_seed": 1,  # ACRCDConfig
-        "acrcd handles p = 1 only": 1,  # run_acrcd
+        "acrcd handles p = 1 only": 1,  # acrcd.check_p
+        "mu is an stm setting": 1,  # ExperimentConfig.validate
+        "L must be positive": 1,  # STMConfig
+        "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
         # default_regularizer_weight checks it for run_stm; the harness keeps
         # a second copy, because acrcd and the subgradient comparator never
         # read target_eps and only the harness's first_certified does
