@@ -3,9 +3,11 @@
 
 Prints the two tables that the package's form choices come from:
 
-- gossip: W X by the dense (m, m) matrix against W's neighbour slots, on
-  rings and Erdos-Renyi graphs, with the form ``network.SLOT_CROSSOVER``
-  picks for each graph;
+- gossip: W X by the dense (m, m) matrix against W's neighbour slots, the
+  slots taken both by a gather and by shifted slices, on rings and paths
+  labelled in order, a relabelled ring and Erdos-Renyi graphs, with the form
+  ``network.SLOT_CROSSOVER`` picks for each graph and the slot form the run
+  rule of ``network.NeighbourSlots.of`` picks;
 - data blocks: A x and A^T s by np.einsum against batched np.matmul, over
   block shapes m x n x d, with the form ``problem.BLAS_BLOCK_MIN`` picks.
 
@@ -16,6 +18,7 @@ Each entry is the best of several repeats, in microseconds per product.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import timeit
@@ -31,6 +34,8 @@ import numpy as np  # noqa: E402
 from entrodual import network, problem  # noqa: E402
 
 RINGS = (64, 128, 160, 192, 256, 384, 512, 1024)
+PATHS = (192, 300, 512)
+RELABELLED_RINGS = (512, 1024)
 ER_GRAPHS = ((256, 0.02), (256, 0.04), (512, 0.01), (512, 0.02), (512, 0.04),
              (1024, 0.01), (1024, 0.02), (1024, 0.04))
 WIDTHS = (8, 50)
@@ -46,28 +51,45 @@ def best_us(fn, repeats, budget_s=0.02):
     return 1e6 * min(timer.repeat(repeats, number)) / number
 
 
+def relabelled_ring(m):
+    """The ring on m nodes under a fixed random labelling."""
+    label = np.random.default_rng(0).permutation(m)
+    return network.Topology.from_edges(m, label[network.topology_ring(m).edges])
+
+
 def gossip_table(quick, repeats):
-    specs = [("ring", m) for m in (RINGS[::2] if quick else RINGS)]
-    specs += [(f"erdos-renyi {p} 1", m) for m, p in (ER_GRAPHS[3:6] if quick else ER_GRAPHS)]
+    graphs = [("ring", m, network.topology_ring)
+              for m in (RINGS[::2] if quick else RINGS)]
+    graphs += [("path", m, network.topology_path) for m in (PATHS[1:] if quick else PATHS)]
+    graphs += [("relabelled ring", m, relabelled_ring)
+               for m in (RELABELLED_RINGS[:1] if quick else RELABELLED_RINGS)]
+    graphs += [(f"erdos-renyi {p} 1", m, lambda m, p=p: network.topology_erdos_renyi(m, p, 1))
+               for m, p in (ER_GRAPHS[3:6] if quick else ER_GRAPHS)]
     rng = np.random.default_rng(0)
     print("gossip W X, us per product (SLOT_CROSSOVER = "
-          f"{network.SLOT_CROSSOVER}: slots when (k + 1) * SLOT_CROSSOVER <= m)")
-    print(f"{'graph':>22} {'m':>5} {'k':>3} {'d':>3} {'dense':>8} {'slots':>8} "
-          f"{'dense/slots':>11} {'rule':>6}")
-    for spec, m in specs:
+          f"{network.SLOT_CROSSOVER}: slots when (k + 1) * SLOT_CROSSOVER <= m, and slices "
+          "when runs * SLOT_CROSSOVER <= (k + 1) * m)")
+    print(f"{'graph':>20} {'m':>5} {'k':>3} {'runs':>5} {'d':>3} {'dense':>8} {'gather':>8} "
+          f"{'slices':>8} {'dense/slots':>11} {'rule':>6} {'form':>7}")
+    for name, m, make in graphs:
         try:
-            topology = network.make_topology(spec, m)
+            topology = make(m)
         except ValueError:
             continue  # a disconnected draw
         W = network.laplacian_matrix(topology)
         slots = network.NeighbourSlots.of(topology)
+        gather = dataclasses.replace(slots, runs=None)
+        sliced = dataclasses.replace(slots, runs=network.slot_runs(slots.index, slots.weights))
         rule = "slots" if network.takes_slots(topology) else "dense"
+        form = "gather" if slots.runs is None else "slices"
         for d in WIDTHS:
             X = rng.standard_normal((m, d))
             dense = best_us(lambda: W @ X, repeats)
-            slot = best_us(lambda: slots @ X, repeats)
-            print(f"{spec:>22} {m:5d} {slots.index.shape[0] - 1:3d} {d:3d} {dense:8.1f} "
-                  f"{slot:8.1f} {dense / slot:11.2f} {rule:>6}")
+            times = {"gather": best_us(lambda: gather @ X, repeats),
+                     "slices": best_us(lambda: sliced @ X, repeats)}
+            print(f"{name:>20} {m:5d} {topology.max_degree:3d} {len(sliced.runs):5d} {d:3d} "
+                  f"{dense:8.1f} {times['gather']:8.1f} {times['slices']:8.1f} "
+                  f"{dense / times[form]:11.2f} {rule:>6} {form:>7}")
 
 
 def data_table(quick, repeats):

@@ -47,6 +47,7 @@ from .dual import (
     lipschitz_constants,
 )
 from .errors import NumericFailure
+from .problem import check_data
 from .prox import project_box
 from .recovery import duality_gap
 from .trace import observe
@@ -227,10 +228,14 @@ def run_acrcd(inst, W, cfg):
     Raises
     ------
     ValueError
-        If the instance has p != 1 (use run_stm for p = 2).
+        If the instance has p != 1 (use run_stm for p = 2), or, when eta is
+        left to resolve, if all its data blocks are zero.
     """
     check_p(inst)
     consts = None
+    if cfg.eta is None:
+        # zero data resolves eta to 1, and a coin that never picks s solves nothing
+        check_data(inst)
     if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
         consts = lipschitz_constants(inst, W)
     resolved = replace(

@@ -83,7 +83,7 @@ class DualConstants:
     all four from the same lambda_max(W) and sigma_max(A), so eta =
     lambda_max / (lambda_max + sigma_max) = sqrt(L_z) / (sqrt(L_z) + sqrt(L_s))
     by construction.  It is 1 when every data block is zero, a value STM
-    never reads and ``ACRCDConfig`` rejects.
+    never reads and ``run_acrcd`` refuses as all-zero data.
     """
 
     L_H: float

@@ -16,10 +16,22 @@ t < k (k the largest node degree), with W's entries as weights, so that
     W X = sum_t weights[t] * X[index[t]],   t = 0..k,
 
 which costs O(m k d) against the dense O(m^2 d); rows with fewer than k
-neighbours pad with their own index and weight 0.  A slot product is one
-gather of the k + 1 rows each node needs and one einsum with their weights.
-The slots are read from the topology's edges, never from the dense W.
-They are used when (k + 1) * SLOT_CROSSOVER <= m (``takes_slots``).
+neighbours pad with their own index and weight 0.  The slots are read from
+the topology's edges, never from the dense W.  They are used when
+(k + 1) * SLOT_CROSSOVER <= m (``takes_slots``).
+
+A slot product takes one of two forms.  Where a slot's column is i + o for
+long stretches of rows, as on rings and paths labelled in order, it is
+read in place: ``slot_runs`` splits each slot into maximal runs of constant
+offset o and weight w, in one vectorised O(m k) pass, and each run adds
+w * X[a + o : b + o] to rows a..b-1 of the output.  A ring has 7 runs, a
+path 8.  The runs are kept when runs * SLOT_CROSSOVER <= (k + 1) m, that
+is, when they average at least SLOT_CROSSOVER rows.  Otherwise, on
+relabelled or irregular graphs, the product gathers the k + 1 rows each
+node needs into one (k + 1, m, d) temporary, which the slices never form,
+and contracts it with the weights in one einsum.  Both forms add each
+row's terms to 0 in slot order, so they give the same bits but for the
+sign of a nan.
 
 The spectrum.  lambda_max and lambda_min_plus are taken in closed form
 (``closed_form_spectrum``) when the edge count and the degrees fix the graph:
@@ -40,6 +52,12 @@ at m = 512, k = 22 they win at d = 8 (1.6x) and tie at d = 50.  A rule
 linear in m and blind to d cannot follow all of these; in the table, 64
 sends no graph to the slots where they lose.  The two products round differently,
 at the ulp level.
+
+The run rule comes from the same table.  A run costs about one NumPy call.
+On in-order rings and paths from m = 128 the slices take 0.4-1.0 of the
+gather's time at d = 8 and d = 50 (about half on ring512 at d = 8); a
+relabelled ring splits into about m runs, and its slices take 10-40x the
+gather's time.  The SLOT_CROSSOVER ratios above were measured on the gather.
 """
 
 import math
@@ -103,12 +121,14 @@ class DisconnectedGraph(ValueError):
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Connected undirected graph on nodes 0..m-1: ``edges`` is a read-only
-    (e, 2) ``intp`` array of distinct pairs i < j in the order given, and
-    ``degrees`` counts each node's edges.  Equality is identity."""
+    (e, 2) ``intp`` array of distinct pairs i < j in the order given,
+    ``degrees`` counts each node's edges and ``max_degree`` is the largest
+    count (0 on one node).  Equality is identity."""
 
     m: int
     edges: np.ndarray
     degrees: np.ndarray = field(init=False, repr=False)
+    max_degree: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -128,12 +148,18 @@ class Topology:
         for name, array in (("edges", edges), ("degrees", degrees)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "max_degree", int(degrees.max(initial=0)))
 
     @classmethod
     def from_edges(cls, m, edges):
         """Normalize arbitrary (i, j) pairs into a sorted, deduplicated Topology."""
-        # unique rows, not keys i * m + j, which alias out-of-range pairs onto valid ones
-        return cls(m, np.unique(np.sort(_edge_array(edges)), axis=0))
+        ends = np.sort(_edge_array(edges))
+        if np.count_nonzero((ends < 0) | (ends >= m)):
+            # keys i * m + j would alias out-of-range pairs onto valid ones
+            return cls(m, np.unique(ends, axis=0))
+        # in range, keys i * m + j sort and repeat exactly as the rows do
+        keys = np.unique(ends[:, 0] * m + ends[:, 1])
+        return cls(m, np.stack((keys // m, keys % m), axis=1))
 
 
 def topology_path(m):
@@ -214,6 +240,31 @@ def load_topology(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def slot_runs(index, weights, most=None):
+    """The runs of the slot tables ``index`` and ``weights``, or None when
+    there are more than ``most`` of them.
+
+    A run is a maximal stretch of rows a..b-1 of one slot over which the
+    column offset index[t, i] - i and the weight stay at some o and w, so
+    that its terms are w * X[a + o : b + o].  Runs are returned slot by slot,
+    each as (slice(a, b), slice(a + o, b + o), w).  The split is one
+    vectorised pass over the tables; the slices are built only when kept.
+    """
+    m = index.shape[1]
+    offset = index - np.arange(m)
+    heads = np.ones(index.shape, dtype=bool)
+    heads[:, 1:] = (offset[:, 1:] != offset[:, :-1]) | (weights[:, 1:] != weights[:, :-1])
+    slot, start = np.nonzero(heads)
+    if most is not None and slot.size > most:
+        return None
+    # a run stops where the next starts, or at row m where the next opens a slot
+    stop = np.append(start[1:], m)
+    stop[stop <= start] = m
+    return tuple((slice(a, b), slice(a + o, b + o), w) for a, b, o, w in
+                 zip(start.tolist(), stop.tolist(), offset[slot, start].tolist(),
+                     weights[slot, start].tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class NeighbourSlots:
     """W in neighbour-slot form: W X = sum_t weights[t] * X[index[t]].
@@ -223,16 +274,22 @@ class NeighbourSlots:
     neighbours in ascending column order with weight -1, padded with i
     itself and weight 0.
 
-    A product gathers, in one ``np.take``, each row of X and its k slot rows
-    into a (k + 1, m, d) array and contracts it with the weights in one
-    ``np.einsum``, which adds the k + 1 terms in slot order and so rounds
-    exactly as the term-by-term sum.  The gather is the product's one
-    temporary: (k + 1) m d floats, which the rule (k + 1) * SLOT_CROSSOVER
-    <= m keeps below d / SLOT_CROSSOVER times the m^2 floats of a dense W.
+    A product takes one of two forms, fixed by ``of``.  Where the slots
+    split into few ``slot_runs`` (runs * SLOT_CROSSOVER <= (k + 1) m),
+    ``runs`` holds them and each adds w * X[a + o : b + o] to out[a:b] in
+    place.  Otherwise ``runs`` is None: one ``np.take`` gathers each row of
+    X and its k slot rows into a (k + 1, m, d) temporary, which the rule
+    (k + 1) * SLOT_CROSSOVER <= m keeps below d / SLOT_CROSSOVER times the
+    m^2 floats of a dense W, and one ``np.einsum`` contracts it with the
+    weights.  Both forms add the k + 1 terms of a row to 0 in slot order,
+    padded slots included, so they round exactly as the term-by-term sum
+    and as each other (only the sign of a nan may differ).  Only the einsum keeps quiet about inf * 0 and
+    overflow; the slices warn, as the dense product does.
     """
 
     index: np.ndarray
     weights: np.ndarray
+    runs: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, topology):
@@ -244,14 +301,14 @@ class NeighbourSlots:
         rows, cols = rows[order], cols[order]
         # slot 0 is the node itself; its neighbours fill slots 1..k in order
         slot = 1 + np.arange(rows.size) - (np.cumsum(degrees) - degrees)[rows]
-        index = np.tile(np.arange(m), (1 + int(degrees.max(initial=0)), 1))
+        index = np.tile(np.arange(m), (1 + topology.max_degree, 1))
         weights = np.zeros(index.shape)
         weights[0] = degrees
         index[slot, rows] = cols
         weights[slot, rows] = -1.0
         index.setflags(write=False)
         weights.setflags(write=False)
-        return cls(index, weights)
+        return cls(index, weights, slot_runs(index, weights, index.size // SLOT_CROSSOVER))
 
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
@@ -259,8 +316,19 @@ class NeighbourSlots:
         if X.ndim not in (1, 2) or X.shape[0] != m:
             raise ValueError(f"operand of shape {X.shape} does not match W of shape {(m, m)}; "
                              "expected (m,) or (m, d)")
-        terms = np.take(X.reshape(m, -1), self.index, axis=0)
-        return np.einsum("tmd,tm->md", terms, self.weights).reshape(X.shape)
+        X2 = X.reshape(m, -1)
+        if self.runs is None:
+            terms = np.take(X2, self.index, axis=0)
+            return np.einsum("tmd,tm->md", terms, self.weights).reshape(X.shape)
+        out = np.zeros(X2.shape)
+        for rows, source, w in self.runs:
+            part = out[rows]
+            if w == -1.0:
+                # IEEE a - x is a + (-1 * x) exactly, in one pass
+                np.subtract(part, X2[source], out=part)
+            else:
+                np.add(part, w * X2[source], out=part)
+        return out.reshape(X.shape)
 
 
 def laplacian_matrix(topology):
@@ -276,7 +344,7 @@ def laplacian_matrix(topology):
 def takes_slots(topology):
     """The operator rule: neighbour slots when (k + 1) * SLOT_CROSSOVER <= m,
     with k the largest node degree of ``topology``, else the dense matrix."""
-    return (int(topology.degrees.max(initial=0)) + 1) * SLOT_CROSSOVER <= topology.m
+    return (topology.max_degree + 1) * SLOT_CROSSOVER <= topology.m
 
 
 def _four_sin_sq(j, n):
@@ -298,7 +366,7 @@ def closed_form_spectrum(topology):
     m, e = topology.m, len(topology.edges)
     if m < 2:
         return None
-    k = int(topology.degrees.max(initial=0))
+    k = topology.max_degree
     if 2 * e == m * (m - 1):
         return float(m), float(m)
     if e == m - 1 and k == m - 1:

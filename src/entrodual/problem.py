@@ -213,16 +213,21 @@ def sigma_max(inst):
     return float(inst.block_singular_values[:, 0].max())
 
 
+def check_data(inst):
+    """Raise unless some data block is nonzero, which sigma_max > 0 needs."""
+    if sigma_max(inst) <= 0.0:
+        raise ValueError("all data blocks are zero")
+
+
 def data_constants(inst):
     """max_i sigma_max(A_i) and min_i sigma_min_plus(A_i).
 
     Singular values below ``ZERO_SV_REL * sigma_max`` are treated as zero;
     an all-zero block makes the constants meaningless and raises.
     """
+    check_data(inst)
     svals = inst.block_singular_values
     s_max = sigma_max(inst)
-    if s_max <= 0.0:
-        raise ValueError("all data blocks are zero")
     threshold = ZERO_SV_REL * s_max
     # rows descend, so a block's smallest positive value sits at its count - 1
     counts = np.count_nonzero(svals > threshold, axis=1)

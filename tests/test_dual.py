@@ -339,7 +339,7 @@ class TestConstants:
         _, trace = ed.run_stm(inst, ring4, ed.STMConfig(max_iter=5))
         assert trace.iter[-1] == 5
         if p == 1.0:
-            with pytest.raises(ValueError, match=r"eta must lie strictly in \(0, 1\), got 1.0"):
+            with pytest.raises(ValueError, match="all data blocks are zero"):
                 ed.run_acrcd(inst, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=5))
 
     def test_empirical_smoothness_never_exceeds_bounds(self, toy_p2, ring4):

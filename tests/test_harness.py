@@ -577,8 +577,8 @@ def test_toy_experiment_script_runs(tmp_path):
 
 
 def test_crossover_script_quick_runs():
-    """scripts/crossover.py --quick prints both tables, with the form the
-    package picks on every row."""
+    """scripts/crossover.py --quick prints both tables, with the forms the
+    package picks on every row: for W, the operator and the slot form."""
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "crossover.py"), "--quick"],
         capture_output=True, text=True, timeout=300,
@@ -586,10 +586,12 @@ def test_crossover_script_quick_runs():
     assert done.returncode == 0, done.stderr
     gossip, data = done.stdout.strip().split("\n\n")
     # below each table's title and column header, one row per case
-    for rows, forms in ((gossip.splitlines()[3:], {"dense", "slots"}),
-                        (data.splitlines()[2:], {"blas", "einsum"})):
+    for rows, forms in ((gossip.splitlines()[3:], [{"dense", "slots"}, {"gather", "slices"}]),
+                        (data.splitlines()[2:], [{"blas", "einsum"}])):
         assert rows
-        assert all(row.split()[-1] in forms for row in rows)
+        for row in rows:
+            picks = row.split()[-len(forms):]
+            assert all(pick in choices for pick, choices in zip(picks, forms)), row
 
 
 def test_readme_lists_the_config_keys():

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrodual as ed
 from entrodual.network import (ZERO_EIG_REL, NeighbourSlots, _measured_spectrum,
-                                closed_form_spectrum)
+                                closed_form_spectrum, slot_runs)
 
 from oracles import (connected, dense_matrix, erdos_renyi_edges, laplacian, save_topology,
                      spectral_constants, topology_fault)
@@ -108,6 +109,34 @@ class TestTopologyValidation:
             with pytest.raises(ValueError) as info:
                 ed.Topology.from_edges(m, edges)
             assert str(info.value) == fault
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_edges_matches_the_row_unique(self, data):
+        # pairs far out of range, whose keys i * m + j alias valid pairs,
+        # self-loops and repeats: the same edges and the same message as
+        # deduplicating whole rows
+        m = data.draw(st.integers(min_value=1, max_value=8))
+        lo, hi = data.draw(st.sampled_from([(0, m - 1), (-2 * m - 2, 2 * m + 2)]))
+        ends = st.integers(min_value=lo, max_value=hi)
+        edges = data.draw(st.lists(st.tuples(ends, ends), max_size=3 * m))
+        rows = np.unique(np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2)), axis=0)
+        try:
+            expect = ed.Topology(m, rows).edges.tolist()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ed.Topology.from_edges(m, edges)
+            assert str(info.value) == str(exc)
+        else:
+            assert ed.Topology.from_edges(m, edges).edges.tolist() == expect
+
+    def test_max_degree_is_the_largest_degree(self):
+        for top in (ed.Topology(1, ()), ed.topology_path(2), ed.topology_ring(9),
+                    ed.topology_star(7), ed.topology_erdos_renyi(40, 0.3, 0)):
+            assert type(top.max_degree) is int
+            assert top.max_degree == top.degrees.max(initial=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            top.max_degree = 0
 
     def test_connectivity_matches_the_bfs_on_relabelled_graphs(self):
         # G(m, p) below, near and above the connectivity threshold log(m) / m,
@@ -568,6 +597,104 @@ class TestNeighbourSlots:
         assert op.index.shape == (3, 512)
         assert op.index[2, 0] == 0 and op.weights[2, 0] == 0.0
         assert op.index[2, 511] == 511 and op.weights[2, 511] == 0.0
+
+
+def term_by_term(op, X):
+    """sum_t weights[t] * X[index[t]], added to 0 in slot order."""
+    X2 = X.reshape(op.index.shape[1], -1)
+    expect = np.zeros(X2.shape)
+    for t in range(op.index.shape[0]):
+        expect = expect + op.weights[t][:, None] * X2[op.index[t]]
+    return expect.reshape(X.shape)
+
+
+def assert_same_bits(out, expect):
+    # nan in the same places, every other entry bit for bit (the sign of 0 too)
+    assert out.shape == expect.shape
+    nan = np.isnan(expect)
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == expect[~nan].tobytes()
+
+
+def both_forms(op):
+    """The gather and the slice form of the same slots, whatever the rule picks."""
+    return (dataclasses.replace(op, runs=None),
+            dataclasses.replace(op, runs=slot_runs(op.index, op.weights)))
+
+
+class TestSliceRuns:
+    OPERAND_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5, 1e-310, 3e307])
+
+    def operands(self, m, rng):
+        yield rng.standard_normal(m)
+        yield rng.standard_normal((m, 8))
+        yield np.full((m, 3), -0.0)
+        yield rng.choice(self.OPERAND_VALUES, size=m)
+        yield rng.choice(self.OPERAND_VALUES, size=(m, 5))
+
+    @pytest.mark.parametrize("make,sizes", [(ed.topology_ring, range(3, 601)),
+                                            (ed.topology_path, range(2, 601))])
+    def test_both_forms_are_the_term_by_term_sum(self, make, sizes):
+        # the path's end nodes pad their second slot; all -0.0 sums to +0.0
+        rng = np.random.default_rng(17)
+        with np.errstate(all="ignore"):
+            for m in sizes:
+                op = NeighbourSlots.of(make(m))
+                for X in self.operands(m, rng):
+                    expect = term_by_term(op, X)
+                    for form in both_forms(op):
+                        assert_same_bits(form @ X, expect)
+
+    def test_a_ring_written_in_order_takes_the_slices(self, tmp_path):
+        path = tmp_path / "ring.txt"
+        save_topology(ed.topology_ring(512), path)
+        g = ed.build_laplacian(ed.load_topology(path))
+        op = g.operator
+        assert isinstance(op, NeighbourSlots) and len(op.runs) == 7
+        rng = np.random.default_rng(4)
+        with np.errstate(all="ignore"):
+            for X in self.operands(512, rng):
+                assert_same_bits(op @ X, term_by_term(op, X))
+
+    def test_ring_and_path_runs(self):
+        # ring: slot 0 is one run; each neighbour slot wraps at both ends
+        m = 512
+        runs = NeighbourSlots.of(ed.topology_ring(m)).runs
+        assert runs == ((slice(0, m), slice(0, m), 2.0),
+                        (slice(0, 1), slice(1, 2), -1.0),
+                        (slice(1, m - 1), slice(0, m - 2), -1.0),
+                        (slice(m - 1, m), slice(0, 1), -1.0),
+                        (slice(0, 1), slice(m - 1, m), -1.0),
+                        (slice(1, m - 1), slice(2, m), -1.0),
+                        (slice(m - 1, m), slice(m - 2, m - 1), -1.0))
+        # path: the end nodes have degree 1 and pad their second slot
+        m = 300
+        runs = NeighbourSlots.of(ed.topology_path(m)).runs
+        assert [(r.start, r.stop, s.start - r.start, w) for r, s, w in runs] == [
+            (0, 1, 0, 1.0), (1, m - 1, 0, 2.0), (m - 1, m, 0, 1.0),
+            (0, 1, 1, -1.0), (1, m, -1, -1.0),
+            (0, 1, 0, 0.0), (1, m - 1, 1, -1.0), (m - 1, m, 0, 0.0)]
+
+    def test_the_run_rule(self):
+        # slices when runs * SLOT_CROSSOVER <= (k + 1) * m
+        label = np.random.default_rng(0).permutation(512)
+        relabelled = ed.Topology.from_edges(512, label[ed.topology_ring(512).edges])
+        picks = {"ring512": ed.topology_ring(512), "path300": ed.topology_path(300)}
+        keeps = {"relabelled ring512": relabelled,
+                 "erdos-renyi 0.02 0 at 512": ed.make_topology("erdos-renyi 0.02 0", 512),
+                 "star40": ed.topology_star(40)}
+        for name, top in {**picks, **keeps}.items():
+            op = NeighbourSlots.of(top)
+            runs = len(slot_runs(op.index, op.weights))
+            assert (op.runs is not None) == (name in picks), name
+            assert (op.runs is not None) == (
+                runs * ed.network.SLOT_CROSSOVER <= op.index.size), name
+        assert ed.build_laplacian(relabelled).operator.runs is None
+
+    def test_runs_are_counted_before_they_are_built(self):
+        op = NeighbourSlots.of(ed.topology_star(40))
+        assert slot_runs(op.index, op.weights, most=117) is None
+        assert len(slot_runs(op.index, op.weights, most=118)) == 118
 
 
 class TestApplyRule:

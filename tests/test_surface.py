@@ -102,6 +102,7 @@ def test_each_input_rule_has_one_owner():
         "p must be 1 or 2": 1,  # ProblemInstance
         "acrcd needs rng_seed": 1,  # ACRCDConfig
         "acrcd handles p = 1 only": 1,  # acrcd.check_p
+        "all data blocks are zero": 1,  # problem.check_data
         "mu is an stm setting": 1,  # ExperimentConfig.validate
         "L must be positive": 1,  # STMConfig
         "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
