@@ -74,6 +74,9 @@ class ACRCDConfig:
     def __post_init__(self):
         if self.rng_seed is None:
             raise ValueError("acrcd needs rng_seed (solver_seed in a config) for its coin")
+        if self.rng_seed < 0:
+            raise ValueError(
+                f"rng_seed (solver_seed in a config) must be nonnegative, got {self.rng_seed}")
         if self.eta is not None:
             check_eta(self.eta, self.L_z, self.L_s)
 

@@ -21,7 +21,7 @@ from .harness import (
     run_experiment,
 )
 from .problem import generate_instance, instance_checksum, save_instance
-from .trace import fit_rate, load_trace
+from .trace import TRACE_COLUMNS, fit_rate, load_trace
 
 # Safety margin subtracted from a reference run's best value when it stands
 # in for the unknown optimum.
@@ -132,7 +132,7 @@ def build_parser():
 
     rate = commands.add_parser("rate", help="fit a power-law rate to a trace")
     rate.add_argument("--trace", required=True)
-    rate.add_argument("--column", default="dual_obj")
+    rate.add_argument("--column", default="dual_obj", choices=TRACE_COLUMNS)
     rate.add_argument("--kmin", type=int, default=10)
     rate.add_argument("--kmax", type=int, default=500)
     rate.add_argument("--fstar", type=float)

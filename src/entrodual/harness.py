@@ -53,7 +53,6 @@ class ExperimentConfig:
     scale: float = 1.0
     max_iter: int = 2000
     target_eps: float = 1e-4
-    mu: float = 0.0
     solver_seed: int | None = None
     trace_every: int = 1
     timing: bool = False
@@ -69,8 +68,6 @@ class ExperimentConfig:
         # numpy rejects a negative shape before ProblemInstance could name it
         if self.instance is None and min(self.m, self.n, self.d) < 1:
             raise ConfigError("dimensions m, n, d must be positive")
-        if self.solver != "stm" and self.mu != 0.0:
-            raise ConfigError(f"mu is an stm setting; {self.solver} does not take it")
         # run_stm checks target_eps itself; acrcd and subgradient never read
         # it, only first_certified below does
         if not 0.0 < self.target_eps < math.inf:  # NaN fails too
@@ -162,7 +159,7 @@ def run_experiment(cfg):
     # the loop and solver settings fail here, before the instance and W are built
     check_loop_settings(cfg.max_iter, cfg.trace_every)
     if cfg.solver == "stm":
-        solver_cfg = STMConfig(mu=cfg.mu, max_iter=cfg.max_iter, target_eps=cfg.target_eps,
+        solver_cfg = STMConfig(max_iter=cfg.max_iter, target_eps=cfg.target_eps,
                                trace_every=cfg.trace_every, timing=cfg.timing)
     elif cfg.solver == "acrcd":
         solver_cfg = ACRCDConfig(rng_seed=cfg.solver_seed, max_iter=cfg.max_iter,

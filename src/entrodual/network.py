@@ -188,6 +188,8 @@ def topology_erdos_renyi(m, p, seed):
     """G(m, p): one uniform draw per pair i < j, row by row; raises if disconnected."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError(f"erdos-renyi seed must be nonnegative, got {seed}")
     pairs = np.array(np.triu_indices(m, 1)).T
     edges = pairs[np.random.default_rng(seed).random(len(pairs)) < p]
     try:

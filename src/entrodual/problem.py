@@ -258,6 +258,8 @@ def generate_instance(seed, m, n, d, p, theta, scale=1.0):
     with x0 a random simplex point and noise at NOISE_REL of the data scale,
     so a near-feasible consensual solution exists.  Same seed, same bits.
     """
+    if seed is not None and seed < 0:  # numpy's own message names no setting
+        raise ValueError(f"instance seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     A = scale * rng.standard_normal((m, n, d))
     x0 = rng.dirichlet(np.ones(d))

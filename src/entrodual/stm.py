@@ -3,15 +3,14 @@
 Each iteration forms the coupling point y, takes a single gradient of the
 smooth part H there, and applies the prox of the regularizer:
 
-    alpha_{k+1}:  L alpha^2 = (A_k + alpha)(1 + mu A_k),   A_{k+1} = A_k + alpha
+    alpha_{k+1}:  L alpha^2 = A_k + alpha,   A_{k+1} = A_k + alpha
     y^{k+1} = (alpha u^k + A_k q^k) / A_{k+1}
-    u^{k+1} = prox_{gamma R}[mu gamma y + (1 - mu gamma) u - gamma grad H(y)],
-              gamma = alpha / (1 + mu A_{k+1})
+    u^{k+1} = prox_{alpha R}[u^k - alpha grad H(y^{k+1})]
     q^{k+1} = (alpha u^{k+1} + A_k q^k) / A_{k+1}
 
-With mu = 0 (the dual here is convex but not strongly so) the first step is
-alpha_1 = 1/L and the scheme reduces to the classical accelerated prox
-method with O(L R^2 / k^2) decay.
+The dual here is smooth and convex but not strongly convex, so this is the
+plain scheme: the first step is alpha_1 = 1/L, and the objective decays as
+O(L R^2 / k^2).
 
 Each iterate is one float64 buffer [z | s | T], T the carried link
 -(Wz + A^T s) flattened.  T is linear in (z, s), so y and q^{k+1} are each
@@ -29,7 +28,7 @@ objective F(q) is the certificate's H, plus nu ||s||_2^2 in the penalised
 mode, equal bit for bit to ``dual_objective`` at q; only a q whose s lies
 outside the dual ball, where H is infinite, takes F(q) from the pass's
 log-sum-exp by ``objective_from_lse`` instead.  ``stm_step`` takes grad H,
-the prox of gamma R and the link as callables; ``run_stm`` builds them from
+the prox of alpha R and the link as callables; ``run_stm`` builds them from
 the instance, whose p fixes R: the box constraint at p = 1, the penalty
 nu ||s||_2^2 at p = 2.
 """
@@ -71,16 +70,13 @@ class STMConfig:
     """
 
     L: float | None = None
-    mu: float = 0.0
     max_iter: int = 1000
     target_eps: float = 1e-4
     trace_every: int = 1
     timing: bool = False
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not self.mu >= 0.0:
-            raise ValueError("mu must be nonnegative")
+        # written so that NaN fails the check
         if self.L is not None and not self.L > 0.0:
             raise ValueError("L must be positive")
 
@@ -127,12 +123,12 @@ def stm_step(state, cfg, grad, prox, link=None):
     ----------
     state : STMState
     cfg : STMConfig
-        Must have a numeric L; the step reads L and mu.
+        Must have a numeric L, the only setting the step reads.
     grad : callable
         Maps y, a DualState viewing y's buffer (with its link when the
         buffers carry one), to the gradient of H there as (g_z, g_s).
     prox : callable
-        ``prox(s, gamma)`` overwrites the s block with prox_{gamma R}(s).
+        ``prox(s, alpha)`` overwrites the s block with prox_{alpha R}(s).
     link : callable, optional
         ``link(z, s, out)`` writes the link of (z, s) into the (m, d) array
         ``out``; required when the buffers carry a link, which it fills in
@@ -148,25 +144,19 @@ def stm_step(state, cfg, grad, prox, link=None):
     nz, ns, link_shape = state.layout
     if link_shape is not None and link is None:
         raise ValueError("iterates that carry their link need a link callable")
-    one = 1.0 + cfg.mu * state.A_k
-    alpha = (one + math.sqrt(one * one + 4.0 * cfg.L * state.A_k * one)) / (2.0 * cfg.L)
-    lhs = cfg.L * alpha * alpha
-    rhs = (state.A_k + alpha) * one
-    if abs(lhs - rhs) > COUPLING_RTOL * max(1.0, abs(lhs)):
-        raise ArithmeticError("step-size recurrence lost precision")
+    alpha = (1.0 + math.sqrt(1.0 + 4.0 * cfg.L * state.A_k)) / (2.0 * cfg.L)
     A_new = state.A_k + alpha
+    lhs = cfg.L * alpha * alpha
+    if abs(lhs - A_new) > COUPLING_RTOL * max(1.0, abs(lhs)):
+        raise ArithmeticError("step-size recurrence lost precision")
     a, c = alpha / A_new, state.A_k / A_new
     y = a * state.u_buf + c * state.q_buf
     g_z, g_s = grad(state.view(y))
-    gamma = alpha / (1.0 + cfg.mu * A_new)
-    lam = cfg.mu * gamma
-    # lam y + (1 - lam) u, which is u itself when mu = 0
-    base = state.u_buf if lam == 0.0 else lam * y + (1.0 - lam) * state.u_buf
     u = np.empty_like(y)
     z, s = u[:nz], u[nz:nz + ns]
-    np.subtract(base[:nz], np.multiply(g_z, gamma, out=z), out=z)
-    np.subtract(base[nz:nz + ns], np.multiply(g_s, gamma, out=s), out=s)
-    prox(s, gamma)
+    np.subtract(state.u_buf[:nz], np.multiply(g_z, alpha, out=z), out=z)
+    np.subtract(state.u_buf[nz:nz + ns], np.multiply(g_s, alpha, out=s), out=s)
+    prox(s, alpha)
     if link_shape is not None:
         link(z, s, u[nz + ns:].reshape(link_shape))
     q = a * u + c * state.q_buf
@@ -223,8 +213,8 @@ def run_stm(inst, W, cfg=None):
         value_at_y = objective_at(ds.s)
         return g
 
-    def prox(s, gamma):
-        prox_R(s, gamma, nu, qe, out=s)
+    def prox(s, alpha):
+        prox_R(s, alpha, nu, qe, out=s)
 
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)

@@ -207,7 +207,6 @@ class TestExperimentConfig:
         (dict(max_iter=0), "max_iter must be positive"),
         (dict(trace_every=0), "trace_every must be positive"),
         (dict(solver="acrcd", p=1.0), "acrcd needs rng_seed"),
-        (dict(mu=-1.0), "mu must be nonnegative"),
         (dict(solver="acrcd", p=2.0, solver_seed=0), ACRCD_P_RULE),
     ])
     def test_settings_fail_before_set_up(self, change, message, monkeypatch):
@@ -384,6 +383,18 @@ class TestRunExperiment:
         path.write_text("seed = 1\nL = 5\n")
         assert main(["solve", "--config", str(path)]) == 2
         assert "unknown key 'L'" in capsys.readouterr().err
+
+    def test_mu_is_not_a_setting(self, tmp_path, capsys):
+        # the dual is not strongly convex, so STM takes the plain step
+        assert "mu" not in CONFIG_TYPES
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seed", "1", "--mu", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mu 3" in capsys.readouterr().err
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 1\nmu = 0.01\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "unknown key 'mu'" in capsys.readouterr().err
 
     def test_acrcd_path(self):
         cfg = self.small_cfg(solver="acrcd", p=1.0, solver_seed=11)
@@ -704,6 +715,21 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [["--fstar", "0"], ["--ref", "{trace}"]],
+                             ids=["fstar", "ref"])
+    def test_rate_unknown_column(self, target, tmp_path, capsys):
+        # argparse names the columns; the library's KeyError is never reached
+        path = tmp_path / "t.csv"
+        ed.save_trace(synthetic_trace([1.0, 0.5]), path)
+        argv = ["rate", "--trace", str(path), "--column", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [arg.format(trace=path) for arg in target])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "'dual_obj'" in err
+        assert "Traceback" not in err
+
     def test_config_error_exit_code(self, capsys):
         code = main(["solve", "--solver", "acrcd", "--seed", "3", "--p", "1"])
         assert code == 2
@@ -718,9 +744,9 @@ class TestCLI:
 
     def test_numeric_failure_exit_code(self, capsys):
         code = main(["solve", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",
-                     "--mu", "100", "--max-iter", "3000"])
+                     "--scale", "1e153"])
         assert code == 3
-        assert "numeric failure: non-finite iterate at iteration 441" in capsys.readouterr().err
+        assert "numeric failure: non-finite iterate at iteration 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,code,message", [
         pytest.param(["solve", "--seed", "1", "--scale", "1e160"], 3, "", id="scale=1e160"),
@@ -732,8 +758,6 @@ class TestCLI:
                      id="missing-ref"),
         pytest.param(["solve", "--seed", "1", "--theta", "nan"], 2, "theta must be positive",
                      id="theta=nan"),
-        pytest.param(["solve", "--seed", "1", "--mu", "nan"], 2, "mu must be nonnegative",
-                     id="mu=nan"),
         pytest.param(["solve", "--seed", "1", "--target-eps", "nan"], 2,
                      "target accuracy must be positive", id="target-eps=nan"),
         pytest.param(["solve", "--config", str(REPO / "configs/toy_p1.cfg"),
@@ -751,11 +775,6 @@ class TestCLI:
                      id="theta=inf"),
         pytest.param(["gen", "--seed", "1", "--theta", "inf", "--out", "{missing}"], 2,
                      "theta must be positive", id="gen-theta=inf"),
-        pytest.param(["solve", "--solver", "acrcd", "--solver-seed", "0", "--seed", "1",
-                      "--p", "1", "--mu", "3"], 2, "mu is an stm setting; acrcd does not take it",
-                     id="acrcd-mu=3"),
-        pytest.param(["solve", "--solver", "subgradient", "--seed", "1", "--mu", "3"], 2,
-                     "mu is an stm setting; subgradient does not take it", id="subgradient-mu=3"),
         pytest.param(["solve", "--instance", "{dir}"], 2, "{dir}", id="instance-dir"),
         pytest.param(["solve", "--seed", "1", "--topology", "file:{dir}"], 2, "{dir}",
                      id="topology-dir"),
@@ -783,6 +802,16 @@ class TestCLI:
                      id="acrcd-p=2"),
         pytest.param(["solve", "--solver", "acrcd", "--seed", "1", "--p", "1", "--out", "{out}"],
                      2, "acrcd needs rng_seed (solver_seed in a config)", id="acrcd-no-seed"),
+        pytest.param(["solve", "--seed", "-1"], 2, "instance seed must be nonnegative, got -1",
+                     id="seed=-1"),
+        pytest.param(["gen", "--seed", "-1", "--out", "{missing}"], 2,
+                     "instance seed must be nonnegative, got -1", id="gen-seed=-1"),
+        pytest.param(["solve", "--solver", "acrcd", "--seed", "1", "--p", "1",
+                      "--solver-seed", "-1"], 2,
+                     "rng_seed (solver_seed in a config) must be nonnegative, got -1",
+                     id="solver-seed=-1"),
+        pytest.param(["solve", "--seed", "1", "--topology", "erdos-renyi 0.5 -1"], 2,
+                     "erdos-renyi seed must be nonnegative, got -1", id="erdos-renyi-seed=-1"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
         """Each edge input ends in its documented exit code and message."""

@@ -73,6 +73,8 @@ def test_dual_constants_hold_no_radius_fields():
     (ed.GossipMatrix, "W"),
     (network.NeighbourSlots, "from_entries"),
     (ed.ExperimentConfig, "L"),
+    (ed.STMConfig, "mu"),
+    (ed.ExperimentConfig, "mu"),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -101,9 +103,11 @@ def test_each_input_rule_has_one_owner():
         "trace_every must be positive": 1,  # trace.observe
         "p must be 1 or 2": 1,  # ProblemInstance
         "acrcd needs rng_seed": 1,  # ACRCDConfig
+        "rng_seed (solver_seed in a config) must be nonnegative": 1,  # ACRCDConfig
+        "instance seed must be nonnegative": 1,  # problem.generate_instance
+        "erdos-renyi seed must be nonnegative": 1,  # network.topology_erdos_renyi
         "acrcd handles p = 1 only": 1,  # acrcd.check_p
         "all data blocks are zero": 1,  # problem.check_data
-        "mu is an stm setting": 1,  # ExperimentConfig.validate
         "L must be positive": 1,  # STMConfig
         "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
         # default_regularizer_weight checks it for run_stm; the harness keeps
