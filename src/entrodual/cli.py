@@ -34,16 +34,24 @@ _FLAG_HELP = {
     "topology": "generator spec or file:<path>",
     "instance": "instance file to load instead of generating",
     "seed": "instance generator seed",
+    "p": "loss exponent: 1 (box mode) or 2 (penalised mode)",
     "timing": "record wall times (makes traces run-dependent)",
     "out": "output directory",
 }
 
 
-def _add_config_flags(sub):
+# The ExperimentConfig keys that describe a generated instance: gen's flags.
+_GEN_KEYS = ("seed", "m", "n", "d", "p", "theta", "scale")
+
+
+def _add_config_flags(sub, keys=None):
     """--config, then one --key flag per ExperimentConfig key (underscores
-    become dashes); each defaults to None so that unset flags override nothing."""
-    sub.add_argument("--config", help=_FLAG_HELP["config"])
-    for key, kind in CONFIG_TYPES.items():
+    become dashes); with ``keys``, only those keys' flags and no --config.
+    Each defaults to None so that unset flags override nothing."""
+    if keys is None:
+        sub.add_argument("--config", help=_FLAG_HELP["config"])
+    for key in keys or CONFIG_TYPES:
+        kind = CONFIG_TYPES[key]
         flag, help_text = "--" + key.replace("_", "-"), _FLAG_HELP.get(key)
         if kind is bool:
             sub.add_argument(flag, dest=key, action="store_const", const=True,
@@ -60,8 +68,9 @@ def _config_from_args(args):
 
 
 def _cmd_gen(args):
-    inst = generate_instance(args.seed, args.m, args.n, args.d, args.p,
-                             args.theta, args.scale)
+    cfg = merge_config(ExperimentConfig(), {key: getattr(args, key) for key in _GEN_KEYS})
+    cfg.validate()
+    inst = generate_instance(cfg.seed, cfg.m, cfg.n, cfg.d, cfg.p, cfg.theta, cfg.scale)
     save_instance(inst, args.out)
     print(f"wrote {args.out} (checksum {instance_checksum(inst)})")
     return 0
@@ -115,15 +124,8 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", help="generate a random instance file")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--m", type=int, default=4)
-    gen.add_argument("--n", type=int, default=3)
-    gen.add_argument("--d", type=int, default=5)
-    gen.add_argument("--p", type=float, default=2.0,
-                     help="loss exponent: 1 (box mode) or 2 (penalised mode)")
-    gen.add_argument("--theta", type=float, default=0.5)
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--out", required=True)
+    _add_config_flags(gen, _GEN_KEYS)
+    gen.add_argument("--out", required=True, help="instance file to write")
     gen.set_defaults(func=_cmd_gen)
 
     solve = commands.add_parser("solve", help="run one configured experiment")

@@ -212,7 +212,12 @@ def make_topology(spec, m):
     if name in GENERATORS and not args:
         return GENERATORS[name](m)
     if name == "erdos-renyi" and len(args) == 2:
-        return topology_erdos_renyi(m, float(args[0]), int(args[1]))
+        try:
+            p, seed = float(args[0]), int(args[1])
+        except ValueError:
+            raise ValueError(f"bad arguments in topology spec {spec!r}; "
+                             "erdos-renyi takes: p seed") from None
+        return topology_erdos_renyi(m, p, seed)
     generators = ", ".join([*GENERATORS, "erdos-renyi"])
     raise ValueError(f"unknown topology spec {spec!r}; generators: {generators} "
                      "(erdos-renyi takes: p seed)")

@@ -12,9 +12,10 @@ The dual here is smooth and convex but not strongly convex, so this is the
 plain scheme: the first step is alpha_1 = 1/L, and the objective decays as
 O(L R^2 / k^2).
 
-Each iterate is one float64 buffer [z | s | T], T the carried link
--(Wz + A^T s) flattened.  T is linear in (z, s), so y and q^{k+1} are each
-one fused combination a u + c q of whole buffers; only u^{k+1}, which the
+The state is A_k (alpha is recomputed from it) and two float64 buffers,
+the iterates q and u, each [z | s | T]: every iterate carries its link
+T = -(Wz + A^T s), flattened.  T is linear in (z, s), so y and q^{k+1} are
+each one fused combination a u + c q of whole buffers; only u^{k+1}, which the
 nonlinear prox produces, has its link formed from scratch.  A step
 allocates three buffers (y, u, q) and the temporaries of the gradient and
 of u's link.  It applies W twice (in u's link and in grad_z H = -W xhat),
@@ -83,40 +84,34 @@ class STMConfig:
 
 @dataclass
 class STMState:
-    """The accumulated step weights and the iterates q and u.
+    """The accumulated step weight A_k and the iterates q and u.
 
-    Each iterate is one flat buffer [z | s | T]; ``layout`` is
-    (len(z), len(s), shape of T), the shape None when the buffers carry no
-    link.  ``q`` and ``u`` view the buffers as DualStates.
+    Each iterate is one flat buffer [z | s | T] and always carries its link
+    T; ``layout`` is (len(z), len(s), shape of T).  ``q`` and ``u`` view the
+    buffers as DualStates.
     """
 
     A_k: float
-    alpha_k: float
     q_buf: np.ndarray
     u_buf: np.ndarray
     layout: tuple
-    k: int = 0
 
     def view(self, buf):
         """``buf`` as a DualState whose z, s and link are views into it."""
         nz, ns, link_shape = self.layout
-        link = None if link_shape is None else buf[nz + ns:].reshape(link_shape)
-        return DualState(buf[:nz], buf[nz:nz + ns], link)
+        return DualState(buf[:nz], buf[nz:nz + ns], buf[nz + ns:].reshape(link_shape))
 
     q = property(lambda self: self.view(self.q_buf))
     u = property(lambda self: self.view(self.u_buf))
 
 
 def stm_init(q0):
-    """Start with u and q at the DualState q0, and its link if it carries one."""
-    if q0.link is None:
-        buf, link_shape = np.concatenate((q0.z, q0.s)), None
-    else:
-        buf, link_shape = np.concatenate((q0.z, q0.s, q0.link.reshape(-1))), q0.link.shape
-    return STMState(0.0, 0.0, buf, buf.copy(), (q0.z.size, q0.s.size, link_shape))
+    """Start with u and q at the DualState q0, which carries its link."""
+    buf = np.concatenate((q0.z, q0.s, q0.link.reshape(-1)))
+    return STMState(0.0, buf, buf.copy(), (q0.z.size, q0.s.size, q0.link.shape))
 
 
-def stm_step(state, cfg, grad, prox, link=None):
+def stm_step(state, cfg, grad, prox, link):
     """Advance one iteration using exactly one gradient evaluation.
 
     Parameters
@@ -125,14 +120,13 @@ def stm_step(state, cfg, grad, prox, link=None):
     cfg : STMConfig
         Must have a numeric L, the only setting the step reads.
     grad : callable
-        Maps y, a DualState viewing y's buffer (with its link when the
-        buffers carry one), to the gradient of H there as (g_z, g_s).
+        Maps y, a DualState viewing y's buffer with its link, to the
+        gradient of H there as (g_z, g_s).
     prox : callable
         ``prox(s, alpha)`` overwrites the s block with prox_{alpha R}(s).
-    link : callable, optional
-        ``link(z, s, out)`` writes the link of (z, s) into the (m, d) array
-        ``out``; required when the buffers carry a link, which it fills in
-        for the new u.
+    link : callable
+        ``link(z, s, out)`` writes the link of (z, s) into the array
+        ``out`` of the layout's link shape; it fills in the new u's link.
 
     Returns
     -------
@@ -142,8 +136,6 @@ def stm_step(state, cfg, grad, prox, link=None):
     if cfg.L is None:
         raise ValueError("stm_step needs a resolved config (L)")
     nz, ns, link_shape = state.layout
-    if link_shape is not None and link is None:
-        raise ValueError("iterates that carry their link need a link callable")
     alpha = (1.0 + math.sqrt(1.0 + 4.0 * cfg.L * state.A_k)) / (2.0 * cfg.L)
     A_new = state.A_k + alpha
     lhs = cfg.L * alpha * alpha
@@ -157,10 +149,9 @@ def stm_step(state, cfg, grad, prox, link=None):
     np.subtract(state.u_buf[:nz], np.multiply(g_z, alpha, out=z), out=z)
     np.subtract(state.u_buf[nz:nz + ns], np.multiply(g_s, alpha, out=s), out=s)
     prox(s, alpha)
-    if link_shape is not None:
-        link(z, s, u[nz + ns:].reshape(link_shape))
+    link(z, s, u[nz + ns:].reshape(link_shape))
     q = a * u + c * state.q_buf
-    return STMState(A_new, alpha, q, u, state.layout, state.k + 1)
+    return STMState(A_new, q, u, state.layout)
 
 
 def resolve_config(cfg, inst, W):

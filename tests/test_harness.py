@@ -812,6 +812,18 @@ class TestCLI:
                      id="solver-seed=-1"),
         pytest.param(["solve", "--seed", "1", "--topology", "erdos-renyi 0.5 -1"], 2,
                      "erdos-renyi seed must be nonnegative, got -1", id="erdos-renyi-seed=-1"),
+        pytest.param(["gen", "--seed", "1", "--m", "-1", "--out", "{missing}"], 2,
+                     "dimensions m, n, d must be positive", id="gen-m=-1"),
+        pytest.param(["gen", "--seed", "1", "--m", "0", "--out", "{missing}"], 2,
+                     "dimensions m, n, d must be positive", id="gen-m=0"),
+        pytest.param(["gen", "--m", "2", "--out", "{missing}"], 2,
+                     "a generator seed is required", id="gen-no-seed"),
+        pytest.param(["solve", "--seed", "1", "--topology", "erdos-renyi 0.5 1.5"], 2,
+                     "bad arguments in topology spec 'erdos-renyi 0.5 1.5'; "
+                     "erdos-renyi takes: p seed", id="erdos-renyi-seed=1.5"),
+        pytest.param(["solve", "--seed", "1", "--topology", "erdos-renyi half 1"], 2,
+                     "bad arguments in topology spec 'erdos-renyi half 1'; "
+                     "erdos-renyi takes: p seed", id="erdos-renyi-p=half"),
     ])
     def test_edge_input_outcome(self, argv, code, message, tmp_path, capsys):
         """Each edge input ends in its documented exit code and message."""

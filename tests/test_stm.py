@@ -25,17 +25,26 @@ def box_prox(s, gamma):
     ed.project_box(s, out=s)
 
 
+def no_link(z, s, out):
+    """The link of a quadratic that has none: it carries a zero-width T."""
+
+
+def linked(z, s):
+    """(z, s) as a DualState carrying a zero-width link."""
+    return ed.DualState(z, s, np.empty(0))
+
+
 def run_quadratic(L, steps, center_z, center_s, scale=1.0):
     """Drive the stepper on H(u) = scale/2 ||u - center||^2."""
 
     def grad(ds):
         return scale * (ds.z - center_z), scale * (ds.s - center_s)
 
-    state = stm_init(ed.DualState(np.zeros_like(center_z), np.zeros_like(center_s)))
+    state = stm_init(linked(np.zeros_like(center_z), np.zeros_like(center_s)))
     cfg = resolved_quadratic_cfg(L)
     values = []
     for _ in range(steps):
-        state = stm_step(state, cfg, grad, box_prox)
+        state = stm_step(state, cfg, grad, box_prox, no_link)
         err_z = state.q.z - center_z
         err_s = state.q.s - center_s
         values.append(0.5 * scale * float(err_z @ err_z + err_s @ err_s))
@@ -44,19 +53,20 @@ def run_quadratic(L, steps, center_z, center_s, scale=1.0):
 
 class TestStepCoefficients:
     def test_recurrence_invariants(self):
-        # L alpha_{k+1}^2 = A_{k+1}, with A growing every step
+        # L alpha_{k+1}^2 = A_{k+1}, with alpha_{k+1} = A_{k+1} - A_k and A
+        # growing every step
         L = 3.0
 
         def grad(ds):
             return np.zeros(2), np.zeros(1)
 
-        state = stm_init(ed.DualState(np.zeros(2), np.zeros(1)))
+        state = stm_init(linked(np.zeros(2), np.zeros(1)))
         cfg = resolved_quadratic_cfg(L)
         prev_A = 0.0
         for _ in range(200):
-            new = stm_step(state, cfg, grad, box_prox)
-            assert L * new.alpha_k**2 == pytest.approx(new.A_k, rel=1e-10)
-            assert new.A_k == state.A_k + new.alpha_k
+            new = stm_step(state, cfg, grad, box_prox, no_link)
+            alpha = new.A_k - state.A_k
+            assert L * alpha**2 == pytest.approx(new.A_k, rel=1e-10)
             assert new.A_k > prev_A
             prev_A = new.A_k
             state = new
@@ -68,12 +78,13 @@ class TestStepCoefficients:
             return np.zeros(1), np.zeros(1)
 
         state = stm_step(
-            stm_init(ed.DualState(np.zeros(1), np.zeros(1))),
+            stm_init(linked(np.zeros(1), np.zeros(1))),
             resolved_quadratic_cfg(L),
             grad,
             box_prox,
+            no_link,
         )
-        assert state.alpha_k == pytest.approx(1.0 / L, rel=1e-14)
+        # A_0 = 0, so A_1 is alpha_1
         assert state.A_k == pytest.approx(1.0 / L, rel=1e-14)
 
     def test_weights_grow_quadratically(self):
@@ -83,19 +94,20 @@ class TestStepCoefficients:
         def grad(ds):
             return np.zeros(1), np.zeros(1)
 
-        state = stm_init(ed.DualState(np.zeros(1), np.zeros(1)))
+        state = stm_init(linked(np.zeros(1), np.zeros(1)))
         cfg = resolved_quadratic_cfg(L)
         for _ in range(400):
-            state = stm_step(state, cfg, grad, box_prox)
+            state = stm_step(state, cfg, grad, box_prox, no_link)
         assert state.A_k >= 400**2 / (4.0 * L)
 
     def test_unresolved_config_rejected(self):
         with pytest.raises(ValueError, match="resolved"):
             stm_step(
-                stm_init(ed.DualState(np.zeros(1), np.zeros(1))),
+                stm_init(linked(np.zeros(1), np.zeros(1))),
                 ed.STMConfig(),
                 lambda ds: ds,
                 box_prox,
+                no_link,
             )
 
 
@@ -113,19 +125,14 @@ class TestFlatIterates:
         def grad(ds):
             return ds.z - 1.0, ds.s + 2.0
 
-        state = stm_step(stm_init(ed.DualState(np.zeros(3), np.zeros(2))),
-                         resolved_quadratic_cfg(2.0), grad, box_prox)
+        state = stm_step(stm_init(linked(np.zeros(3), np.zeros(2))),
+                         resolved_quadratic_cfg(2.0), grad, box_prox, no_link)
         before = (state.q_buf.copy(), state.u_buf.copy())
-        new = stm_step(state, resolved_quadratic_cfg(2.0), grad, box_prox)
+        new = stm_step(state, resolved_quadratic_cfg(2.0), grad, box_prox, no_link)
         np.testing.assert_array_equal(state.q_buf, before[0])
         np.testing.assert_array_equal(state.u_buf, before[1])
         assert new.q_buf is not state.q_buf and new.u_buf is not state.u_buf
 
-    def test_carried_link_needs_a_link_callable(self):
-        q0 = ed.DualState(np.zeros(2), np.zeros(1), np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="link callable"):
-            stm_step(stm_init(q0), resolved_quadratic_cfg(1.0),
-                     lambda ds: (np.zeros(2), np.zeros(1)), box_prox)
 
 
 class TestQuadraticConvergence:
@@ -157,10 +164,10 @@ class TestQuadraticConvergence:
         def grad(ds):
             return ds.z - center_z, ds.s - center_s
 
-        state = stm_init(ed.DualState(np.zeros(2), np.zeros(2)))
+        state = stm_init(linked(np.zeros(2), np.zeros(2)))
         cfg = resolved_quadratic_cfg(1.0)
         for _ in range(200):
-            state = stm_step(state, cfg, grad, box_prox)
+            state = stm_step(state, cfg, grad, box_prox, no_link)
             assert np.abs(state.u.s).max() <= 1.0 + 1e-12
         assert np.allclose(state.q.s, [1.0, -1.0], atol=1e-6)
 

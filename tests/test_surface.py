@@ -2,6 +2,7 @@
 because no solver, command or script uses them stay out of ``src/``."""
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,15 @@ def test_name_is_gone(module, name):
 def test_dual_constants_hold_no_radius_fields():
     fields = {f.name for f in dataclasses.fields(ed.DualConstants)}
     assert fields == {"L_H", "L_z", "L_s", "eta"}
+
+
+def test_stm_state_holds_what_its_step_reads():
+    # no step counter, no stored alpha (the step recomputes it from A_k), and
+    # every iterate carries its link, so the step always takes a link callable
+    fields = {f.name for f in dataclasses.fields(ed.STMState)}
+    assert fields == {"A_k", "q_buf", "u_buf", "layout"}
+    link = inspect.signature(ed.stm_step).parameters["link"]
+    assert link.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -110,6 +120,8 @@ def test_each_input_rule_has_one_owner():
         "all data blocks are zero": 1,  # problem.check_data
         "L must be positive": 1,  # STMConfig
         "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
+        "dimensions m, n, d must be positive": 1,  # ExperimentConfig.validate
+        "bad arguments in topology spec": 1,  # network.make_topology
         # default_regularizer_weight checks it for run_stm; the harness keeps
         # a second copy, because acrcd and the subgradient comparator never
         # read target_eps and only the harness's first_certified does
