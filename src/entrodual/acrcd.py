@@ -3,7 +3,8 @@
 Designed for the p = 1 case, where the dual ball is the box ||s||_inf <= 1
 and the two natural blocks (z, s) have very different smoothness.  Each
 iteration couples the running pair, flips a coin with probability eta for
-the z block, and moves only the sampled block:
+the z block, and moves only the sampled block; k is the number of steps
+taken, n_comm + n_comp, since each step bills exactly one of the two:
 
     alpha_{k+1} = (k + 2) / 8,   tau_k = 2 / (k + 2)
     (z, s)^{k+1} = tau_k (z_, s_) + (1 - tau_k) (z-, s-)        midpoints
@@ -55,9 +56,12 @@ from .trace import observe
 
 @dataclass
 class ACRCDConfig:
-    """Block steps and the sampling coin; unset constants resolve at run time.
+    """Block steps and the sampling coin.
 
-    The coin stream comes from a PCG64 generator seeded with rng_seed, one
+    L_z, L_s and eta are one bundle, set together or not at all: left unset,
+    ``run_acrcd`` works all three out (``lipschitz_constants``); set, eta
+    must equal sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)) (``check_eta``).  The coin
+    stream comes from a PCG64 generator seeded with rng_seed, one
     uniform draw per iteration, so runs are reproducible bit for bit; a
     None seed, which would draw from OS entropy, is rejected.  ``observe``
     checks the loop settings max_iter and trace_every.
@@ -77,6 +81,8 @@ class ACRCDConfig:
         if self.rng_seed < 0:
             raise ValueError(
                 f"rng_seed (solver_seed in a config) must be nonnegative, got {self.rng_seed}")
+        if [self.L_z, self.L_s, self.eta].count(None) in (1, 2):
+            raise ValueError("L_z, L_s and eta are set together or not at all")
         if self.eta is not None:
             check_eta(self.eta, self.L_z, self.L_s)
 
@@ -129,26 +135,16 @@ class Stacked:
 
 @dataclass
 class ACRCDState:
-    """Running pair (bar) and momentum pair (under), each pair's blocks as
-    [z | P] and [s | Q] buffers, which ``z_bar``, ``P_bar``, ``s_under`` and
-    the rest view."""
+    """Running pair (bar) and momentum pair (under) as [z | P] and [s | Q]
+    buffers, and the steps taken: n_comm z steps and n_comp s steps, whose
+    sum is the step counter k."""
 
     zP_bar: Stacked
     zP_under: Stacked
     sQ_bar: Stacked
     sQ_under: Stacked
-    k: int = 0
     n_comm: int = 0
     n_comp: int = 0
-
-    z_bar = property(lambda self: self.zP_bar.x)
-    P_bar = property(lambda self: self.zP_bar.image)
-    z_under = property(lambda self: self.zP_under.x)
-    P_under = property(lambda self: self.zP_under.image)
-    s_bar = property(lambda self: self.sQ_bar.x)
-    Q_bar = property(lambda self: self.sQ_bar.image)
-    s_under = property(lambda self: self.sQ_under.x)
-    Q_under = property(lambda self: self.sQ_under.image)
 
 
 def acrcd_init(z0, s0, oracle):
@@ -171,7 +167,7 @@ def acrcd_step(state, cfg, rng, oracle):
     ----------
     state : ACRCDState
     cfg : ACRCDConfig
-        Must carry numeric L_z, L_s, eta.
+        Must carry its constants (set together, so eta stands for all three).
     rng : numpy.random.Generator
         Source of the block-sampling coin.
     oracle : BlockOracle
@@ -179,9 +175,9 @@ def acrcd_step(state, cfg, rng, oracle):
         (which must accept ``out``); only the sampled block's partial
         gradient is asked for (and billed).
     """
-    if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
+    if cfg.eta is None:
         raise ValueError("acrcd_step needs a resolved config (L_z, L_s, eta)")
-    alpha, tau = step_coefficients(state.k)
+    alpha, tau = step_coefficients(state.n_comm + state.n_comp)
     zP_mid = tau * state.zP_under.buf + (1.0 - tau) * state.zP_bar.buf
     sQ_mid = tau * state.sQ_under.buf + (1.0 - tau) * state.sQ_bar.buf
     nz, ns = state.zP_bar.x.size, state.sQ_bar.x.size
@@ -195,8 +191,7 @@ def acrcd_step(state, cfg, rng, oracle):
         step = 2.0 * alpha / cfg.L_z
         return ACRCDState(state.zP_bar.like(zP_mid - gWg / cfg.L_z),
                           state.zP_under.like(state.zP_under.buf - step * gWg),
-                          state.sQ_bar, state.sQ_under,
-                          state.k + 1, state.n_comm + 1, state.n_comp)
+                          state.sQ_bar, state.sQ_under, state.n_comm + 1, state.n_comp)
     # [s | Q] is written in place: the projected s, then its image A^T s
     bar = state.sQ_bar.like(np.empty_like(sQ_mid))
     under = state.sQ_under.like(np.empty_like(sQ_mid))
@@ -204,13 +199,14 @@ def acrcd_step(state, cfg, rng, oracle):
     project_box(state.sQ_under.x - (2.0 * alpha / cfg.L_s) * g, under.x)
     oracle.adjoint(bar.x, bar.image)
     oracle.adjoint(under.x, under.image)
-    return ACRCDState(state.zP_bar, state.zP_under, bar, under, state.k + 1,
-                      state.n_comm, state.n_comp + 1)
+    return ACRCDState(state.zP_bar, state.zP_under, bar, under, state.n_comm,
+                      state.n_comp + 1)
 
 
 def _running_pair(state):
     """(z_bar, s_bar) with its carried link -(P_bar + Q_bar)."""
-    return DualState(state.z_bar, state.s_bar, -(state.P_bar + state.Q_bar))
+    return DualState(state.zP_bar.x, state.sQ_bar.x,
+                     -(state.zP_bar.image + state.sQ_bar.image))
 
 
 def check_p(inst):
@@ -231,23 +227,16 @@ def run_acrcd(inst, W, cfg):
     Raises
     ------
     ValueError
-        If the instance has p != 1 (use run_stm for p = 2), or, when eta is
-        left to resolve, if all its data blocks are zero.
+        If the instance has p != 1 (use run_stm for p = 2), or, when the
+        constants are left to resolve, if all its data blocks are zero.
     """
     check_p(inst)
-    consts = None
     if cfg.eta is None:
         # zero data resolves eta to 1, and a coin that never picks s solves nothing
         check_data(inst)
-    if cfg.L_z is None or cfg.L_s is None or cfg.eta is None:
-        consts = lipschitz_constants(inst, W)
-    resolved = replace(
-        cfg,
-        L_z=cfg.L_z if cfg.L_z is not None else consts.L_z,
-        L_s=cfg.L_s if cfg.L_s is not None else consts.L_s,
-        eta=cfg.eta if cfg.eta is not None else consts.eta,
-    )
-    rng = np.random.Generator(np.random.PCG64(resolved.rng_seed))
+        c = lipschitz_constants(inst, W)
+        cfg = replace(cfg, L_z=c.L_z, L_s=c.L_s, eta=c.eta)
+    rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
     oracle = BlockOracle(inst, W)
 
     def objective(ds):
@@ -261,7 +250,7 @@ def run_acrcd(inst, W, cfg):
 
     def step(k):
         nonlocal state, best, best_value
-        prev, state = state, acrcd_step(state, resolved, rng, oracle)
+        prev, state = state, acrcd_step(state, cfg, rng, oracle)
         # only the sampled block's buffers are new; the other passed when written
         written = state.zP_bar if state.zP_bar is not prev.zP_bar else state.sQ_bar
         if not np.isfinite(written.x).all():
@@ -280,5 +269,5 @@ def run_acrcd(inst, W, cfg):
         return (best_value, rep.primal_value / inst.m, rep.gap,
                 rep.consensus_residual, state.n_comm, state.n_comp)
 
-    trace = observe(step, row, resolved.max_iter, resolved.trace_every, resolved.timing)
+    trace = observe(step, row, cfg.max_iter, cfg.trace_every, cfg.timing)
     return best, trace

@@ -1,7 +1,8 @@
 """Command-line interface: gen, solve, rate, compare.
 
 Exit codes: 0 on success, 2 for configuration problems (including NaN
-settings and input or output paths that cannot be read or written), 3 for
+settings, input or output paths that cannot be read or written, and
+dimensions too large to allocate), 3 for
 numeric failures inside a solver (including overflow and other
 ArithmeticErrors).
 """
@@ -20,7 +21,7 @@ from .harness import (
     merge_config,
     run_experiment,
 )
-from .problem import generate_instance, instance_checksum, save_instance
+from .problem import check_data, generate_instance, instance_checksum, save_instance
 from .trace import TRACE_COLUMNS, fit_rate, load_trace
 
 # Safety margin subtracted from a reference run's best value when it stands
@@ -71,6 +72,7 @@ def _cmd_gen(args):
     cfg = merge_config(ExperimentConfig(), {key: getattr(args, key) for key in _GEN_KEYS})
     cfg.validate()
     inst = generate_instance(cfg.seed, cfg.m, cfg.n, cfg.d, cfg.p, cfg.theta, cfg.scale)
+    check_data(inst)  # an all-zero instance is one that no solver accepts
     save_instance(inst, args.out)
     print(f"wrote {args.out} (checksum {instance_checksum(inst)})")
     return 0
@@ -157,7 +159,7 @@ def main(argv=None):
     except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError included
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,14 +92,12 @@ class DualConstants:
     eta: float
 
 
-def check_eta(eta, L_z=None, L_s=None):
-    """Check an eta that a caller supplies (``ACRCDConfig``): raise unless
-    0 < eta < 1 and, when both block constants are given,
+def check_eta(eta, L_z, L_s):
+    """Check an eta that a caller supplies with its block constants
+    (``ACRCDConfig``): raise unless 0 < eta < 1 and
     eta = sqrt(L_z) / (sqrt(L_z) + sqrt(L_s)) to within ETA_IDENTITY_TOL."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly in (0, 1), got {eta}")
-    if L_z is None or L_s is None:
-        return
     implied = math.sqrt(L_z) / (math.sqrt(L_z) + math.sqrt(L_s))
     if abs(eta - implied) > ETA_IDENTITY_TOL:
         raise ValueError(

@@ -63,6 +63,10 @@ TRACE_SHA256 = {
         "0e699b10dc9e09db2307d340f7253ebe751a38796e6e1090d567e6ed74ab156a",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
         "dcbe90ef7d974fcd4e6f5d54c0b02b1b2d8e07481375ee05685ee9d216b3db78",
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING64)):
+        "3b9abbefb22063a2261905f77ac32a210306a32edf5112dfcd9ffa7ed56b2919",
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING512)):
+        "b9ae2e54024207fb64635d79bb64968f97e1e24276706a54992b31db3e84483f",
     ("configs/toy_p1.cfg", RING64):
         "c6c510b76ed8ef2d3ec3762559141a0a5e414eb7edbea222c7055a57e1492443",
     ("configs/toy_p1.cfg", RING512):

@@ -103,8 +103,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
     def test_eta_open_interval(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            ed.ACRCDConfig(rng_seed=0, eta=eta)
+        with pytest.raises(ValueError, match="strictly in"):
+            ed.ACRCDConfig(rng_seed=0, L_z=2.0, L_s=8.0, eta=eta)
 
     def test_eta_identity_enforced(self):
         with pytest.raises(ValueError, match="disagrees with sqrt"):
@@ -114,10 +114,13 @@ class TestConfigValidation:
         cfg = tiny_cfg()
         assert cfg.eta == pytest.approx(1.0 / 3.0)
 
-    def test_partial_override_not_validated_at_construction(self):
-        # the identity only binds once all three constants are known
-        ed.ACRCDConfig(rng_seed=0, eta=0.9)
-        ed.ACRCDConfig(rng_seed=0, L_z=123.0)
+    @pytest.mark.parametrize("given", [("L_z",), ("L_s",), ("eta",), ("L_z", "L_s"),
+                                       ("L_z", "eta"), ("L_s", "eta")])
+    def test_constants_set_together_or_not_at_all(self, given):
+        # a strict subset is refused before any instance is seen
+        triple = dict(L_z=2.0, L_s=8.0, eta=1.0 / 3.0)
+        with pytest.raises(ValueError, match="set together or not at all"):
+            ed.ACRCDConfig(rng_seed=0, **{name: triple[name] for name in given})
 
 
 class TestInit:
@@ -127,8 +130,8 @@ class TestInit:
         state = acrcd_init(z0, s0, ZERO)
         z0[0] = 99.0
         s0[0] = 99.0
-        assert state.z_bar[0] == 1.0
-        assert state.s_bar[0] == 0.5
+        assert state.zP_bar.x[0] == 1.0
+        assert state.sQ_bar.x[0] == 0.5
 
     def test_four_independent_buffers(self):
         state = acrcd_init([1.0, 2.0], [0.5], ZERO)
@@ -136,18 +139,18 @@ class TestInit:
                    state.sQ_under.buf)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
                        for b in buffers[i + 1:])
-        state.z_bar[0] = -7.0
-        state.s_bar[0] = -7.0
-        state.P_bar[0] = -7.0
-        state.Q_bar[0] = -7.0
-        assert state.z_under[0] == 1.0
-        assert state.s_under[0] == 0.5
-        assert state.P_under[0] == 0.0
-        assert state.Q_under[0] == 0.0
+        state.zP_bar.x[0] = -7.0
+        state.sQ_bar.x[0] = -7.0
+        state.zP_bar.image[0] = -7.0
+        state.sQ_bar.image[0] = -7.0
+        assert state.zP_under.x[0] == 1.0
+        assert state.sQ_under.x[0] == 0.5
+        assert state.zP_under.image[0] == 0.0
+        assert state.sQ_under.image[0] == 0.0
 
     def test_counters_start_at_zero(self):
         state = acrcd_init([0.0], [0.0], ZERO)
-        assert (state.k, state.n_comm, state.n_comp) == (0, 0, 0)
+        assert (state.n_comm, state.n_comp) == (0, 0)
 
 
 class TestStepBranches:
@@ -164,36 +167,36 @@ class TestStepBranches:
         # k=0: alpha=1/4, tau=1 so the midpoint is the momentum point
         (z_mid, _), = oracle.points
         np.testing.assert_array_equal(z_mid, [1.0, 2.0])
-        np.testing.assert_allclose(new.z_bar, [0.5, 1.5])
-        np.testing.assert_allclose(new.z_under, [0.75, 1.75])
-        assert (new.k, new.n_comm, new.n_comp) == (1, 1, 0)
+        np.testing.assert_allclose(new.zP_bar.x, [0.5, 1.5])
+        np.testing.assert_allclose(new.zP_under.x, [0.75, 1.75])
+        assert (new.n_comm, new.n_comp) == (1, 0)
 
     def test_z_branch_leaves_s_untouched(self):
         state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
         oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
         new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.2]), oracle)
-        assert new.s_bar is state.s_bar
-        assert new.s_under is state.s_under
-        assert new.Q_bar is state.Q_bar
-        assert new.Q_under is state.Q_under
+        assert new.sQ_bar.x is state.sQ_bar.x
+        assert new.sQ_under.x is state.sQ_under.x
+        assert new.sQ_bar.image is state.sQ_bar.image
+        assert new.sQ_under.image is state.sQ_under.image
 
     def test_s_branch_hand_computed_with_box(self):
         state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
         oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
         new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), oracle)
         # raw steps [-0.75, -1.75] and [-0.125, -1.125] clamp to the box
-        np.testing.assert_allclose(new.s_bar, [-0.75, -1.0])
-        np.testing.assert_allclose(new.s_under, [-0.125, -1.0])
-        assert (new.k, new.n_comm, new.n_comp) == (1, 0, 1)
+        np.testing.assert_allclose(new.sQ_bar.x, [-0.75, -1.0])
+        np.testing.assert_allclose(new.sQ_under.x, [-0.125, -1.0])
+        assert (new.n_comm, new.n_comp) == (0, 1)
 
     def test_s_branch_leaves_z_untouched(self):
         state = acrcd_init([1.0, 2.0], [0.5, -0.5], ZERO)
         oracle = ConstantOracle([1.0, 1.0], [10.0, 10.0])
         new = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.9]), oracle)
-        assert new.z_bar is state.z_bar
-        assert new.z_under is state.z_under
-        assert new.P_bar is state.P_bar
-        assert new.P_under is state.P_under
+        assert new.zP_bar.x is state.zP_bar.x
+        assert new.zP_under.x is state.zP_under.x
+        assert new.zP_bar.image is state.zP_bar.image
+        assert new.zP_under.image is state.zP_under.image
 
     def test_one_coin_per_step(self):
         state = acrcd_init([0.0], [0.0], ZERO)
@@ -220,7 +223,7 @@ class TestStepBranches:
         state = acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), oracle)
         acrcd_step(state, tiny_cfg(), ScriptedRNG([0.0]), oracle)
         _, tau = step_coefficients(1)
-        expect = tau * state.z_under + (1.0 - tau) * state.z_bar
+        expect = tau * state.zP_under.x + (1.0 - tau) * state.zP_bar.x
         np.testing.assert_allclose(oracle.points[1][0], expect)
 
 
@@ -228,12 +231,6 @@ class TestRunACRCD:
     def test_rejects_p2(self, toy_p2, ring4):
         with pytest.raises(ValueError, match="p = 1"):
             ed.run_acrcd(toy_p2, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=10))
-
-    def test_partial_constant_override_rejected(self, toy_p1, ring4):
-        # a lone L_z override cannot satisfy the eta identity against the
-        # instance's other resolved constants
-        with pytest.raises(ValueError, match="disagrees with sqrt"):
-            ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=0, L_z=1.0, max_iter=5))
 
     def test_same_seed_byte_identical(self, toy_p1, ring4, tmp_path):
         cfg = ed.ACRCDConfig(rng_seed=42, max_iter=400, trace_every=20)
@@ -268,6 +265,8 @@ class TestRunACRCD:
         assert len({id(pair) for pair in certified}) == len(certified)
         assert certified[-1] is best
         assert trace.gap[-1] == real(best, toy_p1, ring4).gap
+        # each step bills one counter, so every row's iter is their sum
+        assert list(trace.iter) == [c + s for c, s in zip(trace.n_comm, trace.n_comp)]
 
     def test_counter_split_sums_to_iteration(self, toy_p1, ring4):
         _, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=5, max_iter=300, trace_every=50))

@@ -752,6 +752,13 @@ class TestCLI:
         pytest.param(["solve", "--seed", "1", "--scale", "1e160"], 3, "", id="scale=1e160"),
         pytest.param(["solve", "--seed", "1", "--scale", "0"], 2, "all data blocks are zero",
                      id="scale=0"),
+        pytest.param(["gen", "--seed", "1", "--scale", "0", "--out", "{missing}"], 2,
+                     "all data blocks are zero", id="gen-scale=0"),
+        # 7.11 PiB: refused before a page is touched; never test a shape that fits
+        pytest.param(["gen", "--seed", "1", "--m", "100000", "--n", "100000", "--d", "100000",
+                      "--out", "{missing}"], 2, "Unable to allocate", id="gen-huge"),
+        pytest.param(["solve", "--seed", "1", "--m", "100000", "--n", "100000", "--d",
+                      "100000", "--out", "{out}"], 2, "Unable to allocate", id="solve-huge"),
         pytest.param(["rate", "--trace", "{missing}", "--fstar", "0"], 2, "{missing}",
                      id="missing-trace"),
         pytest.param(["rate", "--trace", "{trace}", "--ref", "{missing}"], 2, "{missing}",

@@ -124,11 +124,11 @@ class TestCarriedLinkAgrees:
         for _ in range(3000):
             state = acrcd_step(state, cfg, rng, oracle)
         assert state.n_comm > 1000
-        for z, P in ((state.z_bar, state.P_bar), (state.z_under, state.P_under)):
-            fresh = oracle.gossip(z)
-            assert np.abs(P - fresh).max() <= LINK_RTOL * np.abs(fresh).max()
-        for s, Q in ((state.s_bar, state.Q_bar), (state.s_under, state.Q_under)):
-            np.testing.assert_array_equal(Q, oracle.adjoint(s))
+        for zP in (state.zP_bar, state.zP_under):
+            fresh = oracle.gossip(zP.x)
+            assert np.abs(zP.image - fresh).max() <= LINK_RTOL * np.abs(fresh).max()
+        for sQ in (state.sQ_bar, state.sQ_under):
+            np.testing.assert_array_equal(sQ.image, oracle.adjoint(sQ.x))
 
 
 class TestGossipProducts:
@@ -169,8 +169,8 @@ class TestGossipProducts:
     def test_acrcd_s_step_applies_no_w(self, acrcd_setup, toy_p1, ring4, gossip_log):
         oracle, cfg, state = acrcd_setup
         new = acrcd_step(state, cfg, ScriptedRNG([0.999]), oracle)
-        ed.dual_objective(ed.DualState(new.z_bar, new.s_bar, -(new.P_bar + new.Q_bar)),
-                          toy_p1, ring4, 0.0)
+        link = -(new.zP_bar.image + new.sQ_bar.image)
+        ed.dual_objective(ed.DualState(new.zP_bar.x, new.sQ_bar.x, link), toy_p1, ring4, 0.0)
         assert new.n_comp == 1
         assert gossip_log == []
 

@@ -66,6 +66,12 @@ def test_stm_state_holds_what_its_step_reads():
     assert link.default is inspect.Parameter.empty
 
 
+def test_acrcd_state_holds_what_its_step_reads():
+    # no step counter beside the two it sums, and no aliases of the blocks
+    fields = {f.name for f in dataclasses.fields(ed.ACRCDState)}
+    assert fields == {"zP_bar", "zP_under", "sQ_bar", "sQ_under", "n_comm", "n_comp"}
+
+
 @pytest.mark.parametrize("owner, name", [
     (ed.DualState, "norm_sq"),
     (ed.DualState, "copy"),
@@ -85,6 +91,9 @@ def test_stm_state_holds_what_its_step_reads():
     (ed.ExperimentConfig, "L"),
     (ed.STMConfig, "mu"),
     (ed.ExperimentConfig, "mu"),
+    (ed.ACRCDState, "k"),
+    *((ed.ACRCDState, f"{block}_{pair}") for pair in ("bar", "under")
+      for block in ("z", "P", "s", "Q")),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -118,6 +127,7 @@ def test_each_input_rule_has_one_owner():
         "erdos-renyi seed must be nonnegative": 1,  # network.topology_erdos_renyi
         "acrcd handles p = 1 only": 1,  # acrcd.check_p
         "all data blocks are zero": 1,  # problem.check_data
+        "L_z, L_s and eta are set together or not at all": 1,  # ACRCDConfig
         "L must be positive": 1,  # STMConfig
         "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
         "dimensions m, n, d must be positive": 1,  # ExperimentConfig.validate
