@@ -11,11 +11,11 @@ is either the penalty nu ||s||_2^2 (p = 2, q = 2) or the hard constraint
 ||s||_inf <= 1 (p = 1, q = inf).  H is smooth; its gradient needs one
 gossip exchange for the z block and only local products for the s block.
 
-Every evaluation starts from the link T = -(Wz + A^T s).  T is linear in
-(z, s), so a solver whose iterates are affine combinations of each other
-carries T on each DualState (``link``) and updates it with the iterates'
-own coefficients; an evaluation at such a point then skips the product with
-W and A^T that forming T costs.
+Every evaluation reads the link T = -(Wz + A^T s), which each DualState
+carries (``link``).  ``DualState.of`` forms it once, with one W and one A^T
+product, and no evaluation forms it again.  T is linear in (z, s), so a
+solver whose iterates are affine combinations of each other updates it with
+the iterates' own coefficients.
 
 Products with W come from ``network.gossip_operator``, products with the
 data blocks from ``ProblemInstance.block_products``: A xhat (the rows
@@ -56,22 +56,23 @@ ETA_IDENTITY_TOL = 1e-12
 class DualState:
     """Dual variables: z (m*d,) pairs with consensus, s (m*n,) with y = A x.
 
-    ``link``, when set, is the (m, d) link -(Wz + A^T s) of this point, and
-    every evaluation here reads it instead of forming it.  It is only valid
-    while z and s keep their values; None means "not known".
+    ``link`` is the (m, d) link -(Wz + A^T s) of this point, and every
+    evaluation here reads it.  It is only valid while z and s keep their
+    values; ``of`` makes a point whose link is formed from z and s.
     """
 
     z: np.ndarray
     s: np.ndarray
-    link: np.ndarray | None = None
+    link: np.ndarray
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
 
     @classmethod
-    def zeros(cls, inst):
-        return cls(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n))
+    def of(cls, inst, W, z, s):
+        """The point (z, s), two arrays, with its link: one W and one A^T product."""
+        return cls(z, s, _neg_link(inst, W, z, s))
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,6 @@ def _neg_link(inst, W, z, s, out=None):
     return np.negative(out, out=out)
 
 
-def _link_of(state, inst, W):
-    """The link of ``state``: the carried one, else formed from z and s."""
-    return _neg_link(inst, W, state.z, state.s) if state.link is None else state.link
-
-
 def objective_from_lse(s, lse, inst, nu):
     """H(z, s) + R(s) from s and the point's row log-sum-exp ``lse``.
 
@@ -205,10 +201,9 @@ def regularizer(s, nu):
 
 def dual_objective(state, inst, W, nu):
     """H(z, s) + R(s) at ``state`` (see ``objective_from_lse``), from one
-    kernel pass.  A carried link is used as it is, so the call makes no W
-    product.
+    kernel pass over its link; the call makes no W product.
     """
-    lse = _rows_lse(_link_of(state, inst, W), inst.theta)
+    lse = _rows_lse(state.link, inst.theta)
     return objective_from_lse(state.s, lse, inst, nu)
 
 
@@ -217,13 +212,12 @@ def dual_gradient(state, inst, W, block=None, lse=None):
 
     The z component is the only one that touches neighbours; evaluating it
     costs one communication round, the s component none.  ``block`` "z" or
-    "s" evaluates only that component and returns None for the other.  A
-    carried link saves the products that forming it costs.  When ``lse`` (an
-    (m,) array) is given, the softmax's kernel pass also writes the per-row
-    log-sum-exp into it, so ``objective_from_lse`` then gives the objective
-    at the same point.
+    "s" evaluates only that component and returns None for the other.  The
+    softmax reads the point's link.  When ``lse`` (an (m,) array) is given,
+    the softmax's kernel pass also writes the per-row log-sum-exp into it, so
+    ``objective_from_lse`` then gives the objective at the same point.
     """
-    X = _rows_softmax(_link_of(state, inst, W), inst.theta, lse)
+    X = _rows_softmax(state.link, inst.theta, lse)
     g_z = g_s = None
     if block != "s":
         g_z = -(gossip_operator(W) @ X).reshape(-1)

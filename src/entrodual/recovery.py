@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import _link_of, _rows_softmax, conj_F
+from .dual import _rows_softmax, conj_F
 from .problem import PrimalState, consensus_residual, entropy, vector_norm
 
 
@@ -27,12 +27,13 @@ class GapReport:
 def primal_from_dual(state, inst, W, lse=None):
     """Map a dual point to per-node primal blocks via the block softmax.
 
-    x_i = softmax(-[Wz + A^T s]_i / theta) is exactly the gradient of the
-    conjugate entropy term, so it inherits simplex feasibility to rounding.
-    When ``lse`` (an (m,) array) is given, the same row-kernel pass also
-    writes each node's g*(-[Wz + A^T s]_i), the scaled log-sum-exp, into it.
+    x_i = softmax(-[Wz + A^T s]_i / theta), read from the point's link, is
+    exactly the gradient of the conjugate entropy term, so it inherits simplex
+    feasibility to rounding.  When ``lse`` (an (m,) array) is given, the same
+    row-kernel pass also writes each node's g*(-[Wz + A^T s]_i), the scaled
+    log-sum-exp, into it.
     """
-    return PrimalState(_rows_softmax(_link_of(state, inst, W), inst.theta, lse))
+    return PrimalState(_rows_softmax(state.link, inst.theta, lse))
 
 
 def consensus_candidate(X):
@@ -55,12 +56,12 @@ def duality_gap(state, inst, W, lse=None):
     infeasible s reports an infinite gap rather than raising.
 
     A certificate, and so a trace row, costs one pass of the row kernel,
-    which yields both the softmax and the log-sum-exp, and one W product,
-    for the consensus residual; the link is formed only when ``state`` does
-    not carry it.  The rest reads that pass once: one <s, b> and one
-    dual-ball test (``conj_F``; at q = inf it is the box test), the p-norms
-    by the reductions ``np.linalg.norm`` makes, and no objective evaluation.
-    When ``lse`` (an (m,) array) is given, the log-sum-exp is written into it.
+    which yields both the softmax and the log-sum-exp from the point's link,
+    and one W product, for the consensus residual.  The rest reads that pass
+    once: one <s, b> and one dual-ball test (``conj_F``; at q = inf it is the
+    box test), the p-norms by the reductions ``np.linalg.norm`` makes, and no
+    objective evaluation.  When ``lse`` (an (m,) array) is given, the
+    log-sum-exp is written into it.
     """
     lse = np.empty(inst.m) if lse is None else lse
     ps = primal_from_dual(state, inst, W, lse)

@@ -106,7 +106,7 @@ class STMState:
 
 
 def stm_init(q0):
-    """Start with u and q at the DualState q0, which carries its link."""
+    """Start with u and q at the DualState q0 and its link."""
     buf = np.concatenate((q0.z, q0.s, q0.link.reshape(-1)))
     return STMState(0.0, buf, buf.copy(), (q0.z.size, q0.s.size, q0.link.shape))
 
@@ -210,9 +210,8 @@ def run_stm(inst, W, cfg=None):
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
 
-    q0 = DualState.zeros(inst)
-    q0.link = _neg_link(inst, W, q0.z, q0.s)
-    state = stm_init(q0)
+    origin = np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n)
+    state = stm_init(DualState.of(inst, W, *origin))
     f0 = dual_objective(state.q, inst, W, nu)
     best, last_improvement = f0, 0
 

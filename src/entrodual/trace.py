@@ -160,20 +160,21 @@ class RateReport:
 def fit_rate(trace, error_column="dual_obj", window=(10, 500), f_star=0.0):
     """Least-squares slope of log(F_k - f_star) against log k.
 
-    Rows outside the window, at iteration 0, or with nonpositive error
+    Rows outside the window, at iteration 0, with a non-finite value (the
+    infinite objective or gap of an infeasible s), or with nonpositive error
     (already converged past f_star) are dropped; if fewer than two usable
     rows remain the window is saturated and a ValueError is raised.
     """
     ks = trace.column("iter").astype(float)
     vals = trace.column(error_column)
     lo, hi = window
-    mask = (ks >= lo) & (ks <= hi) & (ks > 0)
+    mask = (ks >= lo) & (ks <= hi) & (ks > 0) & np.isfinite(vals)
     ks, errs = ks[mask], vals[mask] - f_star
     keep = errs > 0.0
     if int(keep.sum()) < 2:
         raise ValueError(
             f"window [{lo}, {hi}] is saturated: fewer than two rows with "
-            "positive error remain"
+            "finite positive error remain"
         )
     x = np.log(ks[keep])
     y = np.log(errs[keep])

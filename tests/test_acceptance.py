@@ -141,14 +141,14 @@ def test_criterion_02_gradient_matches_central_differences(toy_p1, toy_p2, ring4
     for inst, s_draw in ((toy_p2, lambda n: rng.standard_normal(n)),
                          (toy_p1, lambda n: rng.uniform(-0.9, 0.9, n))):
         def value(vec):
-            state = ed.DualState(vec[: inst.m * inst.d], vec[inst.m * inst.d:])
+            state = ed.DualState.of(inst, ring4, vec[: inst.m * inst.d], vec[inst.m * inst.d:])
             return ed.dual_objective(state, inst, ring4, 0.0)
 
         for _ in range(25):
             z = rng.standard_normal(inst.m * inst.d)
             s = s_draw(inst.m * inst.n)
             vec = np.concatenate([z, s])
-            g_z, g_s = ed.dual_gradient(ed.DualState(z, s), inst, ring4)
+            g_z, g_s = ed.dual_gradient(ed.DualState.of(inst, ring4, z, s), inst, ring4)
             g = np.concatenate([g_z, g_s])
             fd = np.empty_like(vec)
             for i in range(vec.size):
@@ -170,23 +170,27 @@ def test_criterion_03_smoothness_constants_bound_gradients(toy_p1, toy_p2, ring4
     for inst in (toy_p2, toy_p1):
         consts = ed.lipschitz_constants(inst, ring4)
         nz, ns = inst.m * inst.d, inst.m * inst.n
+
+        def grad(z, s):
+            return ed.dual_gradient(ed.DualState.of(inst, ring4, z, s), inst, ring4)
+
         for _ in range(50):
             za, zb = rng.normal(0, 2, nz), rng.normal(0, 2, nz)
             sa, sb = rng.normal(0, 2, ns), rng.normal(0, 2, ns)
-            ga = np.concatenate(ed.dual_gradient(ed.DualState(za, sa), inst, ring4))
-            gb = np.concatenate(ed.dual_gradient(ed.DualState(zb, sb), inst, ring4))
+            ga = np.concatenate(grad(za, sa))
+            gb = np.concatenate(grad(zb, sb))
             dq = math.hypot(np.linalg.norm(za - zb), np.linalg.norm(sa - sb))
             assert np.linalg.norm(ga - gb) <= consts.L_H * dq + slack
             worst = max(worst, float(np.linalg.norm(ga - gb) / (consts.L_H * dq)))
 
-            gza, _ = ed.dual_gradient(ed.DualState(za, sa), inst, ring4)
-            gzb, _ = ed.dual_gradient(ed.DualState(zb, sa), inst, ring4)
+            gza, _ = grad(za, sa)
+            gzb, _ = grad(zb, sa)
             assert np.linalg.norm(gza - gzb) <= consts.L_z * np.linalg.norm(za - zb) + slack
             worst_z = max(worst_z, float(np.linalg.norm(gza - gzb)
                                          / (consts.L_z * np.linalg.norm(za - zb))))
 
-            _, gsa = ed.dual_gradient(ed.DualState(za, sa), inst, ring4)
-            _, gsb = ed.dual_gradient(ed.DualState(za, sb), inst, ring4)
+            _, gsa = grad(za, sa)
+            _, gsb = grad(za, sb)
             assert np.linalg.norm(gsa - gsb) <= consts.L_s * np.linalg.norm(sa - sb) + slack
             worst_s = max(worst_s, float(np.linalg.norm(gsa - gsb)
                                          / (consts.L_s * np.linalg.norm(sa - sb))))

@@ -24,11 +24,13 @@ from oracles import (
 from strategies import small_instances
 
 
-def random_state(inst, rng, spread=1.0):
-    return ed.DualState(
-        spread * rng.standard_normal(inst.m * inst.d),
-        spread * rng.standard_normal(inst.m * inst.n),
-    )
+def random_state(inst, W, rng, spread=1.0):
+    z = spread * rng.standard_normal(inst.m * inst.d)
+    return ed.DualState.of(inst, W, z, spread * rng.standard_normal(inst.m * inst.n))
+
+
+def origin(inst, W):
+    return ed.DualState.of(inst, W, np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n))
 
 
 def simplex_grid(d, step):
@@ -215,7 +217,7 @@ class TestDualObjective:
         Wk, Ak, b = dense_operators(toy_p2, ring4)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            st_ = random_state(toy_p2, rng, spread=2.0)
+            st_ = random_state(toy_p2, ring4, rng, spread=2.0)
             dense = dense_dual_value(st_.z, st_.s, toy_p2, Wk, Ak, b)
             assert ed.dual_objective(st_, toy_p2, ring4, 0.0) == pytest.approx(
                 dense, rel=1e-12, abs=1e-10
@@ -223,7 +225,7 @@ class TestDualObjective:
 
     def test_penalty_term_added(self, toy_p2, ring4):
         rng = np.random.default_rng(9)
-        st_ = random_state(toy_p2, rng)
+        st_ = random_state(toy_p2, ring4, rng)
         nu = 0.05
         base = ed.dual_objective(st_, toy_p2, ring4, 0.0)
         full = ed.dual_objective(st_, toy_p2, ring4, nu)
@@ -231,31 +233,31 @@ class TestDualObjective:
 
     def test_q_inf_feasible_has_no_penalty(self, toy_p1, ring4):
         rng = np.random.default_rng(10)
-        st_ = ed.DualState(rng.standard_normal(20), rng.uniform(-1, 1, 12))
+        st_ = ed.DualState.of(toy_p1, ring4, rng.standard_normal(20), rng.uniform(-1, 1, 12))
         val = ed.dual_objective(st_, toy_p1, ring4, 0.7)
         assert val == pytest.approx(
             ed.dual_objective(st_, toy_p1, ring4, 0.0), rel=1e-14
         )
 
     def test_q_inf_rejects_infeasible(self, toy_p1, ring4):
-        st_ = ed.DualState(np.zeros(20), np.full(12, 1.5))
+        st_ = ed.DualState.of(toy_p1, ring4, np.zeros(20), np.full(12, 1.5))
         with pytest.raises(ValueError, match="inf mode"):
             ed.dual_objective(st_, toy_p1, ring4, 0.0)
 
     def test_negative_nu_rejected(self, toy_p2, ring4):
         with pytest.raises(ValueError, match="nonnegative"):
-            ed.dual_objective(ed.DualState.zeros(toy_p2), toy_p2, ring4, -1.0)
+            ed.dual_objective(origin(toy_p2, ring4), toy_p2, ring4, -1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(small_instances(), st.integers(0, 2**31 - 1))
     def test_convexity_midpoint(self, inst, seed):
         rng = np.random.default_rng(seed)
         W = ed.build_laplacian(ed.topology_ring(inst.m))
-        a = random_state(inst, rng)
-        b = random_state(inst, rng)
+        a = random_state(inst, W, rng)
+        b = random_state(inst, W, rng)
         if inst.p == 1.0:  # the box mode's objective is finite on the box only
-            a.s, b.s = np.clip(a.s, -1.0, 1.0), np.clip(b.s, -1.0, 1.0)
-        mid = ed.DualState(0.5 * (a.z + b.z), 0.5 * (a.s + b.s))
+            a, b = (ed.DualState.of(inst, W, x.z, np.clip(x.s, -1.0, 1.0)) for x in (a, b))
+        mid = ed.DualState.of(inst, W, 0.5 * (a.z + b.z), 0.5 * (a.s + b.s))
         fa = ed.dual_objective(a, inst, W, 0.0)
         fb = ed.dual_objective(b, inst, W, 0.0)
         fm = ed.dual_objective(mid, inst, W, 0.0)
@@ -267,7 +269,7 @@ class TestDualGradient:
         Wk, Ak, b = dense_operators(toy_p2, ring4)
         rng = np.random.default_rng(11)
         for _ in range(10):
-            st_ = random_state(toy_p2, rng, spread=1.5)
+            st_ = random_state(toy_p2, ring4, rng, spread=1.5)
             gz, gs = ed.dual_gradient(st_, toy_p2, ring4)
             rz, rs = dense_dual_grad(st_.z, st_.s, toy_p2, Wk, Ak, b)
             assert np.allclose(gz, rz, atol=1e-12)
@@ -275,7 +277,7 @@ class TestDualGradient:
 
     def test_finite_difference_spot_check(self, toy_p2, ring4):
         rng = np.random.default_rng(12)
-        st_ = random_state(toy_p2, rng)
+        st_ = random_state(toy_p2, ring4, rng)
         gz, gs = ed.dual_gradient(st_, toy_p2, ring4)
         g = np.concatenate([gz, gs])
         h = 1e-6
@@ -288,15 +290,15 @@ class TestDualGradient:
             else:
                 sp[idx - st_.z.size] += h
                 sm[idx - st_.z.size] -= h
-            fp = ed.dual_objective(ed.DualState(zp, sp), toy_p2, ring4, 0.0)
-            fm = ed.dual_objective(ed.DualState(zm, sm), toy_p2, ring4, 0.0)
+            fp = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zp, sp), toy_p2, ring4, 0.0)
+            fm = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zm, sm), toy_p2, ring4, 0.0)
             assert (fp - fm) / (2 * h) == pytest.approx(g[idx], rel=2e-5, abs=1e-8)
 
     def test_gradient_zero_data_at_origin(self, ring4):
         inst = ed.ProblemInstance(
             4, 2, 3, 2.0, 0.5, np.ones((4, 2, 3)), np.zeros((4, 2))
         )
-        gz, gs = ed.dual_gradient(ed.DualState.zeros(inst), inst, ring4)
+        gz, gs = ed.dual_gradient(origin(inst, ring4), inst, ring4)
         # uniform softmax blocks are consensual, so the z gradient vanishes
         assert np.allclose(gz, 0.0, atol=1e-14)
         assert np.allclose(gs, -1.0, atol=1e-14)
@@ -346,20 +348,20 @@ class TestConstants:
         c = ed.lipschitz_constants(toy_p2, ring4)
         rng = np.random.default_rng(13)
         for _ in range(25):
-            a = random_state(toy_p2, rng, spread=3.0)
+            a = random_state(toy_p2, ring4, rng, spread=3.0)
             dz = rng.standard_normal(20) * 0.1
             ds = rng.standard_normal(12) * 0.1
             # full perturbation vs L_H
-            b = ed.DualState(a.z + dz, a.s + ds)
+            b = ed.DualState.of(toy_p2, ring4, a.z + dz, a.s + ds)
             ga = np.concatenate(ed.dual_gradient(a, toy_p2, ring4))
             gb = np.concatenate(ed.dual_gradient(b, toy_p2, ring4))
             step = math.sqrt(float(dz @ dz + ds @ ds))
             assert np.linalg.norm(ga - gb) <= c.L_H * step * (1 + 1e-12)
             # z-only vs L_z, s-only vs L_s
-            bz = ed.DualState(a.z + dz, a.s)
+            bz = ed.DualState.of(toy_p2, ring4, a.z + dz, a.s)
             gbz = np.concatenate(ed.dual_gradient(bz, toy_p2, ring4))
             assert np.linalg.norm(ga - gbz) <= c.L_z * np.linalg.norm(dz) * (1 + 1e-12)
-            bs = ed.DualState(a.z, a.s + ds)
+            bs = ed.DualState.of(toy_p2, ring4, a.z, a.s + ds)
             gbs = np.concatenate(ed.dual_gradient(bs, toy_p2, ring4))
             assert np.linalg.norm(ga - gbs) <= c.L_s * np.linalg.norm(ds) * (1 + 1e-12)
 
@@ -391,7 +393,12 @@ class TestRadii:
 
 
 class TestDualState:
-    def test_zeros_shapes(self, toy_p2):
-        st_ = ed.DualState.zeros(toy_p2)
+    def test_of_forms_the_dense_link(self, toy_p2, ring4):
+        Wk, Ak, _ = dense_operators(toy_p2, ring4)
+        st_ = random_state(toy_p2, ring4, np.random.default_rng(14))
         assert st_.z.shape == (20,)
         assert st_.s.shape == (12,)
+        dense = -(Wk @ st_.z + Ak.T @ st_.s).reshape(toy_p2.m, toy_p2.d)
+        assert np.allclose(st_.link, dense, rtol=1e-12, atol=1e-12)
+        # -(0 + 0): the origin's link is -0.0, which STM's traces are pinned to
+        assert np.signbit(origin(toy_p2, ring4).link).all()

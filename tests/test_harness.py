@@ -5,6 +5,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from entrodual.harness import (
 )
 
 from oracles import csv_trace_bytes, read_summary, save_topology
-from reference_values import TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_SEED, TRACE_SHA256
+from reference_values import (TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_P2_THETA, TOY_SEED,
+                              TRACE_SHA256)
 from strategies import invalid_accuracies
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,6 +60,29 @@ class TestFitRate:
         trace = synthetic_trace([0.0] * 100)
         with pytest.raises(ValueError, match="saturated"):
             ed.fit_rate(trace, window=(10, 50))
+
+    def test_infinite_rows_dropped(self):
+        # the rows of an infeasible s, whose objective or gap is infinite
+        rng = np.random.default_rng(0)
+        ks = np.arange(1, 301)
+        vals = 5.0 / ks * np.exp(0.1 * rng.standard_normal(ks.size))
+        vals[::4] = math.inf
+        full, finite = ed.SolverTrace(), ed.SolverTrace()
+        for k, v in zip(ks.tolist(), vals.tolist()):
+            full.append(k, v, v, 0.0, 0.0, k, k, 0.0)
+            if math.isfinite(v):
+                finite.append(k, v, v, 0.0, 0.0, k, k, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ed.fit_rate(full, window=(10, 250))
+        assert math.isfinite(report.slope)
+        assert report == ed.fit_rate(finite, window=(10, 250))
+
+    def test_all_rows_infinite_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="saturated"):
+                ed.fit_rate(synthetic_trace([math.inf] * 100), window=(10, 50))
 
     def test_iteration_zero_rows_dropped(self):
         trace = synthetic_trace([7.0] + [1.0 / k**2 for k in range(1, 100)], start=0)
@@ -528,6 +553,25 @@ class TestRunExperiment:
         assert summary["stop_reason"] == "stall"
         assert summary["iters"] == 1 + stm_mod.STALL_WINDOW
 
+    # ACRCD has no stall stop; 137 is no multiple of the stride 10, and the
+    # stall stop comes at iteration 51
+    @pytest.mark.parametrize("solver,p,stop", [
+        ("stm", 1.0, "max_iter"), ("stm", 2.0, "max_iter"), ("acrcd", 1.0, "max_iter"),
+        ("stm", 1.0, "stall"), ("stm", 2.0, "stall"),
+    ])
+    def test_summary_certificate_is_the_last_rows(self, solver, p, stop, monkeypatch):
+        if stop == "stall":
+            monkeypatch.setattr(stm_mod, "objective_from_lse", lambda *a, **k: -1.0)
+        theta = TOY_P1_THETA if p == 1.0 else TOY_P2_THETA
+        summary, trace = ed.run_experiment(ed.ExperimentConfig(
+            seed=TOY_SEED, m=TOY_M, n=TOY_N, d=TOY_D, p=p, theta=theta, solver=solver,
+            solver_seed=3, max_iter=137 if stop == "max_iter" else 1000, trace_every=10))
+        assert summary["stop_reason"] == stop
+        assert summary["iters"] == (137 if stop == "max_iter" else 1 + stm_mod.STALL_WINDOW)
+        assert summary["final_gap"] == trace.gap[-1]  # two infinite gaps compare equal
+        if p == 1.0:  # the box mode's row objective is the certificate's H
+            assert summary["final_dual_certificate"] == summary["final_dual_obj"]
+
     @pytest.mark.parametrize("solver", ["acrcd", "subgradient"])
     def test_other_solvers_stop_at_max_iter(self, solver):
         summary, _ = ed.run_experiment(self.toy_p1_cfg(solver=solver, solver_seed=3,
@@ -706,6 +750,33 @@ class TestCLI:
         code = main(["rate", "--trace", str(tp), "--ref", str(rp)])
         assert code == 0
         assert "slope=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solve,target,code", [
+        pytest.param(["--config", str(REPO / "configs/toy_p1.cfg"), "--solver", "subgradient"],
+                     ["--fstar", "0"], 2, id="subgradient-fstar"),
+        pytest.param(["--config", str(REPO / "configs/toy_p1.cfg"), "--solver", "subgradient"],
+                     ["--ref", "{trace}"], 2, id="subgradient-ref"),
+        pytest.param(["--config", str(REPO / "configs/toy.cfg")],
+                     ["--column", "gap", "--fstar", "0"], 0, id="p2-gap"),
+    ])
+    def test_rate_drops_infinite_rows(self, solve, target, code, tmp_path, capsys):
+        # the subgradient's dual_obj is inf on every row; the p = 2 gap is inf
+        # once s leaves the dual ball (from iteration 70 on the toy)
+        out = tmp_path / "run"
+        assert main(["solve", *solve, "--max-iter", "600", "--out", str(out)]) == 0
+        trace = str(out / "trace.csv")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["rate", "--trace", trace, *(arg.format(trace=trace) for arg in target)]
+            assert main(argv) == code
+        text = capsys.readouterr()
+        if code == 2:
+            assert "is saturated" in text.err
+        else:
+            slope = float(text.out.splitlines()[0].removeprefix("slope="))
+            assert math.isfinite(slope)
+            assert "window=10..60" in text.out
 
     def test_rate_needs_target(self, tmp_path, capsys):
         trace = synthetic_trace([1.0, 0.5])

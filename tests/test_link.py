@@ -180,16 +180,14 @@ class TestGossipProducts:
         assert new.n_comm == 1
         assert len(gossip_log) == 2
 
-    def test_duality_gap_forms_the_link_once(self, toy_p1, ring4, gossip_log):
+    def test_of_forms_the_link_and_duality_gap_reads_it(self, toy_p1, ring4, gossip_log):
+        # the point's one W product is taken when it is made; the certificate's
+        # consensus residual is taken in problem, outside this log
         rng = np.random.default_rng(2)
-        state = ed.DualState(rng.standard_normal(20), rng.uniform(-1, 1, 12))
-        rep = ed.duality_gap(state, toy_p1, ring4)
-        assert len(gossip_log) == 1
-        gossip_log.clear()
-        carried = ed.DualState(state.z, state.s, _neg_link(toy_p1, ring4, state.z, state.s))
+        state = ed.DualState.of(toy_p1, ring4, rng.standard_normal(20), rng.uniform(-1, 1, 12))
         assert gossip_log == [(4, 5)]
         gossip_log.clear()
-        assert ed.duality_gap(carried, toy_p1, ring4) == rep
+        ed.duality_gap(state, toy_p1, ring4)
         assert gossip_log == []
 
 
@@ -237,7 +235,9 @@ class TestKernelPasses:
         rng = np.random.default_rng(2)
         for s in (rng.uniform(-1, 1, 12), np.zeros(12)):
             kernel_log.clear()
-            ed.duality_gap(ed.DualState(rng.standard_normal(20), s), toy_p1, ring4)
+            state = ed.DualState.of(toy_p1, ring4, rng.standard_normal(20), s)
+            kernel_log.clear()
+            ed.duality_gap(state, toy_p1, ring4)
             assert kernel_log == [(4, 5)]
 
 

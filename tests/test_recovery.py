@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 import entrodual as ed
 
-from entrodual.dual import _neg_link
 from entrodual.network import NeighbourSlots
 from entrodual.problem import BLAS_BLOCK_MIN
 
@@ -20,11 +19,11 @@ from oracles import (duality_gap_reference, fista_reference, laplacian,
 from reference_values import PRIMAL_OPT_P2
 
 
-def random_state(inst, seed, z_scale=1.0, s_scale=1.0):
+def random_state(inst, W, seed, z_scale=1.0, s_scale=1.0):
     rng = np.random.default_rng(seed)
     z = z_scale * rng.standard_normal(inst.m * inst.d)
     s = s_scale * rng.standard_normal(inst.m * inst.n)
-    return ed.DualState(z, s)
+    return ed.DualState.of(inst, W, z, s)
 
 
 def ball_project(inst, s):
@@ -37,13 +36,13 @@ def ball_project(inst, s):
 
 class TestPrimalFromDual:
     def test_blocks_are_simplex_points(self, toy_p2, ring4):
-        ps = ed.primal_from_dual(random_state(toy_p2, 0, 2.0, 2.0), toy_p2, ring4)
+        ps = ed.primal_from_dual(random_state(toy_p2, ring4, 0, 2.0, 2.0), toy_p2, ring4)
         assert ps.x_blocks.shape == (toy_p2.m, toy_p2.d)
         assert ps.x_blocks.min() >= 0.0
         np.testing.assert_allclose(ps.x_blocks.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_manual_softmax(self, toy_p1, ring4):
-        state = random_state(toy_p1, 1, 1.5, 0.5)
+        state = random_state(toy_p1, ring4, 1, 1.5, 0.5)
         ps = ed.primal_from_dual(state, toy_p1, ring4)
         lifted = np.kron(laplacian(ed.topology_ring(4)), np.eye(toy_p1.d))
         link = lifted @ state.z
@@ -58,14 +57,15 @@ class TestPrimalFromDual:
 
     def test_makes_no_data_product(self, toy_p2, ring4, data_log):
         # the certificate reads only the blocks, so recovery forms no A x
-        state = random_state(toy_p2, 2)
-        state.link = np.zeros((toy_p2.m, toy_p2.d))
+        state = random_state(toy_p2, ring4, 2)
+        data_log.clear()  # the link's A^T s, taken when the point is made
         ps = ed.primal_from_dual(state, toy_p2, ring4)
         assert data_log == []
         assert [f.name for f in dataclasses.fields(ps)] == ["x_blocks"]
 
     def test_zero_state_gives_uniform_blocks(self, toy_p2, ring4):
-        zero = ed.DualState(np.zeros(toy_p2.m * toy_p2.d), np.zeros(toy_p2.m * toy_p2.n))
+        zero = ed.DualState.of(
+            toy_p2, ring4, np.zeros(toy_p2.m * toy_p2.d), np.zeros(toy_p2.m * toy_p2.n))
         ps = ed.primal_from_dual(zero, toy_p2, ring4)
         np.testing.assert_allclose(ps.x_blocks, 1.0 / toy_p2.d, atol=1e-15)
 
@@ -81,7 +81,7 @@ class TestConsensusCandidate:
         np.testing.assert_allclose(ed.consensus_candidate(blocks), [0.6, 0.4], atol=1e-15)
 
     def test_output_on_simplex(self, toy_p1, ring4):
-        ps = ed.primal_from_dual(random_state(toy_p1, 3, 3.0, 0.7), toy_p1, ring4)
+        ps = ed.primal_from_dual(random_state(toy_p1, ring4, 3, 3.0, 0.7), toy_p1, ring4)
         x = ed.consensus_candidate(ps.x_blocks)
         assert x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -91,14 +91,15 @@ class TestDualityGap:
     def test_zero_data_zero_state_exact_zero(self):
         inst = ed.ProblemInstance(2, 1, 1, 2.0, 0.5, np.zeros((2, 1, 1)), np.zeros((2, 1)))
         W = ed.build_laplacian(ed.topology_path(2))
-        rep = ed.duality_gap(ed.DualState(np.zeros(2), np.zeros(2)), inst, W)
+        rep = ed.duality_gap(ed.DualState.of(inst, W, np.zeros(2), np.zeros(2)), inst, W)
         assert rep.gap == 0.0
         assert rep.primal_value == 0.0
         assert rep.dual_value == 0.0
         assert rep.consensus_residual == 0.0
 
     def test_infeasible_s_reports_infinite_gap(self, toy_p1, ring4):
-        state = ed.DualState(np.zeros(toy_p1.m * toy_p1.d), np.full(toy_p1.m * toy_p1.n, 2.0))
+        state = ed.DualState.of(
+            toy_p1, ring4, np.zeros(toy_p1.m * toy_p1.d), np.full(toy_p1.m * toy_p1.n, 2.0))
         rep = ed.duality_gap(state, toy_p1, ring4)
         assert math.isinf(rep.gap)
         assert math.isinf(rep.dual_value)
@@ -107,7 +108,8 @@ class TestDualityGap:
     def test_infeasible_p2_node_norm(self, toy_p2, ring4):
         s = np.zeros(toy_p2.m * toy_p2.n)
         s[:toy_p2.n] = 2.0
-        rep = ed.duality_gap(ed.DualState(np.zeros(toy_p2.m * toy_p2.d), s), toy_p2, ring4)
+        state = ed.DualState.of(toy_p2, ring4, np.zeros(toy_p2.m * toy_p2.d), s)
+        rep = ed.duality_gap(state, toy_p2, ring4)
         assert math.isinf(rep.gap)
 
     @settings(max_examples=40, deadline=None)
@@ -118,7 +120,7 @@ class TestDualityGap:
     )
     def test_weak_duality_p1(self, toy_p1, ring4, z, s, seed):
         del seed
-        state = ed.DualState(z, ball_project(toy_p1, s))
+        state = ed.DualState.of(toy_p1, ring4, z, ball_project(toy_p1, s))
         rep = ed.duality_gap(state, toy_p1, ring4)
         assert rep.gap >= -1e-8
 
@@ -128,7 +130,7 @@ class TestDualityGap:
         s=hnp.arrays(np.float64, 12, elements=st.floats(-5, 5)),
     )
     def test_weak_duality_p2(self, toy_p2, ring4, z, s):
-        state = ed.DualState(z, ball_project(toy_p2, s))
+        state = ed.DualState.of(toy_p2, ring4, z, ball_project(toy_p2, s))
         rep = ed.duality_gap(state, toy_p2, ring4)
         assert math.isfinite(rep.gap)
         assert rep.gap >= -1e-8
@@ -156,10 +158,9 @@ def product_path(request):
 class TestCertificateOracle:
     """The certificate equals the earlier arithmetic (``oracles.
     duality_gap_reference``) exactly, on every product path, at p = 1 and
-    p = 2, with s inside and outside the dual ball, with and without a
-    carried link.  theta = 1e-3 makes the entropy term small beside the
-    norm, so the norm's last bits reach the primal value, and gives softmax
-    blocks with entries that underflow to 0."""
+    p = 2, with s inside and outside the dual ball.  theta = 1e-3 makes the
+    entropy term small beside the norm, so the norm's last bits reach the
+    primal value, and gives softmax blocks with entries that underflow to 0."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
@@ -179,18 +180,16 @@ class TestCertificateOracle:
                     s[rng.integers(m * n)] = 1.5
             else:
                 s *= (0.9 if feasible else 1.5) / np.linalg.norm(s)
-            state = ed.DualState(z, s)
+            state = ed.DualState.of(inst, W, z, s)
             expect = duality_gap_reference(state, inst, W)
             assert math.isfinite(expect.gap) == feasible
             assert ed.duality_gap(state, inst, W) == expect
-            carried = ed.DualState(z, s, _neg_link(inst, W, z, s))
-            assert ed.duality_gap(carried, inst, W) == duality_gap_reference(carried, inst, W)
 
 
 @pytest.fixture(scope="module")
 def ball_solution(toy_p2, ring4):
     z, s, _ = fista_reference(toy_p2, ring4, "ball2", 20000)
-    return ed.DualState(z, s)
+    return ed.DualState.of(toy_p2, ring4, z, s)
 
 
 class TestReferenceCrossChecks:

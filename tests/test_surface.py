@@ -1,6 +1,7 @@
 """The package's public surface: names deleted or moved to ``tests/oracles.py``
 because no solver, command or script uses them stay out of ``src/``."""
 
+import ast
 import dataclasses
 import inspect
 from pathlib import Path
@@ -43,6 +44,7 @@ GONE = [
     (network, "_validate_spectrum"),
     (network, "_extreme_eigenvalues"),
     (network, "SPECTRAL_SLACK_REL"),
+    (dual, "_link_of"),
 ]
 
 
@@ -92,11 +94,40 @@ def test_acrcd_state_holds_what_its_step_reads():
     (ed.STMConfig, "mu"),
     (ed.ExperimentConfig, "mu"),
     (ed.ACRCDState, "k"),
+    (ed.DualState, "zeros"),
     *((ed.ACRCDState, f"{block}_{pair}") for pair in ("bar", "under")
       for block in ("z", "P", "s", "Q")),
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_dual_state_needs_its_link():
+    # a point from (z, s) alone is made by DualState.of, which forms the link
+    with pytest.raises(TypeError):
+        ed.DualState(np.zeros(20), np.zeros(12))
+
+
+# imports that exist only so that perfbench's spans can wrap the name there
+SPAN_ONLY_IMPORTS = {("dual", "data_constants"), ("harness", "primal_from_dual")}
+
+
+def test_every_import_is_read():
+    src = Path(ed.__file__).parent
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.add((path.stem, name))
+    assert unread == SPAN_ONLY_IMPORTS
 
 
 def test_w_is_taken_only_as_a_gossip_matrix(toy_p1):
