@@ -36,14 +36,12 @@ from .problem import (
     DataConstants,
     PrimalState,
     ProblemInstance,
-    check_simplex,
     consensus_residual,
     data_constants,
     entropy,
     generate_instance,
     instance_checksum,
     load_instance,
-    primal_objective,
     save_instance,
 )
 from .prox import project_box, prox_R

@@ -1,38 +1,30 @@
-"""Projected-subgradient comparator on the penalized distributed objective.
+"""Decentralized entropic mirror descent: the primal comparator.
 
-A deliberately plain primal method used only as a yardstick: minimize
+A plain primal method used only as a yardstick.  Each iteration mixes the
+blocks once with I - W / lambda_max (Nedic & Ozdaglar 2009), then every node
+takes the composite entropic mirror step (Duchi et al. 2010)
 
-    ||A x - b||_p + theta <x, log x> + (PENALTY / 2) <x, W x>
+    x_i = argmin_x <g_i, x> + theta <x, log x> + KL(x, y_i) / alpha_k
+        = softmax((log y_i - alpha_k g_i) / (1 + alpha_k theta)),
 
-over per-node simplex blocks by subgradient steps of length
-STEP_SCALE / sqrt(k) and blockwise Euclidean projection.  Consensus is only
-encouraged through the quadratic penalty, so the method has no dual
-certificate; trace rows carry infinite dual_obj/gap.
+with g_i = A_i^T u_i, u a subgradient of ||r||_p at the residual r = A x - b.
+The closed form is the row kernel's softmax, so the iterates stay strictly
+positive and on the simplex with no projection.  The step
+alpha_k = sqrt(2 log d) / (G sqrt k) comes from the data: G bounds
+||g_i||_inf, sigma_max sqrt(n) at p = 1 and sigma_max at p = 2.  The run
+starts at the uniform point.  With no dual iterate, rows carry infinite
+dual_obj and gap.
 """
+
+import math
 
 import numpy as np
 
+from .dual import _rows_softmax
 from .network import gossip_operator
-from .problem import consensus_residual, primal_objective, vector_norm
-from .recovery import consensus_candidate
+from .problem import check_data, sigma_max, vector_norm
+from .recovery import primal_side
 from .trace import observe
-
-# Floor inside the entropy gradient; the true subgradient blows up at 0.
-ENTROPY_FLOOR = 1e-300
-# Step k is STEP_SCALE / sqrt(k); PENALTY weighs the consensus term.
-STEP_SCALE = 0.1
-PENALTY = 1.0
-
-
-def project_simplex_rows(V):
-    """Rowwise Euclidean projection onto the probability simplex (sort-based)."""
-    V = np.asarray(V, dtype=float)
-    U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1) - 1.0
-    j = np.arange(1, V.shape[1] + 1)
-    rho = np.sum(U - css / j > 0.0, axis=1)
-    lam = -css[np.arange(V.shape[0]), rho - 1] / rho
-    return np.maximum(V + lam[:, None], 0.0)
 
 
 def _norm_subgradient(residual, p):
@@ -43,29 +35,31 @@ def _norm_subgradient(residual, p):
     return residual / nrm if nrm > 0.0 else np.zeros_like(residual)
 
 
-def subgradient_baseline(inst, W, steps, seed=0, trace_every=1, timing=False):
+def subgradient_baseline(inst, W, steps, trace_every=1, timing=False):
     """Run the comparator and return its trace.
 
-    The starting blocks are random simplex points from the given seed, so the
-    whole run is deterministic per (instance, seed).  Each iteration costs
-    one gossip exchange (the penalty term) and one local pass.
+    An iteration bills one round (the one W product of the mixing) and one
+    local pass.  At p = 1 that is what a network pays, since the loss splits
+    by node.  At p = 2 the subgradient divides by the global ||r||_2, a sum a
+    network would also have to exchange; it is not billed.
     """
+    check_data(inst)
     Wm = gossip_operator(W)
-    rng = np.random.default_rng(seed)
-    X = rng.dirichlet(np.ones(inst.d), size=inst.m)
+    G = sigma_max(inst) * (math.sqrt(inst.n) if inst.p == 1.0 else 1.0)
+    scale = math.sqrt(2.0 * math.log(inst.d)) / G
+    X = np.full((inst.m, inst.d), 1.0 / inst.d)
     products = inst.block_products
 
     def step(k):
         nonlocal X
+        Y = X - (Wm @ X) / W.lambda_max  # the one term that talks to neighbours
         residual = products.apply(X).reshape(-1) - inst.stacked_b()
-        dual_vec = _norm_subgradient(residual, inst.p).reshape(inst.m, inst.n)
-        G = products.adjoint(dual_vec)
-        G += inst.theta * (np.log(np.maximum(X, ENTROPY_FLOOR)) + 1.0)
-        G += PENALTY * (Wm @ X)  # the one term that talks to neighbours
-        X = project_simplex_rows(X - STEP_SCALE / np.sqrt(k) * G)
+        u = _norm_subgradient(residual, inst.p).reshape(inst.m, inst.n)
+        alpha = scale / math.sqrt(k)
+        X = _rows_softmax(np.log(Y) - alpha * products.adjoint(u), 1.0 + alpha * inst.theta)
 
     def row(k):
-        xbar = consensus_candidate(X)
-        return np.inf, primal_objective(inst, xbar), np.inf, consensus_residual(W, X), k, k
+        primal, cres = primal_side(inst, W, X)
+        return np.inf, primal / inst.m, np.inf, cres, k, k
 
     return observe(step, row, steps, trace_every, timing)

@@ -198,8 +198,8 @@ def run_experiment(cfg):
     elif cfg.solver == "acrcd":
         final_state, trace = run_acrcd(inst, W, solver_cfg)
     else:
-        trace = subgradient_baseline(inst, W, cfg.max_iter, seed=cfg.seed or 0,
-                                     trace_every=cfg.trace_every, timing=cfg.timing)
+        trace = subgradient_baseline(inst, W, cfg.max_iter, trace_every=cfg.trace_every,
+                                     timing=cfg.timing)
 
     consts = lipschitz_constants(inst, W)
     summary["L_H"] = consts.L_H

@@ -1,4 +1,4 @@
-"""Problem data and primal objectives.
+"""Problem data: the instance, its block products and its data constants.
 
 Each of the m nodes holds a local block (A_i, b_i); the shared decision
 variable lives on the probability simplex and is regularized by entropy:
@@ -8,7 +8,8 @@ variable lives on the probability simplex and is regularized by entropy:
 with A the row-stack of the blocks and p one of P_VALUES: the loss is the
 1-norm, whose dual is the box mode, or the 2-norm, whose dual is the
 penalised mode.  The distributed form replicates x per node, couples the
-copies through a gossip matrix, and drops the 1/m factor.
+copies through a gossip matrix, and drops the 1/m factor; its value at a
+set of blocks is ``recovery.primal_side``.
 """
 
 import hashlib
@@ -21,7 +22,6 @@ import numpy as np
 
 from .network import gossip_operator
 
-SIMPLEX_TOL = 1e-9
 # Singular values below this fraction of sigma_max count as zero.
 ZERO_SV_REL = 1e-9
 # Noise level (relative to scale) used when planting b = A x + noise.
@@ -53,16 +53,6 @@ def vector_norm(x, p):
     if p == 1.0:
         return float(np.add.reduce(a))
     raise ValueError(f"vector_norm takes p in {{1, 2, inf}}, got {p!r}")
-
-
-def check_simplex(x, tol=SIMPLEX_TOL):
-    """Return x as an array after verifying nonnegativity and unit sum."""
-    x = np.asarray(x, dtype=float)
-    if x.min() < -tol:
-        raise ValueError(f"point has negative entry {x.min():.3e}")
-    if abs(x.sum() - 1.0) > tol:
-        raise ValueError(f"point sums to {x.sum()!r}, not 1")
-    return x
 
 
 @dataclass(frozen=True)
@@ -236,13 +226,6 @@ def data_constants(inst):
         raise ValueError(f"block A_{i} has no singular value above {threshold:.3e}")
     minima = svals[np.arange(inst.m), counts - 1]
     return DataConstants(s_max, float(minima.min()))
-
-
-def primal_objective(inst, x):
-    """(1/m) ||A x - b||_p + theta <x, log x> at a simplex point x."""
-    x = check_simplex(x)
-    residual = inst.stacked_A() @ x - inst.stacked_b()
-    return vector_norm(residual, inst.p) / inst.m + inst.theta * entropy(x)
 
 
 def consensus_residual(W, x_blocks):

@@ -44,13 +44,24 @@ def consensus_candidate(X):
     return x / np.add.reduce(x)
 
 
+def primal_side(inst, W, X):
+    """(primal, consensus_residual(W, X)) of the (m, d) blocks X, the latter
+    one W product.  primal, the one primal value of a set of blocks, is the
+    distributed objective ||A xbar - b||_p + m theta <xbar, log xbar> at the
+    renormalized block mean xbar replicated to every node."""
+    xbar = consensus_candidate(X)
+    residual = inst.stacked_A() @ xbar
+    residual -= inst.stacked_b()
+    primal = vector_norm(residual, inst.p) + inst.m * inst.theta * entropy(xbar)
+    return primal, consensus_residual(W, X)
+
+
 def duality_gap(state, inst, W, lse=None):
     """Gap between the consensual recovered point and the dual certificate.
 
-    The primal side evaluates the distributed objective at the renormalized
-    block mean replicated to every node; the dual side is Phi = -H with
-    H = conj_F(s) + sum_i g*(-[Wz + A^T s]_i), g* the entropy conjugate (a
-    scaled log-sum-exp per node).  The certificate is penalty-free: only the
+    The primal side is ``primal_side`` of the recovered blocks; the dual side
+    is Phi = -H with H = conj_F(s) + sum_i g*(-[Wz + A^T s]_i), g* the
+    entropy conjugate (a scaled log-sum-exp per node).  The certificate is penalty-free: only the
     problem's own conjugate pairing enters, whatever penalty the solver used.
     Weak duality makes gap >= 0 up to rounding whenever s is feasible; an
     infeasible s reports an infinite gap rather than raising.
@@ -64,12 +75,7 @@ def duality_gap(state, inst, W, lse=None):
     log-sum-exp is written into it.
     """
     lse = np.empty(inst.m) if lse is None else lse
-    ps = primal_from_dual(state, inst, W, lse)
-    xbar = consensus_candidate(ps.x_blocks)
-    residual = inst.stacked_A() @ xbar
-    residual -= inst.stacked_b()
-    primal = vector_norm(residual, inst.p) + inst.m * inst.theta * entropy(xbar)
-    cres = consensus_residual(W, ps.x_blocks)
+    primal, cres = primal_side(inst, W, primal_from_dual(state, inst, W, lse).x_blocks)
     fstar = conj_F(state.s, inst)
     if math.isinf(fstar):
         return GapReport(primal, math.inf, math.inf, cres)

@@ -60,7 +60,7 @@ TRACE_SHA256 = {
     ("configs/toy_p1.cfg", ()):
         "a78f2faddfac2d1a503ed6c18b910272726314c86d8ef19daf6db2c1fdbbbbcd",
     ("configs/toy_p1.cfg", ("--solver", "subgradient")):
-        "0e699b10dc9e09db2307d340f7253ebe751a38796e6e1090d567e6ed74ab156a",
+        "f500db37e1e01a4c1485001b105d0df5cee091cd9ad245e8f9f80af257259e22",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
         "dcbe90ef7d974fcd4e6f5d54c0b02b1b2d8e07481375ee05685ee9d216b3db78",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING64)):

@@ -343,6 +343,9 @@ class TestConstants:
         if p == 1.0:
             with pytest.raises(ValueError, match="all data blocks are zero"):
                 ed.run_acrcd(inst, ring4, ed.ACRCDConfig(rng_seed=0, max_iter=5))
+        # the comparator's step divides by sigma_max, so it refuses at either p
+        with pytest.raises(ValueError, match="all data blocks are zero"):
+            ed.subgradient_baseline(inst, ring4, 5)
 
     def test_empirical_smoothness_never_exceeds_bounds(self, toy_p2, ring4):
         c = ed.lipschitz_constants(toy_p2, ring4)

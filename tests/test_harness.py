@@ -25,8 +25,8 @@ from entrodual.harness import (
 )
 
 from oracles import csv_trace_bytes, read_summary, save_topology
-from reference_values import (TOY_D, TOY_M, TOY_N, TOY_P1_THETA, TOY_P2_THETA, TOY_SEED,
-                              TRACE_SHA256)
+from reference_values import (PRIMAL_OPT_P1, PRIMAL_OPT_P2, TOY_D, TOY_M, TOY_N, TOY_P1_THETA,
+                              TOY_P2_THETA, TOY_SEED, TRACE_SHA256)
 from strategies import invalid_accuracies
 
 REPO = Path(__file__).resolve().parent.parent
@@ -499,7 +499,7 @@ class TestRunExperiment:
         assert blobs[0] == blobs[1]
 
     def test_baseline_on_slot_ring_matches_dense(self, monkeypatch):
-        # the penalty product and the observer's residual both take the slots
+        # the mixing product and the observer's residual both take the slots
         summary, trace = ed.run_experiment(self.small_cfg(
             m=256, p=1.0, theta=3.0, solver="subgradient", max_iter=40, trace_every=10))
         assert summary["iters"] == 40
@@ -508,7 +508,7 @@ class TestRunExperiment:
         monkeypatch.setattr(ed.network, "SLOT_CROSSOVER", 257)
         W = ed.build_laplacian(ed.topology_ring(256))
         assert type(W.operator) is np.ndarray
-        dense = ed.subgradient_baseline(inst, W, 40, seed=3, trace_every=10)
+        dense = ed.subgradient_baseline(inst, W, 40, trace_every=10)
         assert trace.iter == dense.iter
         np.testing.assert_allclose(trace.primal_obj, dense.primal_obj, rtol=1e-12)
         np.testing.assert_allclose(trace.consensus_residual, dense.consensus_residual,
@@ -604,6 +604,67 @@ class TestRunExperiment:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
         ed.run_experiment(self.small_cfg())
         assert len(calls) == 1
+
+
+class TestComparator:
+    """The entropic mirror comparator: it converges, its trace depends on the
+    instance alone, its rows read simplex blocks, and edge data run clean."""
+
+    @pytest.mark.parametrize("config,optimum,tol", [
+        ("configs/toy_p1.cfg", PRIMAL_OPT_P1, 2e-3),
+        ("configs/toy.cfg", PRIMAL_OPT_P2, 1e-4),
+    ], ids=["toy_p1", "toy"])
+    def test_best_primal_reaches_the_optimum(self, config, optimum, tol):
+        cfg = merge_config(ed.load_config(REPO / config),
+                           {"solver": "subgradient", "max_iter": 2000, "trace_every": 1})
+        _, trace = ed.run_experiment(cfg)
+        assert abs(min(trace.primal_obj) - optimum) <= tol
+
+    def test_generated_and_loaded_instance_trace_alike(self, tmp_path):
+        flags = ["--m", "4", "--n", "3", "--d", "5", "--p", "1", "--theta", "3"]
+        inst_path = tmp_path / "inst.txt"
+        assert main(["gen", "--seed", "7", *flags, "--out", str(inst_path)]) == 0
+        blobs = []
+        for name, source in (("gen", ["--seed", "7", *flags]),
+                             ("file", ["--instance", str(inst_path)])):
+            out = tmp_path / name
+            assert main(["solve", *source, "--solver", "subgradient", "--max-iter", "50",
+                         "--trace-every", "1", "--out", str(out)]) == 0
+            blobs.append((out / "trace.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_rows_read_simplex_blocks(self, monkeypatch):
+        # every row's blocks pass the library's own simplex check
+        checked = []
+        real = ed.baseline.primal_side
+
+        def spy(inst, W, X):
+            checked.append(ed.PrimalState(X))
+            return real(inst, W, X)
+
+        monkeypatch.setattr(ed.baseline, "primal_side", spy)
+        inst = ed.generate_instance(7, 64, 20, 50, 2.0, 3.0)
+        ed.subgradient_baseline(inst, ed.build_laplacian(ed.topology_ring(64)), 400)
+        assert len(checked) == 401
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_one_point_simplex_is_fixed(self, p, ring4):
+        # at d = 1 the step is 0 and every node sits at x = 1
+        inst = ed.generate_instance(7, 4, 3, 1, p, 3.0)
+        trace = ed.subgradient_baseline(inst, ring4, 20)
+        loss = ed.problem.vector_norm(inst.stacked_A()[:, 0] - inst.stacked_b(), p)
+        assert trace.primal_obj == [loss / 4] * 21
+        assert trace.consensus_residual == [0.0] * 21
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("theta,scale", [(1e-3, 1.0), (3.0, 1e6)],
+                             ids=["theta=1e-3", "scale=1e6"])
+    def test_small_theta_and_large_scale_run_clean(self, theta, scale, p, ring4):
+        inst = ed.generate_instance(7, 4, 3, 5, p, theta, scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = ed.subgradient_baseline(inst, ring4, 2000, trace_every=100)
+        assert all(math.isfinite(v) for v in trace.primal_obj)
 
 
 @pytest.mark.parametrize("config,flags", [

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 
 import entrodual as ed
 from entrodual import problem
-from entrodual.problem import (BLAS_BLOCK_MIN, NOISE_REL, SIMPLEX_TOL, blas_products,
-                               einsum_products)
+from entrodual.problem import BLAS_BLOCK_MIN, NOISE_REL, blas_products, einsum_products
 
 from oracles import dense_operators
 
@@ -42,25 +41,6 @@ class TestEntropy:
     def test_range_on_simplex(self, x):
         val = ed.entropy(x)
         assert -math.log(4) - 1e-12 <= val <= 0.0
-
-
-class TestCheckSimplex:
-    def test_accepts_tiny_negative(self):
-        x = np.array([0.5, 0.5, -1e-12])
-        assert ed.check_simplex(x) is not None
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            ed.check_simplex(np.array([0.6, 0.5, -0.1]))
-
-    def test_rejects_wrong_sum(self):
-        with pytest.raises(ValueError, match="sums to"):
-            ed.check_simplex(np.array([0.5, 0.4]))
-
-    def test_tolerance_is_tight(self):
-        x = np.array([0.5, 0.5 + 5 * SIMPLEX_TOL])
-        with pytest.raises(ValueError):
-            ed.check_simplex(x)
 
 
 class TestProblemInstance:
@@ -176,11 +156,14 @@ class TestPrimalState:
 
 
 class TestObjectives:
-    def test_p1_norm_used(self, toy_p1):
-        x = np.full(toy_p1.d, 1.0 / toy_p1.d)
+    def test_p1_norm_used(self, toy_p1, ring4):
+        # the shared primal side on a consensual X: the m-scaled objective
+        x = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
         res = toy_p1.stacked_A() @ x - toy_p1.stacked_b()
-        expected = np.abs(res).sum() / toy_p1.m + toy_p1.theta * ed.entropy(x)
-        assert ed.primal_objective(toy_p1, x) == pytest.approx(expected, rel=1e-12)
+        expected = np.abs(res).sum() + toy_p1.m * toy_p1.theta * ed.entropy(x)
+        primal, cres = ed.recovery.primal_side(toy_p1, ring4, np.tile(x, (toy_p1.m, 1)))
+        assert primal == pytest.approx(expected, rel=1e-12)
+        assert cres == 0.0
 
     def test_apply_blocks_matches_loop(self, toy_p2):
         rng = np.random.default_rng(2)

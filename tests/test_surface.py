@@ -45,6 +45,13 @@ GONE = [
     (network, "_extreme_eigenvalues"),
     (network, "SPECTRAL_SLACK_REL"),
     (dual, "_link_of"),
+    (baseline, "project_simplex_rows"),
+    (baseline, "ENTROPY_FLOOR"),
+    (baseline, "STEP_SCALE"),
+    (baseline, "PENALTY"),
+    (problem, "check_simplex"),
+    (problem, "primal_objective"),
+    (problem, "SIMPLEX_TOL"),
 ]
 
 
@@ -100,6 +107,11 @@ def test_acrcd_state_holds_what_its_step_reads():
 ])
 def test_method_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_comparator_takes_no_seed():
+    # it starts from the uniform point, so its trace depends on the instance only
+    assert "seed" not in inspect.signature(ed.subgradient_baseline).parameters
 
 
 def test_dual_state_needs_its_link():
