@@ -18,14 +18,14 @@ product.  Only the sampled block's partial gradient is evaluated.  A z step
 applies W twice: in grad_z H = -W xhat, and to grad_z H itself, which moves
 P with the coefficients that move z.  An s step applies A once, in
 grad_s H = b - A xhat, and A^T twice, to form Q afresh after the box
-projection; it applies no W.  The candidate objective reads the running
-pair's link -(P + Q).  Each iteration of run_acrcd makes two passes of the
-row kernel ``dual._rows_shifted_exp``: the softmax xhat at the midpoint and
-the log-sum-exp of the candidate objective.  A trace row certifies the best
-pair (``duality_gap``, whose single pass yields both softmax and
-log-sum-exp), and only when the best pair changed since the last
-certificate; otherwise it reuses that certificate, which has the same
-inputs.
+projection; it applies no W.  Each iteration of run_acrcd makes one pass
+of the row kernel ``dual._rows_shifted_exp``, the softmax xhat at the
+midpoint, and that pass also yields the log-sum-exp from which run_acrcd
+reads the midpoint's objective; the best midpoint so far is the candidate
+the run keeps.  A trace row certifies the best point (``duality_gap``, whose
+single pass yields both softmax and log-sum-exp), and only when it changed
+since the last certificate; otherwise it reuses that certificate, which has
+the same inputs.
 
 Each pair keeps a block and its image in one float64 buffer (``Stacked``),
 [z | P] and [s | Q], so the midpoint is two fused combinations.  A step
@@ -46,6 +46,7 @@ from .dual import (
     dual_objective,
     gossip_image,
     lipschitz_constants,
+    objective_from_lse,
 )
 from .errors import NumericFailure
 from .problem import check_data
@@ -89,15 +90,24 @@ class ACRCDConfig:
 
 class BlockOracle:
     """The dual of one instance as a step sees it: the sampled block's partial
-    gradient at a point that carries its link, and the link images of z and s."""
+    gradient at a point that carries its link, and the link images of z and s.
+
+    ``partial`` keeps the point it was last asked at (``point``) and writes
+    that point's row log-sum-exp, from the gradient's own kernel pass, into
+    ``lse``, so ``objective_from_lse`` gives the point's objective without a
+    second pass.
+    """
 
     def __init__(self, inst, W):
         self.inst = inst
         self.W = W
+        self.point = None
+        self.lse = np.empty(inst.m)
 
     def partial(self, point, take_z):
         """grad_z H (one gossip product) or grad_s H (local) at ``point``."""
-        g_z, g_s = dual_gradient(point, self.inst, self.W, "z" if take_z else "s")
+        self.point = point
+        g_z, g_s = dual_gradient(point, self.inst, self.W, "z" if take_z else "s", self.lse)
         return g_z if take_z else g_s
 
     def gossip(self, z):
@@ -203,12 +213,6 @@ def acrcd_step(state, cfg, rng, oracle):
                       state.n_comp + 1)
 
 
-def _running_pair(state):
-    """(z_bar, s_bar) with its carried link -(P_bar + Q_bar)."""
-    return DualState(state.zP_bar.x, state.sQ_bar.x,
-                     -(state.zP_bar.image + state.sQ_bar.image))
-
-
 def check_p(inst):
     """Raise unless ``inst`` is a p = 1 instance, the one mode ACRCD solves."""
     if inst.p != 1.0:
@@ -221,8 +225,9 @@ def run_acrcd(inst, W, cfg):
     Returns
     -------
     (DualState, SolverTrace)
-        Best (z_bar, s_bar) snapshot by dual objective, and the trace; trace
-        rows report the running best, so the dual_obj column is monotone.
+        The best point by dual objective among the origin and the midpoints
+        the steps took their gradients at, and the trace; trace rows report
+        the running best, so the dual_obj column is monotone.
 
     Raises
     ------
@@ -238,15 +243,11 @@ def run_acrcd(inst, W, cfg):
         cfg = replace(cfg, L_z=c.L_z, L_s=c.L_s, eta=c.eta)
     rng = np.random.Generator(np.random.PCG64(cfg.rng_seed))
     oracle = BlockOracle(inst, W)
-
-    def objective(ds):
-        return dual_objective(ds, inst, W, 0.0)
-
     state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
-    # a step writes only buffers it creates, so the best pair is kept uncopied
-    best = _running_pair(state)
-    best_value = objective(best)
-    certified = None  # (pair, GapReport) of the last certificate
+    best = DualState(state.zP_bar.x, state.sQ_bar.x,
+                     -(state.zP_bar.image + state.sQ_bar.image))
+    best_value = dual_objective(best, inst, W, 0.0)
+    certified = None  # (point, GapReport) of the last certificate
 
     def step(k):
         nonlocal state, best, best_value
@@ -255,11 +256,12 @@ def run_acrcd(inst, W, cfg):
         written = state.zP_bar if state.zP_bar is not prev.zP_bar else state.sQ_bar
         if not np.isfinite(written.x).all():
             raise NumericFailure(f"non-finite iterate at iteration {k}")
-        candidate = _running_pair(state)
-        value = objective(candidate)
+        value = objective_from_lse(oracle.point.s, oracle.lse, inst, 0.0)
         if value < best_value:
+            # a step never writes into its midpoint once it has stepped, so
+            # the best midpoint is kept uncopied
             best_value = value
-            best = candidate
+            best = oracle.point
 
     def row(k):
         nonlocal certified

@@ -62,11 +62,11 @@ TRACE_SHA256 = {
     ("configs/toy_p1.cfg", ("--solver", "subgradient")):
         "f500db37e1e01a4c1485001b105d0df5cee091cd9ad245e8f9f80af257259e22",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
-        "dcbe90ef7d974fcd4e6f5d54c0b02b1b2d8e07481375ee05685ee9d216b3db78",
+        "dececf65685f767c3bd838558d1f96bd8407ac6551e9fdcfe9c9a7b04f65a6fc",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING64)):
-        "3b9abbefb22063a2261905f77ac32a210306a32edf5112dfcd9ffa7ed56b2919",
+        "f8ef164679ed7048ed792e1e8bb7ce744c4f3fd8c6a80aff8df8d522eb7dec61",
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING512)):
-        "b9ae2e54024207fb64635d79bb64968f97e1e24276706a54992b31db3e84483f",
+        "0e13f8d7979268215603b36c46876368a20d26de0cef19522b299f2a4a84754f",
     ("configs/toy_p1.cfg", RING64):
         "c6c510b76ed8ef2d3ec3762559141a0a5e414eb7edbea222c7055a57e1492443",
     ("configs/toy_p1.cfg", RING512):
@@ -75,4 +75,17 @@ TRACE_SHA256 = {
         "aec217ac0cc115ebf0b58ad752171a40e80a5c2ba19ae7fd11426848ee9d1327",
     ("configs/toy.cfg", RING512):
         "041723a58da1e488cf63ff0c1d4328d2bcfe6635b05b92fe71cfea7ce8f56e10",
+}
+
+# SHA-256 of the running pair's [z | P] and [s | Q] buffers, concatenated,
+# after the last step of the ACRCD runs in TRACE_SHA256 (same keys).  These
+# pin the steps apart from the trace: a change to what a row certifies moves
+# the trace digest but not these.
+ITERATE_SHA256 = {
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3")):
+        "a062a25997e812597ed53e265eea5ad9972d9a12c02c72c91516aef561c2e395",
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING64)):
+        "0c70fe2c6aa80ef33232ef2e034e1ee85ebd09e8f8a9e0722f2e1dd565053dc5",
+    ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING512)):
+        "c5d2f769b2295dfff4c47e27dea4275e1810d826ecd5a8dfd56be3cc2649e67a",
 }

@@ -1,6 +1,8 @@
 """Block-coordinate dual solver: coefficients, coin, branches, convergence."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ import pytest
 import entrodual as ed
 import entrodual.acrcd as acrcd_mod
 from entrodual.acrcd import acrcd_init, acrcd_step, step_coefficients
+from entrodual.cli import main
 
-from reference_values import DUAL_OPT_P1_BOX
+from reference_values import DUAL_OPT_P1_BOX, ITERATE_SHA256
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class ScriptedRNG:
@@ -252,13 +257,13 @@ class TestRunACRCD:
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_one_certificate_per_change_of_best(self, toy_p1, ring4, monkeypatch):
-        # a row whose best pair is the one last certified reuses its report
+        # a row whose best point is the one last certified reuses its report
         certified = []
         real = acrcd_mod.duality_gap
         monkeypatch.setattr(acrcd_mod, "duality_gap",
                             lambda pair, *a: certified.append(pair) or real(pair, *a))
         best, trace = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=3, max_iter=430))
-        # best_value strictly decreases whenever the best pair changes
+        # best_value strictly decreases whenever the best point changes
         changes = sum(b != a for a, b in zip(trace.dual_obj, trace.dual_obj[1:]))
         assert 0 < changes < 430 // 2
         assert len(certified) == 1 + changes
@@ -273,10 +278,20 @@ class TestRunACRCD:
         for k, comm, comp in zip(trace.iter, trace.n_comm, trace.n_comp):
             assert comm + comp == k
 
-    def test_best_state_in_box(self, toy_p1, ring4):
-        best, _ = ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=2, max_iter=2000, trace_every=2000))
+    @pytest.mark.parametrize("shape,coin,iters", [((4, 3, 5), 2, 2000), ((64, 20, 50), 3, 200)],
+                             ids=["toy", "ring64"])
+    def test_best_state_in_box(self, shape, coin, iters):
+        # the best value, read from the gradient's kernel pass at the best
+        # midpoint, is dual_objective's own pass at that point, bit for bit
+        m, n, d = shape
+        inst = ed.generate_instance(7, m, n, d, 1.0, 3.0)
+        W = ed.build_laplacian(ed.topology_ring(m))
+        best, trace = ed.run_acrcd(inst, W, ed.ACRCDConfig(rng_seed=coin, max_iter=iters,
+                                                           trace_every=iters))
         assert float(np.abs(best.s).max()) <= 1.0 + 1e-12
         assert np.isfinite(best.z).all() and np.isfinite(best.s).all()
+        assert trace.dual_obj[-1] < trace.dual_obj[0]
+        assert trace.dual_obj[-1] == ed.dual_objective(best, inst, W, 0.0)
 
     def test_converges_to_reference_optimum(self, toy_p1, ring4):
         _, trace = ed.run_acrcd(
@@ -307,12 +322,28 @@ class TestRunACRCD:
         ratio = trace.n_comm[-1] / trace.n_comp[-1]
         assert abs(ratio - target) <= 0.25 * target
 
-    @pytest.mark.parametrize("coin", [0, 1, 2])
-    def test_ring64_certifies_within_800_iterations(self, coin):
-        # the benchmark's ring64 workload and its eps: with the tight block
-        # constants coins 0-2 certify at 401/358/346 iterations, with the
-        # sqrt(m)-scaled ones at 1648/1622/1561
+    @pytest.mark.parametrize("coin,first", [(0, (400, 91)), (1, (356, 92)), (2, (345, 90))])
+    def test_ring64_first_certified(self, coin, first):
+        # the benchmark's ring64 workload and its eps: the first row whose gap
+        # reaches 15, as (iteration, n_comm)
         inst = ed.generate_instance(7, 64, 20, 50, 1.0, 3.0)
         W = ed.build_laplacian(ed.topology_ring(64))
-        _, trace = ed.run_acrcd(inst, W, ed.ACRCDConfig(rng_seed=coin, max_iter=800, trace_every=1))
-        assert min(trace.gap) <= 15.0
+        _, trace = ed.run_acrcd(inst, W, ed.ACRCDConfig(rng_seed=coin, max_iter=first[0],
+                                                        trace_every=1))
+        hits = [(k, c) for k, g, c in zip(trace.iter, trace.gap, trace.n_comm) if g <= 15.0]
+        assert hits[:1] == [first]
+
+
+@pytest.mark.parametrize("config,flags", [
+    pytest.param(config, flags, id="-".join((Path(config).stem, *(f.lstrip("-") for f in flags))))
+    for config, flags in sorted(ITERATE_SHA256)])
+def test_iterates_are_pinned(config, flags, tmp_path, monkeypatch):
+    """The running pair after the last step of ``entrodual solve``, byte for byte."""
+    states = []
+    monkeypatch.setattr(acrcd_mod, "acrcd_step",
+                        lambda *a: states.append(acrcd_step(*a)) or states[-1])
+    assert main(["solve", "--config", str(REPO / config), *flags, "--out", str(tmp_path)]) == 0
+    last = states[-1]
+    assert last.n_comm + last.n_comp == len(states)
+    digest = hashlib.sha256(last.zP_bar.buf.tobytes() + last.sQ_bar.buf.tobytes()).hexdigest()
+    assert digest == ITERATE_SHA256[config, flags]

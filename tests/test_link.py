@@ -191,29 +191,45 @@ class TestGossipProducts:
         assert gossip_log == []
 
 
-class TestKernelPasses:
-    """One pass per STM iteration (the softmax at y, whose log-sum-exp also
-    gives the stall check's F(y)), two per ACRCD iteration (softmax at the
-    midpoint, log-sum-exp for the candidate objective), and one per
-    certificate, which yields both its softmax and its log-sum-exp."""
-
-    @pytest.mark.parametrize("solver", ["stm", "acrcd"])
-    def test_per_untraced_iteration(self, solver, toy_p1, ring4, kernel_log, monkeypatch):
-        # ACRCD certifies its closing row only if the best pair changed, so
-        # the passes of the certificates at the ends are taken out
-        module = acrcd_mod if solver == "acrcd" else stm_mod
-        certificates = []
+@pytest.fixture
+def certificates(monkeypatch):
+    """One entry per ``duality_gap`` call made by either solver."""
+    log = []
+    for module in (acrcd_mod, stm_mod):
         real = module.duality_gap
         monkeypatch.setattr(module, "duality_gap",
-                            lambda *a: certificates.append(1) or real(*a))
+                            lambda *a, real=real: log.append(1) or real(*a))
+    return log
+
+
+class TestKernelPasses:
+    """One pass per iteration of either solver: STM's softmax at y, whose
+    log-sum-exp also gives the stall check's F(y), and ACRCD's softmax at the
+    midpoint, whose log-sum-exp also gives the midpoint's objective for the
+    best point.  One more per certificate, which yields both its softmax and
+    its log-sum-exp."""
+
+    @pytest.mark.parametrize("solver", ["stm", "acrcd"])
+    def test_per_untraced_iteration(self, solver, toy_p1, ring4, kernel_log, certificates):
+        # ACRCD certifies its closing row only if the best point changed, so
+        # the passes of the certificates at the ends are taken out
         counts = {}
         for iters in (1, 11):
             kernel_log.clear()
             certificates.clear()
             run_solver(solver, toy_p1, ring4, iters)
             counts[iters] = len(kernel_log) - len(certificates)
-        assert counts[11] - counts[1] == {"stm": 1, "acrcd": 2}[solver] * 10
+        assert counts[11] - counts[1] == 1 * 10
         assert set(kernel_log) == {(4, 5)}
+
+    def test_per_traced_acrcd_iteration(self, toy_p1, ring4, kernel_log, certificates):
+        # a row certifies only a changed best point, so a stride-1 run makes
+        # one pass per iteration and one per certificate, after the one pass
+        # that values the origin for row 0
+        iters = 200
+        ed.run_acrcd(toy_p1, ring4, ed.ACRCDConfig(rng_seed=11, max_iter=iters, trace_every=1))
+        assert 1 < len(certificates) < iters
+        assert len(kernel_log) == 1 + iters + len(certificates)
 
     def test_per_traced_stm_iteration(self, toy_p1, ring4, kernel_log):
         counts = {}
