@@ -246,7 +246,7 @@ def run_acrcd(inst, W, cfg):
     state = acrcd_init(np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n), oracle)
     best = DualState(state.zP_bar.x, state.sQ_bar.x,
                      -(state.zP_bar.image + state.sQ_bar.image))
-    best_value = dual_objective(best, inst, W, 0.0)
+    best_value = dual_objective(best, inst, 0.0)
     certified = None  # (point, GapReport) of the last certificate
 
     def step(k):

@@ -179,18 +179,14 @@ def objective_from_lse(s, lse, inst, nu):
 
     H = <s, b> + sum_i lse_i, lse_i = g*(-[Wz + A^T s]_i) as the row kernel
     yields it, so a caller that already made the point's kernel pass (for
-    its softmax) gets the objective without a second one.  R is nu ||s||_2^2
-    at q = 2; at q = inf it is the hard ball constraint
-    ||s||_inf <= 1 (violations beyond the slack raise), which contributes 0.
+    its softmax) gets the objective without a second one.  R is
+    nu ||s||_2^2 at q = 2 and 0 at q = inf, the box constraint.  The
+    solvers' s is made by the prox or is a convex combination of such
+    points, so it is in the box; ``dual_objective`` checks an s from outside.
     """
-    qe = inst.q_exponent
     h = float(s @ inst.stacked_b()) + float(lse.sum())
-    if math.isinf(qe):
-        if vector_norm(s, qe) > 1.0 + DUAL_BALL_SLACK:
-            raise ValueError("q = inf mode requires ||s||_inf <= 1")
+    if math.isinf(inst.q_exponent):
         return h
-    if nu < 0.0:
-        raise ValueError("nu must be nonnegative")
     return h + regularizer(s, nu)
 
 
@@ -199,10 +195,18 @@ def regularizer(s, nu):
     return nu * float(np.sum(s * s))
 
 
-def dual_objective(state, inst, W, nu):
+def dual_objective(state, inst, nu):
     """H(z, s) + R(s) at ``state`` (see ``objective_from_lse``), from one
     kernel pass over its link; the call makes no W product.
+
+    It takes s from outside the solvers, so it checks ||s||_inf <= 1 (to
+    DUAL_BALL_SLACK) at q = inf and nu >= 0 at q = 2.
     """
+    if math.isinf(inst.q_exponent):
+        if vector_norm(state.s, math.inf) > 1.0 + DUAL_BALL_SLACK:
+            raise ValueError("q = inf mode requires ||s||_inf <= 1")
+    elif nu < 0.0:
+        raise ValueError("nu must be nonnegative")
     lse = _rows_lse(state.link, inst.theta)
     return objective_from_lse(state.s, lse, inst, nu)
 

@@ -9,12 +9,13 @@ with A the row-stack of the blocks and p one of P_VALUES: the loss is the
 1-norm, whose dual is the box mode, or the 2-norm, whose dual is the
 penalised mode.  The distributed form replicates x per node, couples the
 copies through a gossip matrix, and drops the 1/m factor; its value at a
-set of blocks is ``recovery.primal_side``.
+set of blocks is ``recovery.primal_side``.  The instance proves its own
+properties once: A fixes (m, n, d), b matches it, and p is 1 or 2.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -59,36 +60,39 @@ def vector_norm(x, p):
 class ProblemInstance:
     """Immutable bundle of per-node data blocks.
 
-    A has shape (m, n, d) with A[i] the block of node i; b has shape (m, n).
+    A has shape (m, n, d) with A[i] the block of node i, and m, n and d are
+    read from it; b has shape (m, n).  The dual layer reads R's exponent
+    from ``q_exponent`` and checks no other.
     """
 
-    m: int
-    n: int
-    d: int
     p: float
     theta: float
     A: np.ndarray
     b: np.ndarray
+    m: int = field(init=False)
+    n: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if min(self.m, self.n, self.d) < 1:
-            raise ValueError("dimensions must be positive")
         if self.p not in P_VALUES:  # NaN and inf fail too
             raise ValueError(f"p must be 1 or 2, got {self.p!r}")
         if not 0.0 < self.theta < math.inf:  # NaN fails too
             raise ValueError("theta must be positive and finite")
         A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
         b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
-        if A.shape != (self.m, self.n, self.d):
-            raise ValueError(f"A has shape {A.shape}, expected {(self.m, self.n, self.d)}")
-        if b.shape != (self.m, self.n):
-            raise ValueError(f"b has shape {b.shape}, expected {(self.m, self.n)}")
+        if A.ndim != 3 or b.shape != A.shape[:2]:
+            raise ValueError(f"A has shape {A.shape} and b shape {b.shape}; "
+                             "expected (m, n, d) and (m, n)")
+        if min(A.shape) < 1:
+            raise ValueError("dimensions must be positive")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("data blocks must be finite")
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        for name, size in zip("mnd", A.shape):
+            object.__setattr__(self, name, size)
 
     @property
     def q_exponent(self):
@@ -169,24 +173,10 @@ def blas_products(A):
 
 @dataclass(frozen=True)
 class PrimalState:
-    """Per-node simplex points x_blocks (m, d), checked on construction."""
+    """Per-node simplex points x_blocks (m, d), the row kernel's softmax
+    (``recovery.primal_from_dual``): on the simplex by construction."""
 
     x_blocks: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x_blocks, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x_blocks must be a (m, d) array")
-        # ufunc reductions: the ndarray methods add a Python call each
-        lowest = np.minimum.reduce(x, axis=None)
-        if lowest < -1e-12:
-            raise ValueError(f"block entry {lowest:.3e} below zero")
-        # a matvec with ones; x.sum(axis=1) reduces one short row at a time
-        sums = x.dot(np.ones(x.shape[1]))
-        sums -= 1.0
-        if np.maximum.reduce(np.abs(sums, out=sums)) > 1e-12:
-            raise ValueError("each block must sum to 1")
-        object.__setattr__(self, "x_blocks", x)
 
 
 @dataclass(frozen=True)
@@ -210,22 +200,16 @@ def check_data(inst):
 
 
 def data_constants(inst):
-    """max_i sigma_max(A_i) and min_i sigma_min_plus(A_i).
-
-    Singular values below ``ZERO_SV_REL * sigma_max`` are treated as zero;
-    an all-zero block makes the constants meaningless and raises.
+    """max_i sigma_max(A_i), and the smallest singular value above
+    ``ZERO_SV_REL * sigma_max`` over all blocks: sigma_min_plus of
+    blockdiag(A_i), to which an all-zero block adds none.  Only all-zero
+    data raises (``check_data``).
     """
     check_data(inst)
     svals = inst.block_singular_values
     s_max = sigma_max(inst)
-    threshold = ZERO_SV_REL * s_max
-    # rows descend, so a block's smallest positive value sits at its count - 1
-    counts = np.count_nonzero(svals > threshold, axis=1)
-    if counts.min() == 0:
-        i = int(np.argmin(counts))
-        raise ValueError(f"block A_{i} has no singular value above {threshold:.3e}")
-    minima = svals[np.arange(inst.m), counts - 1]
-    return DataConstants(s_max, float(minima.min()))
+    positive = svals[svals > ZERO_SV_REL * s_max]
+    return DataConstants(s_max, float(positive.min()))
 
 
 def consensus_residual(W, x_blocks):
@@ -248,7 +232,7 @@ def generate_instance(seed, m, n, d, p, theta, scale=1.0):
     x0 = rng.dirichlet(np.ones(d))
     noise = NOISE_REL * scale * rng.standard_normal((m, n))
     b = np.einsum("ind,d->in", A, x0) + noise
-    return ProblemInstance(m, n, d, float(p), float(theta), A, b)
+    return ProblemInstance(float(p), float(theta), A, b)
 
 
 def instance_checksum(inst):
@@ -302,6 +286,6 @@ def load_instance(path):
         A[k // n, k % n] = values[:d]
         b[k // n, k % n] = values[d]
     try:
-        return ProblemInstance(m, n, d, p, theta, A, b)
+        return ProblemInstance(p, theta, A, b)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

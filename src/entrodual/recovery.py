@@ -28,19 +28,19 @@ def primal_from_dual(state, inst, W, lse=None):
     """Map a dual point to per-node primal blocks via the block softmax.
 
     x_i = softmax(-[Wz + A^T s]_i / theta), read from the point's link, is
-    exactly the gradient of the conjugate entropy term, so it inherits simplex
-    feasibility to rounding.  When ``lse`` (an (m,) array) is given, the same
-    row-kernel pass also writes each node's g*(-[Wz + A^T s]_i), the scaled
-    log-sum-exp, into it.
+    exactly the gradient of the conjugate entropy term; the row kernel puts
+    each row on the simplex, so nothing checks it again.  W is not read.
+    When ``lse`` (an (m,) array) is given, the same row-kernel pass also
+    writes each node's g*(-[Wz + A^T s]_i), the scaled log-sum-exp, into it.
     """
     return PrimalState(_rows_softmax(state.link, inst.theta, lse))
 
 
 def consensus_candidate(X):
-    """Average the (m, d) blocks X and renormalize; exact for strictly
-    positive blocks."""
+    """Average the (m, d) simplex blocks X, whose mean needs no clamp, and
+    renormalize; exact for strictly positive blocks."""
     # the reductions X.mean(axis=0) and x.sum() make, without their dispatch
-    x = np.maximum(np.add.reduce(X, axis=0) / len(X), 0.0)
+    x = np.add.reduce(X, axis=0) / len(X)
     return x / np.add.reduce(x)
 
 

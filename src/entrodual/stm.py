@@ -188,8 +188,7 @@ def run_stm(inst, W, cfg=None):
     """
     cfg = resolve_config(cfg if cfg is not None else STMConfig(), inst, W)
     nu = default_regularizer_weight(inst, cfg.target_eps)
-    qe = inst.q_exponent  # R's exponent, the conjugate of the instance's p
-    box = math.isinf(qe)
+    box = math.isinf(inst.q_exponent)  # R is the box constraint, at p = 1
     lse = np.empty(inst.m)
     value_at_y = math.nan
 
@@ -205,14 +204,14 @@ def run_stm(inst, W, cfg=None):
         return g
 
     def prox(s, alpha):
-        prox_R(s, alpha, nu, qe, out=s)
+        prox_R(s, alpha, nu, inst, out=s)
 
     def link(z, s, out):
         _neg_link(inst, W, z, s, out)
 
     origin = np.zeros(inst.m * inst.d), np.zeros(inst.m * inst.n)
     state = stm_init(DualState.of(inst, W, *origin))
-    f0 = dual_objective(state.q, inst, W, nu)
+    f0 = dual_objective(state.q, inst, nu)
     best, last_improvement = f0, 0
 
     def step(k):
@@ -236,7 +235,7 @@ def run_stm(inst, W, cfg=None):
         q = state.q
         rep = duality_gap(q, inst, W, lse)
         # F(q) from the certificate's H, which is finite only for a feasible
-        # s; otherwise from the pass it left in lse (raises in box mode)
+        # s (always, in box mode); otherwise from the pass it left in lse
         h = rep.dual_value
         if not math.isfinite(h):
             value = objective_at(q.s)

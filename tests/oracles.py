@@ -11,8 +11,8 @@ of package code so that its replacement can be held to the same bits.
 per-edge loops, breadth-first search and per-pair draws that the vectorised
 ``Topology`` checks and ``topology_erdos_renyi`` replaced.  The
 helpers at the end (``ProxParams``, ``dense_matrix``, ``laplacian``,
-``spectral_constants``, ``save_topology``, ``read_summary``) serve tests; no
-solver needs them.
+``spectral_constants``, ``save_topology``, ``read_summary``,
+``assert_simplex_rows``) serve tests; no solver needs them.
 ``prox_lq_scalar`` covers every q >= 1, while the package's ``prox_R`` takes
 only the q = 2 and q = inf of its p = 2 and p = 1 instances; it carries its
 own bisection cap and parameter checks.
@@ -462,3 +462,13 @@ def read_summary(path):
                 except ValueError:
                     out[key] = raw
     return out
+
+
+def assert_simplex_rows(X, tol=1e-12):
+    """Assert that every row of the 2-D X is a simplex point: no entry below
+    -tol, and each row sum within tol of 1."""
+    X = np.asarray(X, dtype=float)
+    assert X.ndim == 2
+    assert X.min() >= -tol, f"block entry {X.min():.3e} below zero"
+    worst = np.abs(X.sum(axis=1) - 1.0).max()
+    assert worst <= tol, f"a block sums to 1 only within {worst:.3e}"

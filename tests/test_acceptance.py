@@ -142,7 +142,7 @@ def test_criterion_02_gradient_matches_central_differences(toy_p1, toy_p2, ring4
                          (toy_p1, lambda n: rng.uniform(-0.9, 0.9, n))):
         def value(vec):
             state = ed.DualState.of(inst, ring4, vec[: inst.m * inst.d], vec[inst.m * inst.d:])
-            return ed.dual_objective(state, inst, ring4, 0.0)
+            return ed.dual_objective(state, inst, 0.0)
 
         for _ in range(25):
             z = rng.standard_normal(inst.m * inst.d)

@@ -291,7 +291,7 @@ class TestRunACRCD:
         assert float(np.abs(best.s).max()) <= 1.0 + 1e-12
         assert np.isfinite(best.z).all() and np.isfinite(best.s).all()
         assert trace.dual_obj[-1] < trace.dual_obj[0]
-        assert trace.dual_obj[-1] == ed.dual_objective(best, inst, W, 0.0)
+        assert trace.dual_obj[-1] == ed.dual_objective(best, inst, 0.0)
 
     def test_converges_to_reference_optimum(self, toy_p1, ring4):
         _, trace = ed.run_acrcd(

@@ -219,7 +219,7 @@ class TestDualObjective:
         for _ in range(10):
             st_ = random_state(toy_p2, ring4, rng, spread=2.0)
             dense = dense_dual_value(st_.z, st_.s, toy_p2, Wk, Ak, b)
-            assert ed.dual_objective(st_, toy_p2, ring4, 0.0) == pytest.approx(
+            assert ed.dual_objective(st_, toy_p2, 0.0) == pytest.approx(
                 dense, rel=1e-12, abs=1e-10
             )
 
@@ -227,26 +227,26 @@ class TestDualObjective:
         rng = np.random.default_rng(9)
         st_ = random_state(toy_p2, ring4, rng)
         nu = 0.05
-        base = ed.dual_objective(st_, toy_p2, ring4, 0.0)
-        full = ed.dual_objective(st_, toy_p2, ring4, nu)
+        base = ed.dual_objective(st_, toy_p2, 0.0)
+        full = ed.dual_objective(st_, toy_p2, nu)
         assert full - base == pytest.approx(nu * float(np.sum(st_.s**2)), rel=1e-10)
 
     def test_q_inf_feasible_has_no_penalty(self, toy_p1, ring4):
         rng = np.random.default_rng(10)
         st_ = ed.DualState.of(toy_p1, ring4, rng.standard_normal(20), rng.uniform(-1, 1, 12))
-        val = ed.dual_objective(st_, toy_p1, ring4, 0.7)
+        val = ed.dual_objective(st_, toy_p1, 0.7)
         assert val == pytest.approx(
-            ed.dual_objective(st_, toy_p1, ring4, 0.0), rel=1e-14
+            ed.dual_objective(st_, toy_p1, 0.0), rel=1e-14
         )
 
     def test_q_inf_rejects_infeasible(self, toy_p1, ring4):
         st_ = ed.DualState.of(toy_p1, ring4, np.zeros(20), np.full(12, 1.5))
         with pytest.raises(ValueError, match="inf mode"):
-            ed.dual_objective(st_, toy_p1, ring4, 0.0)
+            ed.dual_objective(st_, toy_p1, 0.0)
 
     def test_negative_nu_rejected(self, toy_p2, ring4):
         with pytest.raises(ValueError, match="nonnegative"):
-            ed.dual_objective(origin(toy_p2, ring4), toy_p2, ring4, -1.0)
+            ed.dual_objective(origin(toy_p2, ring4), toy_p2, -1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(small_instances(), st.integers(0, 2**31 - 1))
@@ -258,9 +258,9 @@ class TestDualObjective:
         if inst.p == 1.0:  # the box mode's objective is finite on the box only
             a, b = (ed.DualState.of(inst, W, x.z, np.clip(x.s, -1.0, 1.0)) for x in (a, b))
         mid = ed.DualState.of(inst, W, 0.5 * (a.z + b.z), 0.5 * (a.s + b.s))
-        fa = ed.dual_objective(a, inst, W, 0.0)
-        fb = ed.dual_objective(b, inst, W, 0.0)
-        fm = ed.dual_objective(mid, inst, W, 0.0)
+        fa = ed.dual_objective(a, inst, 0.0)
+        fb = ed.dual_objective(b, inst, 0.0)
+        fm = ed.dual_objective(mid, inst, 0.0)
         assert fm <= 0.5 * (fa + fb) + 1e-9 * max(1.0, abs(fa), abs(fb))
 
 
@@ -290,14 +290,12 @@ class TestDualGradient:
             else:
                 sp[idx - st_.z.size] += h
                 sm[idx - st_.z.size] -= h
-            fp = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zp, sp), toy_p2, ring4, 0.0)
-            fm = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zm, sm), toy_p2, ring4, 0.0)
+            fp = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zp, sp), toy_p2, 0.0)
+            fm = ed.dual_objective(ed.DualState.of(toy_p2, ring4, zm, sm), toy_p2, 0.0)
             assert (fp - fm) / (2 * h) == pytest.approx(g[idx], rel=2e-5, abs=1e-8)
 
     def test_gradient_zero_data_at_origin(self, ring4):
-        inst = ed.ProblemInstance(
-            4, 2, 3, 2.0, 0.5, np.ones((4, 2, 3)), np.zeros((4, 2))
-        )
+        inst = ed.ProblemInstance(2.0, 0.5, np.ones((4, 2, 3)), np.zeros((4, 2)))
         gz, gs = ed.dual_gradient(origin(inst, ring4), inst, ring4)
         # uniform softmax blocks are consensual, so the z gradient vanishes
         assert np.allclose(gz, 0.0, atol=1e-14)

@@ -24,7 +24,7 @@ from entrodual.harness import (
     write_summary,
 )
 
-from oracles import csv_trace_bytes, read_summary, save_topology
+from oracles import assert_simplex_rows, csv_trace_bytes, read_summary, save_topology
 from reference_values import (PRIMAL_OPT_P1, PRIMAL_OPT_P2, TOY_D, TOY_M, TOY_N, TOY_P1_THETA,
                               TOY_P2_THETA, TOY_SEED, TRACE_SHA256)
 from strategies import invalid_accuracies
@@ -634,12 +634,13 @@ class TestComparator:
         assert blobs[0] == blobs[1]
 
     def test_rows_read_simplex_blocks(self, monkeypatch):
-        # every row's blocks pass the library's own simplex check
+        # every row's blocks are simplex points
         checked = []
         real = ed.baseline.primal_side
 
         def spy(inst, W, X):
-            checked.append(ed.PrimalState(X))
+            assert_simplex_rows(X)
+            checked.append(X)
             return real(inst, W, X)
 
         monkeypatch.setattr(ed.baseline, "primal_side", spy)
@@ -979,6 +980,23 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "missing.csv").exists()  # gen writes no file
         assert not (tmp_path / "out").exists()  # solve makes no output directory
+
+    @pytest.mark.parametrize("solver", [["stm"], ["acrcd", "--solver-seed", "1"],
+                                        ["subgradient"]], ids=lambda s: s[0])
+    def test_instance_with_a_zero_block_solves(self, solver, tmp_path):
+        # a zero block adds no singular value to sigma_min_plus; it does not
+        # refuse the instance
+        inst = ed.generate_instance(TOY_SEED, TOY_M, TOY_N, TOY_D, 1.0, TOY_P1_THETA)
+        A = inst.A.copy()
+        A[2] = 0.0
+        path = tmp_path / "inst.txt"
+        ed.save_instance(ed.ProblemInstance(1.0, TOY_P1_THETA, A, inst.b), path)
+        out = tmp_path / "out"
+        assert main(["solve", "--instance", str(path), "--solver", *solver,
+                     "--max-iter", "20", "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        nonzero = np.linalg.svd(A[[0, 1, 3]], compute_uv=False)
+        assert summary["sigma_min_plus"] == pytest.approx(nonzero.min(), rel=1e-12)
 
     def test_compare_command(self, capsys):
         code = main(["compare", "--seed", "3", "--m", "3", "--n", "2", "--d", "3",

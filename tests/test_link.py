@@ -170,7 +170,7 @@ class TestGossipProducts:
         oracle, cfg, state = acrcd_setup
         new = acrcd_step(state, cfg, ScriptedRNG([0.999]), oracle)
         link = -(new.zP_bar.image + new.sQ_bar.image)
-        ed.dual_objective(ed.DualState(new.zP_bar.x, new.sQ_bar.x, link), toy_p1, ring4, 0.0)
+        ed.dual_objective(ed.DualState(new.zP_bar.x, new.sQ_bar.x, link), toy_p1, 0.0)
         assert new.n_comp == 1
         assert gossip_log == []
 
@@ -316,6 +316,25 @@ class TestPerIterationCounts:
                              data_log.count("apply"), len(kernel_log))
         per_iter = [(b - a) / 10 for a, b in zip(counts[1], counts[11])]
         assert per_iter == [2, 1, 1, 1]
+
+    @pytest.mark.parametrize("solver", ["stm", "acrcd"])
+    def test_box_mode_iteration_makes_no_norm_test(self, solver, toy_p1, ring4, monkeypatch):
+        # the box projection proves ||s||_inf <= 1, so no objective re-tests
+        # it: every norm test left is a certificate's dual-ball test
+        module = stm_mod if solver == "stm" else acrcd_mod
+        norms, gaps = [], []
+        real_norm, real_gap = dual_mod.vector_norm, module.duality_gap
+        monkeypatch.setattr(dual_mod, "vector_norm",
+                            lambda *a, **k: norms.append(1) or real_norm(*a, **k))
+        monkeypatch.setattr(module, "duality_gap",
+                            lambda *a, **k: gaps.append(1) or real_gap(*a, **k))
+        counts = {}
+        for iters in (1, 11):
+            norms.clear()
+            gaps.clear()
+            run_solver(solver, toy_p1, ring4, iters)
+            counts[iters] = len(norms) - len(gaps)
+        assert counts[11] - counts[1] == 0
 
     def test_stm_data_products_above_the_blas_crossover(self, ring64, data_log):
         # ring64's blocks are applied by BLAS; still 1 A^T and 1 A per iteration

@@ -46,38 +46,40 @@ class TestEntropy:
 class TestProblemInstance:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            ed.ProblemInstance(2, 1, 2, 2.0, 0.5, np.zeros((2, 2, 2)), np.zeros((2, 1)))
+            ed.ProblemInstance(2.0, 0.5, np.zeros((2, 2, 2)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="shape"):
-            ed.ProblemInstance(2, 1, 2, 2.0, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 2)))
+            ed.ProblemInstance(2.0, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            ed.ProblemInstance(2.0, 0.5, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_parameter_validation(self):
         A, b = np.zeros((2, 1, 2)), np.zeros((2, 1))
         with pytest.raises(ValueError, match="p must"):
-            ed.ProblemInstance(2, 1, 2, 0.5, 0.5, A, b)
+            ed.ProblemInstance(0.5, 0.5, A, b)
         with pytest.raises(ValueError, match="theta"):
-            ed.ProblemInstance(2, 1, 2, 2.0, 0.0, A, b)
+            ed.ProblemInstance(2.0, 0.0, A, b)
         with pytest.raises(ValueError, match="dimensions"):
-            ed.ProblemInstance(0, 1, 2, 2.0, 0.5, np.zeros((0, 1, 2)), np.zeros((0, 1)))
+            ed.ProblemInstance(2.0, 0.5, np.zeros((0, 1, 2)), np.zeros((0, 1)))
 
     @pytest.mark.parametrize("p,theta,message", [(math.nan, 0.5, "p must"),
                                                  (2.0, math.nan, "theta"),
                                                  (2.0, math.inf, "theta must be positive")])
     def test_nan_parameters_rejected(self, p, theta, message):
         with pytest.raises(ValueError, match=message):
-            ed.ProblemInstance(2, 1, 2, p, theta, np.zeros((2, 1, 2)), np.zeros((2, 1)))
+            ed.ProblemInstance(p, theta, np.zeros((2, 1, 2)), np.zeros((2, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(invalid_loss_exponents())
     def test_p_other_than_1_or_2_rejected(self, p):
         # every instance, generated, loaded or built by hand, passes here
         with pytest.raises(ValueError, match="p must be 1 or 2"):
-            ed.ProblemInstance(2, 1, 2, p, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 1)))
+            ed.ProblemInstance(p, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 1)))
 
     def test_rejects_nonfinite_data(self):
         A = np.zeros((2, 1, 2))
         A[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            ed.ProblemInstance(2, 1, 2, 2.0, 0.5, A, np.zeros((2, 1)))
+            ed.ProblemInstance(2.0, 0.5, A, np.zeros((2, 1)))
 
     def test_arrays_read_only(self, toy_p2):
         with pytest.raises(ValueError):
@@ -89,7 +91,7 @@ class TestProblemInstance:
         assert toy_p2.q_exponent == 2.0
         assert toy_p1.q_exponent == math.inf
         with pytest.raises(ValueError, match="p must be 1 or 2"):
-            ed.ProblemInstance(2, 1, 2, 1.5, 0.5, np.ones((2, 1, 2)), np.ones((2, 1)))
+            ed.ProblemInstance(1.5, 0.5, np.ones((2, 1, 2)), np.ones((2, 1)))
 
     def test_stacked_views(self, toy_p2):
         assert toy_p2.stacked_A().shape == (12, 5)
@@ -142,13 +144,6 @@ class TestBlockProducts:
 
 
 class TestPrimalState:
-    def test_validates_block_rows(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            ed.PrimalState(np.full((2, 3), 0.5))
-        bad = np.array([[1.2, -0.2]])
-        with pytest.raises(ValueError, match="below zero"):
-            ed.PrimalState(bad)
-
     def test_accepts_valid_blocks(self):
         x = np.array([[0.25, 0.75], [1.0, 0.0]])
         st = ed.PrimalState(x)
@@ -189,26 +184,31 @@ class TestDataConstants:
             min(s[-1] for s in svals), rel=1e-12
         )
 
-    def test_zero_block_rejected(self):
-        A = np.zeros((2, 1, 2))
-        A[0] = [[1.0, 2.0]]
-        inst = ed.ProblemInstance(2, 1, 2, 2.0, 0.5, A, np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="singular value"):
-            ed.data_constants(inst)
+    def test_zero_block_adds_no_singular_value(self):
+        # sigma_min_plus of blockdiag(A_i): the smallest positive value over
+        # all blocks, to which the zero block A_1 adds none
+        A = np.zeros((3, 2, 2))
+        A[0] = [[1.0, 2.0], [0.0, 1.0]]
+        A[2] = [[0.5, 0.0], [0.0, 4.0]]
+        inst = ed.ProblemInstance(2.0, 0.5, A, np.zeros((3, 2)))
+        dc = ed.data_constants(inst)
+        svals = np.linalg.svd(A[[0, 2]], compute_uv=False)
+        assert dc.sigma_max_A == pytest.approx(svals.max(), rel=1e-12)
+        assert dc.sigma_min_plus_A == pytest.approx(svals.min(), rel=1e-12)
 
     def test_all_zero_rejected(self):
-        inst = ed.ProblemInstance(2, 1, 2, 2.0, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 1)))
+        inst = ed.ProblemInstance(2.0, 0.5, np.zeros((2, 1, 2)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="zero"):
             ed.data_constants(inst)
 
     def test_zero_block_leaves_lipschitz_constants_defined(self):
         A = np.zeros((2, 1, 2))
         A[0] = [[3.0, 4.0]]
-        inst = ed.ProblemInstance(2, 1, 2, 2.0, 0.5, A, np.zeros((2, 1)))
+        inst = ed.ProblemInstance(2.0, 0.5, A, np.zeros((2, 1)))
         c = ed.lipschitz_constants(inst, ed.build_laplacian(ed.topology_path(2)))
         assert c.L_s == pytest.approx(25.0 / (2 * 0.5), rel=1e-12)
-        with pytest.raises(ValueError, match="A_1"):
-            ed.data_constants(inst)
+        dc = ed.data_constants(inst)
+        assert dc.sigma_max_A == dc.sigma_min_plus_A == pytest.approx(5.0, rel=1e-12)
 
     def test_singular_values_taken_once_and_read_only(self, toy_p2):
         svals = toy_p2.block_singular_values

@@ -122,52 +122,50 @@ class TestBisection:
         assert abs(a - b) <= abs(t1 - t2) + 4 * params.tol
 
 
+# the toy instance whose p gives R's exponent q = 1 / (1 - 1/p)
+TOY_OF_Q = {2.0: "toy_p2", math.inf: "toy_p1"}
+
+
 class TestProxR:
-    def test_q_inf_projects_box(self):
+    def test_q_inf_projects_box(self, toy_p1):
         s = np.array([2.0, -0.5, -4.0])
-        out = ed.prox_R(s, 1.0, 0.0, math.inf)
+        out = ed.prox_R(s, 1.0, 0.0, toy_p1)
         assert np.array_equal(out, [1.0, -0.5, -1.0])
 
     @pytest.mark.parametrize("q", [2.0, math.inf])
-    def test_matches_scalar_map(self, q):
+    def test_matches_scalar_map(self, q, request):
+        inst = request.getfixturevalue(TOY_OF_Q[q])
         rng = np.random.default_rng(3)
         s = rng.uniform(-3, 3, size=9)
         params = ProxParams(gamma=0.6, nu=0.2, q_exponent=q)
-        out = ed.prox_R(s, params.gamma, params.nu, params.q_exponent)
+        out = ed.prox_R(s, params.gamma, params.nu, inst)
         expected = [prox_lq_scalar(v, params) for v in s]
         assert np.allclose(out, expected, atol=5e-12)
 
-    def test_zero_nu_copies(self):
+    def test_zero_nu_copies(self, toy_p2):
         s = np.array([3.0, -3.0])
-        out = ed.prox_R(s, 1.0, 0.0, 2.0)
+        out = ed.prox_R(s, 1.0, 0.0, toy_p2)
         assert np.array_equal(out, s)
         out[0] = 0.0
         assert s[0] == 3.0
 
     @pytest.mark.parametrize("q", [2.0, math.inf])
     @pytest.mark.parametrize("nu", [0.0, 0.2])
-    def test_in_place_matches_fresh(self, q, nu):
+    def test_in_place_matches_fresh(self, q, nu, request):
         # the solver writes the prox over its own input
+        inst = request.getfixturevalue(TOY_OF_Q[q])
         s = np.random.default_rng(4).uniform(-3, 3, size=9)
-        fresh = ed.prox_R(s, 0.6, nu, q)
+        fresh = ed.prox_R(s, 0.6, nu, inst)
         target = s.copy()
-        assert ed.prox_R(target, 0.6, nu, q, out=target) is target
+        assert ed.prox_R(target, 0.6, nu, inst, out=target) is target
         assert np.array_equal(target, fresh)
 
-    def test_rejects_bad_parameters(self):
+    def test_rejects_bad_parameters(self, toy_p2):
         s = np.zeros(2)
         with pytest.raises(ValueError, match="gamma"):
-            ed.prox_R(s, 0.0, 0.1, 2.0)
+            ed.prox_R(s, 0.0, 0.1, toy_p2)
         with pytest.raises(ValueError, match="nu"):
-            ed.prox_R(s, 1.0, -0.1, 2.0)
-        with pytest.raises(ValueError, match="q must"):
-            ed.prox_R(s, 1.0, 0.1, 0.5)
-
-    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, 4.0, -math.inf, math.nan])
-    def test_rejects_q_other_than_2_or_inf(self, q):
-        # the instances' p in {1, 2} give q in {inf, 2}; no other q is served
-        with pytest.raises(ValueError, match="q must be 2 or inf"):
-            ed.prox_R(np.ones(3), 0.6, 0.2, q)
+            ed.prox_R(s, 1.0, -0.1, toy_p2)
 
 
 class TestParams:

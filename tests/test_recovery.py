@@ -89,7 +89,7 @@ class TestConsensusCandidate:
 
 class TestDualityGap:
     def test_zero_data_zero_state_exact_zero(self):
-        inst = ed.ProblemInstance(2, 1, 1, 2.0, 0.5, np.zeros((2, 1, 1)), np.zeros((2, 1)))
+        inst = ed.ProblemInstance(2.0, 0.5, np.zeros((2, 1, 1)), np.zeros((2, 1)))
         W = ed.build_laplacian(ed.topology_path(2))
         rep = ed.duality_gap(ed.DualState.of(inst, W, np.zeros(2), np.zeros(2)), inst, W)
         assert rep.gap == 0.0

@@ -315,7 +315,7 @@ class TestObjectiveFromTheKernelPass:
         assert len(values) == len(points) == cfg.max_iter
         for y, v in zip(points, values):
             assert y.link is not None
-            assert v == ed.dual_objective(y, inst, W, nu)
+            assert v == ed.dual_objective(y, inst, nu)
 
     def test_trace_rows_report_the_objective_at_q(self, problem, monkeypatch):
         inst, W, cfg = problem
@@ -327,4 +327,4 @@ class TestObjectiveFromTheKernelPass:
         _, trace = ed.run_stm(inst, W, cfg)
         assert len(certified) == len(trace) == cfg.max_iter + 1
         for q, row_value in zip(certified, trace.dual_obj):
-            assert row_value == ed.dual_objective(q, inst, W, nu)
+            assert row_value == ed.dual_objective(q, inst, nu)

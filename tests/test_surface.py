@@ -52,6 +52,7 @@ GONE = [
     (problem, "check_simplex"),
     (problem, "primal_objective"),
     (problem, "SIMPLEX_TOL"),
+    (prox, "Q_VALUES"),
 ]
 
 
@@ -73,6 +74,20 @@ def test_stm_state_holds_what_its_step_reads():
     assert fields == {"A_k", "q_buf", "u_buf", "layout"}
     link = inspect.signature(ed.stm_step).parameters["link"]
     assert link.default is inspect.Parameter.empty
+
+
+def test_instance_reads_its_dimensions_from_a(toy_p1):
+    # A fixes (m, n, d); a caller sets only p, theta and the data
+    init = {f.name for f in dataclasses.fields(ed.ProblemInstance) if f.init}
+    assert init == {"p", "theta", "A", "b"}
+    assert (toy_p1.m, toy_p1.n, toy_p1.d) == toy_p1.A.shape
+
+
+def test_dual_layer_takes_what_it_reads():
+    # prox_R reads R's exponent from the instance, whose p rule is the only
+    # check on it; dual_objective reads the link, not W
+    assert list(inspect.signature(ed.prox_R).parameters) == ["s", "gamma", "nu", "inst", "out"]
+    assert list(inspect.signature(ed.dual_objective).parameters) == ["state", "inst", "nu"]
 
 
 def test_acrcd_state_holds_what_its_step_reads():
@@ -170,6 +185,7 @@ def test_each_input_rule_has_one_owner():
         "erdos-renyi seed must be nonnegative": 1,  # network.topology_erdos_renyi
         "acrcd handles p = 1 only": 1,  # acrcd.check_p
         "all data blocks are zero": 1,  # problem.check_data
+        "q = inf mode requires": 1,  # dual.dual_objective
         "L_z, L_s and eta are set together or not at all": 1,  # ACRCDConfig
         "L must be positive": 1,  # STMConfig
         "a gossip matrix needs at least 2 nodes": 1,  # network._measured_spectrum
