@@ -29,9 +29,14 @@ the same inputs.
 
 Each pair keeps a block and its image in one float64 buffer (``Stacked``),
 [z | P] and [s | Q], so the midpoint is two fused combinations.  A step
-allocates the two midpoints and two new buffers for the sampled block (plus
-the temporaries of its gradient, and of [g | W g] on a z step), passes the
-other block's buffers along, and never writes into a buffer it did not make.
+allocates the two midpoints (each with one temporary, (1 - tau) bar), the
+midpoint's link and two new buffers for the sampled block, and writes each
+update straight into those: g / L_z and W g / L_z, then 2 alpha / L_z times
+each, on a z step; the two updates of s, clipped in place by
+``project_box``, on an s step.  Beyond these it allocates only the
+gradient's products and W g.  It passes the other block's buffers along,
+never writes into a buffer it did not make, and never writes into a
+midpoint after its gradient, so run_acrcd keeps the best midpoint uncopied.
 """
 
 from dataclasses import dataclass, replace
@@ -188,29 +193,48 @@ def acrcd_step(state, cfg, rng, oracle):
     if cfg.eta is None:
         raise ValueError("acrcd_step needs a resolved config (L_z, L_s, eta)")
     alpha, tau = step_coefficients(state.n_comm + state.n_comp)
-    zP_mid = tau * state.zP_under.buf + (1.0 - tau) * state.zP_bar.buf
-    sQ_mid = tau * state.sQ_under.buf + (1.0 - tau) * state.sQ_bar.buf
+    zP_mid = midpoint(state.zP_under.buf, state.zP_bar.buf, tau)
+    sQ_mid = midpoint(state.sQ_under.buf, state.sQ_bar.buf, tau)
     nz, ns = state.zP_bar.x.size, state.sQ_bar.x.size
     z_mid, s_mid = zP_mid[:nz], sQ_mid[:ns]
-    link = -(zP_mid[nz:] + sQ_mid[ns:]).reshape(state.zP_bar.image.shape)
+    link = np.add(zP_mid[nz:], sQ_mid[ns:])
+    np.negative(link, out=link)
     take_z = rng.random() < cfg.eta
-    g = oracle.partial(DualState(z_mid, s_mid, link), take_z)
+    g = oracle.partial(DualState(z_mid, s_mid, link.reshape(state.zP_bar.image.shape)), take_z)
+    # each update is written straight into the new buffers of the sampled
+    # block; the midpoint, which the oracle may have kept, is only read
     if take_z:
         # [g | W g] moves [z | P] with the coefficients that move z
-        gWg = np.concatenate((g, oracle.gossip(g).reshape(-1)))
+        Wg = oracle.gossip(g)
         step = 2.0 * alpha / cfg.L_z
-        return ACRCDState(state.zP_bar.like(zP_mid - gWg / cfg.L_z),
-                          state.zP_under.like(state.zP_under.buf - step * gWg),
-                          state.sQ_bar, state.sQ_under, state.n_comm + 1, state.n_comp)
+        bar = state.zP_bar.like(np.empty_like(zP_mid))
+        under = state.zP_under.like(np.empty_like(zP_mid))
+        np.divide(g, cfg.L_z, out=bar.x)
+        np.divide(Wg, cfg.L_z, out=bar.image)
+        np.subtract(zP_mid, bar.buf, out=bar.buf)
+        np.multiply(g, step, out=under.x)
+        np.multiply(Wg, step, out=under.image)
+        np.subtract(state.zP_under.buf, under.buf, out=under.buf)
+        return ACRCDState(bar, under, state.sQ_bar, state.sQ_under, state.n_comm + 1,
+                          state.n_comp)
     # [s | Q] is written in place: the projected s, then its image A^T s
     bar = state.sQ_bar.like(np.empty_like(sQ_mid))
     under = state.sQ_under.like(np.empty_like(sQ_mid))
-    project_box(s_mid - g / cfg.L_s, bar.x)
-    project_box(state.sQ_under.x - (2.0 * alpha / cfg.L_s) * g, under.x)
+    np.divide(g, cfg.L_s, out=bar.x)
+    project_box(np.subtract(s_mid, bar.x, out=bar.x), bar.x)
+    np.multiply(g, 2.0 * alpha / cfg.L_s, out=under.x)
+    project_box(np.subtract(state.sQ_under.x, under.x, out=under.x), under.x)
     oracle.adjoint(bar.x, bar.image)
     oracle.adjoint(under.x, under.image)
     return ACRCDState(state.zP_bar, state.zP_under, bar, under, state.n_comm,
                       state.n_comp + 1)
+
+
+def midpoint(under, bar, tau):
+    """tau under + (1 - tau) bar in a new buffer."""
+    mid = np.multiply(under, tau)
+    mid += (1.0 - tau) * bar
+    return mid
 
 
 def check_p(inst):

@@ -223,10 +223,13 @@ def dual_gradient(state, inst, W, block=None, lse=None):
     """
     X = _rows_softmax(state.link, inst.theta, lse)
     g_z = g_s = None
+    # the sign and the difference go into the products' own buffers
     if block != "s":
-        g_z = -(gossip_operator(W) @ X).reshape(-1)
+        WX = gossip_operator(W) @ X
+        g_z = np.negative(WX, out=WX).reshape(-1)
     if block != "z":
-        g_s = (inst.b - inst.block_products.apply(X)).reshape(-1)
+        AX = inst.block_products.apply(X)
+        g_s = np.subtract(inst.b, AX, out=AX).reshape(-1)
     return g_z, g_s
 
 

@@ -56,13 +56,14 @@ def vector_norm(x, p):
     raise ValueError(f"vector_norm takes p in {{1, 2, inf}}, got {p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable bundle of per-node data blocks.
 
     A has shape (m, n, d) with A[i] the block of node i, and m, n and d are
     read from it; b has shape (m, n).  The dual layer reads R's exponent
-    from ``q_exponent`` and checks no other.
+    from ``q_exponent`` and checks no other.  Equality is identity, so an
+    instance hashes and compares without comparing its arrays.
     """
 
     p: float

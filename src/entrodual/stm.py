@@ -17,9 +17,14 @@ the iterates q and u, each [z | s | T]: every iterate carries its link
 T = -(Wz + A^T s), flattened.  T is linear in (z, s), so y and q^{k+1} are
 each one fused combination a u + c q of whole buffers; only u^{k+1}, which the
 nonlinear prox produces, has its link formed from scratch.  A step
-allocates three buffers (y, u, q) and the temporaries of the gradient and
-of u's link.  It applies W twice (in u's link and in grad_z H = -W xhat),
-A^T once (in u's link) and A once (in grad_s H = b - A xhat).  It makes
+allocates four buffers: c q^k, which y and q^{k+1} share, then y, u and
+q^{k+1}, each written in place with no other temporary.  q^{k+1} never
+reuses y's buffer, since the caller of grad may keep the points it was
+asked at.  Beyond these, the gradient allocates only its products W xhat
+and A xhat, which it turns in place into -W xhat and b - A xhat, and u's
+link only the product W z.  A step applies W twice (in u's link and in
+grad_z H = -W xhat), A^T once (in u's link) and A once (in
+grad_s H = b - A xhat).  It makes
 one pass of the row kernel ``dual._rows_shifted_exp``, the softmax xhat at
 y, and that pass also yields the log-sum-exp from which run_stm's stall and
 divergence checks read the objective F(y).  A trace row adds one more pass
@@ -142,7 +147,10 @@ def stm_step(state, cfg, grad, prox, link):
     if abs(lhs - A_new) > COUPLING_RTOL * max(1.0, abs(lhs)):
         raise ArithmeticError("step-size recurrence lost precision")
     a, c = alpha / A_new, state.A_k / A_new
-    y = a * state.u_buf + c * state.q_buf
+    # y and q^{k+1} share c q^k; each sum goes straight into its own buffer
+    cq = np.multiply(state.q_buf, c)
+    y = np.multiply(state.u_buf, a)
+    y += cq
     g_z, g_s = grad(state.view(y))
     u = np.empty_like(y)
     z, s = u[:nz], u[nz:nz + ns]
@@ -150,7 +158,9 @@ def stm_step(state, cfg, grad, prox, link):
     np.subtract(state.u_buf[nz:nz + ns], np.multiply(g_s, alpha, out=s), out=s)
     prox(s, alpha)
     link(z, s, u[nz + ns:].reshape(link_shape))
-    q = a * u + c * state.q_buf
+    # a new buffer, not y's: grad's caller may keep the points it was asked at
+    q = np.multiply(u, a)
+    q += cq
     return STMState(A_new, q, u, state.layout)
 
 

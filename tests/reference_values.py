@@ -89,3 +89,21 @@ ITERATE_SHA256 = {
     ("configs/toy_p1.cfg", ("--solver", "acrcd", "--solver-seed", "3", *RING512)):
         "c5d2f769b2295dfff4c47e27dea4275e1810d826ecd5a8dfd56be3cc2649e67a",
 }
+
+# SHA-256 of the iterates' [z | s | T] buffers q and u, concatenated, after
+# the last step of the STM runs in TRACE_SHA256 (same keys).  Like
+# ITERATE_SHA256 for ACRCD, these pin the steps apart from the trace.
+STM_ITERATE_SHA256 = {
+    ("configs/toy.cfg", ()):
+        "a867386c785b365f137041d6ea74b922fe51be902925610cb350e16062fbf4b9",
+    ("configs/toy.cfg", RING64):
+        "e4da6d0af3baacef58ace98b5e92586357a701469600fe8bf89fdff86d2cf53d",
+    ("configs/toy.cfg", RING512):
+        "056331ec22c64571eebefcf161a8115966b94578bf18f8e6f9107dd54a155f92",
+    ("configs/toy_p1.cfg", ()):
+        "b3f37dc31842f5b9e751188befff0ab14992a042d8e7d892ee5d5a7992e3dc65",
+    ("configs/toy_p1.cfg", RING64):
+        "55f5b351db0e4778a851137315663191592c2bcd9aa5f9bb27013bb42c7859cf",
+    ("configs/toy_p1.cfg", RING512):
+        "3d79b15583c938931d2c25414285f4388711ed03f315911bf0dc76eb7fbcd147",
+}

@@ -347,3 +347,25 @@ def test_iterates_are_pinned(config, flags, tmp_path, monkeypatch):
     assert last.n_comm + last.n_comp == len(states)
     digest = hashlib.sha256(last.zP_bar.buf.tobytes() + last.sQ_bar.buf.tobytes()).hexdigest()
     assert digest == ITERATE_SHA256[config, flags]
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5), (64, 20, 50), (512, 2, 8)],
+                         ids=["toy", "ring64", "ring512"])
+def test_steps_never_write_into_points_handed_to_the_oracle(shape, monkeypatch):
+    """Every midpoint ``partial`` was asked at keeps its bytes through all
+    later steps: run_acrcd keeps the best one uncopied."""
+    asked = []
+    real = acrcd_mod.BlockOracle.partial
+
+    def partial(self, point, take_z):
+        asked.append((point, [a.copy() for a in (point.z, point.s, point.link)]))
+        return real(self, point, take_z)
+
+    monkeypatch.setattr(acrcd_mod.BlockOracle, "partial", partial)
+    inst = ed.generate_instance(7, *shape, 1.0, 3.0)
+    W = ed.build_laplacian(ed.topology_ring(shape[0]))
+    _, trace = ed.run_acrcd(inst, W, ed.ACRCDConfig(rng_seed=1, max_iter=40, trace_every=1))
+    assert len(asked) == 40 and 0 < trace.n_comm[-1] < 40
+    for point, kept in asked:
+        assert [a.tobytes() for a in (point.z, point.s, point.link)] == \
+            [a.tobytes() for a in kept]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -709,6 +710,25 @@ def test_crossover_script_quick_runs():
         for row in rows:
             picks = row.split()[-len(forms):]
             assert all(pick in choices for pick, choices in zip(picks, forms)), row
+
+
+def test_floor_script_quick_runs():
+    """scripts/floor.py --quick prints the products of every benchmark rung,
+    and each solver's time per iteration next to its floor."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "floor.py"), "--quick"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    products, solvers = done.stdout.strip().split("\n\n")
+    rungs = list(json.loads((REPO / "perfbench" / "workloads.json").read_text())["workloads"])
+    # below each table's title and column header, one row per rung or per rung and solver
+    assert [row.split()[0] for row in products.splitlines()[3:]] == rungs
+    rows = [row.split() for row in solvers.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [[r, s] for r in rungs for s in ("stm", "acrcd")]
+    for row in rows:
+        t, floor, _, share = map(float, row[2:])
+        assert t > 0.0 and floor > 0.0 and share > 0.0
 
 
 def test_readme_lists_the_config_keys():

@@ -14,8 +14,12 @@ from oracles import dense_operators
 from reference_values import (
     CHECKSUM_P1,
     CHECKSUM_P2,
+    TOY_D,
+    TOY_M,
+    TOY_N,
     TOY_P1_THETA,
     TOY_P2_THETA,
+    TOY_SEED,
 )
 from strategies import invalid_loss_exponents, simplex_points, small_instances
 
@@ -80,6 +84,15 @@ class TestProblemInstance:
         A[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             ed.ProblemInstance(2.0, 0.5, A, np.zeros((2, 1)))
+
+    def test_equality_is_identity(self, toy_p2):
+        # two generated copies hold equal arrays; comparing them reads none
+        copy = ed.generate_instance(TOY_SEED, TOY_M, TOY_N, TOY_D, 2.0, TOY_P2_THETA)
+        assert toy_p2 == toy_p2
+        assert (toy_p2 == copy) is False
+        assert (toy_p2 != copy) is True
+        assert hash(toy_p2) == hash(toy_p2)
+        assert len({toy_p2, copy, toy_p2}) == 2
 
     def test_arrays_read_only(self, toy_p2):
         with pytest.raises(ValueError):

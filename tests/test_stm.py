@@ -1,10 +1,13 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entrodual as ed
 import entrodual.stm as stm_mod
+from entrodual.cli import main
 from entrodual.errors import NumericFailure
 from entrodual.stm import STALL_WINDOW, resolve_config, stm_init, stm_step
 
@@ -13,7 +16,10 @@ from reference_values import (
     DUAL_OPT_P1_BOX,
     DUAL_OPT_P1_TOL,
     PENALIZED_DUAL_OPT_P2,
+    STM_ITERATE_SHA256,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def resolved_quadratic_cfg(L):
@@ -328,3 +334,43 @@ class TestObjectiveFromTheKernelPass:
         assert len(certified) == len(trace) == cfg.max_iter + 1
         for q, row_value in zip(certified, trace.dual_obj):
             assert row_value == ed.dual_objective(q, inst, nu)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("shape", [(4, 3, 5), (64, 20, 50), (512, 2, 8)],
+                         ids=["toy", "ring64", "ring512"])
+def test_steps_never_write_into_points_handed_to_grad(shape, p, monkeypatch):
+    """Every point grad was asked at keeps its bytes through all later steps:
+    the stall value and a caller that keeps the points rely on it."""
+    asked = []
+    real_step = stm_mod.stm_step
+
+    def recording(grad):
+        def inner(ds):
+            asked.append((ds, [a.copy() for a in (ds.z, ds.s, ds.link)]))
+            return grad(ds)
+        return inner
+
+    monkeypatch.setattr(stm_mod, "stm_step", lambda state, cfg, grad, prox, link:
+                        real_step(state, cfg, recording(grad), prox, link))
+    inst = ed.generate_instance(7, *shape, p, 3.0)
+    W = ed.build_laplacian(ed.topology_ring(shape[0]))
+    ed.run_stm(inst, W, ed.STMConfig(max_iter=20, trace_every=1))
+    assert len(asked) == 20
+    for point, kept in asked:
+        assert [a.tobytes() for a in (point.z, point.s, point.link)] == \
+            [a.tobytes() for a in kept]
+
+
+@pytest.mark.parametrize("config,flags", [
+    pytest.param(config, flags, id="-".join((Path(config).stem, *(f.lstrip("-") for f in flags))))
+    for config, flags in sorted(STM_ITERATE_SHA256)])
+def test_iterates_are_pinned(config, flags, tmp_path, monkeypatch):
+    """The iterates q and u after the last step of ``entrodual solve``, byte for byte."""
+    states = []
+    monkeypatch.setattr(stm_mod, "stm_step",
+                        lambda *a: states.append(stm_step(*a)) or states[-1])
+    assert main(["solve", "--config", str(REPO / config), *flags, "--out", str(tmp_path)]) == 0
+    last = states[-1]
+    digest = hashlib.sha256(last.q_buf.tobytes() + last.u_buf.tobytes()).hexdigest()
+    assert digest == STM_ITERATE_SHA256[config, flags]
